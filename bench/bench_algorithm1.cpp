@@ -21,7 +21,7 @@ void correctness_and_order_report() {
     for (const std::size_t channels : {3u, 8u, 12u}) {
       for (const RadioCount radios : {1, 3, 8}) {
         if (static_cast<std::size_t>(radios) > channels) continue;
-        const Game game(GameConfig(users, channels, radios),
+        const GameModel game(GameConfig(users, channels, radios),
                         std::make_shared<ConstantRate>(1.0));
         const StrategyMatrix ne = sequential_allocation(game);
         sweep.add_row(
@@ -45,7 +45,7 @@ void correctness_and_order_report() {
        std::vector<std::pair<std::string, std::shared_ptr<const RateFunction>>>{
            {"constant", std::make_shared<ConstantRate>(1.0)},
            {"R(k)=1/k", std::make_shared<PowerLawRate>(1.0, 1.0)}}) {
-    const Game game(GameConfig(6, 4, 2), rate);
+    const GameModel game(GameConfig(6, 4, 2), rate);
     Rng rng(321);
     RunningStats first_user;
     RunningStats last_user;
@@ -69,7 +69,7 @@ void correctness_and_order_report() {
 
 void BM_Algorithm1_Users(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  const Game game(GameConfig(users, 12, 4),
+  const GameModel game(GameConfig(users, 12, 4),
                   std::make_shared<ConstantRate>(1.0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sequential_allocation(game));
@@ -80,7 +80,7 @@ BENCHMARK(BM_Algorithm1_Users)->RangeMultiplier(4)->Range(4, 1024)->Complexity()
 
 void BM_Algorithm1_Channels(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
-  const Game game(GameConfig(32, channels, 4),
+  const GameModel game(GameConfig(32, channels, 4),
                   std::make_shared<ConstantRate>(1.0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sequential_allocation(game));
@@ -91,7 +91,7 @@ BENCHMARK(BM_Algorithm1_Channels)->RangeMultiplier(2)->Range(8, 256)->Complexity
 
 void BM_NashCheck(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  const Game game(GameConfig(users, 12, 4),
+  const GameModel game(GameConfig(users, 12, 4),
                   std::make_shared<ConstantRate>(1.0));
   const StrategyMatrix ne = sequential_allocation(game);
   for (auto _ : state) {
@@ -103,7 +103,7 @@ BENCHMARK(BM_NashCheck)->RangeMultiplier(4)->Range(4, 256)->Complexity();
 
 void BM_SingleMoveStability(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  const Game game(GameConfig(users, 12, 4),
+  const GameModel game(GameConfig(users, 12, 4),
                   std::make_shared<ConstantRate>(1.0));
   const StrategyMatrix ne = sequential_allocation(game);
   for (auto _ : state) {

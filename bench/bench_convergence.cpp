@@ -19,7 +19,8 @@ int main() {
             << "==============================================================\n\n";
 
   constexpr int kTrials = 40;
-  const Game game(GameConfig(8, 6, 3), std::make_shared<ConstantRate>(1.0));
+  const GameModel game(GameConfig(8, 6, 3),
+                       std::make_shared<ConstantRate>(1.0));
 
   std::cout << "Part 1 — asynchronous dynamics (" << game.config().describe()
             << ", " << kTrials << " random starts):\n";
@@ -91,7 +92,7 @@ int main() {
                "(k=3, C = N):\n";
   Table scale_table({"N = C", "mean activations", "mean improving moves"});
   for (const std::size_t size : {4u, 8u, 16u, 32u}) {
-    const Game big(GameConfig(size, size, 3),
+    const GameModel big(GameConfig(size, size, 3),
                    std::make_shared<ConstantRate>(1.0));
     Rng rng(11);
     RunningStats activations;

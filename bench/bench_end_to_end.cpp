@@ -32,7 +32,7 @@ int main() {
 
   const auto rate = std::make_shared<TabulatedRate>(
       table, "DCF(measured)", mac.bitrate_bps / 1e6);
-  const Game game(config, rate);
+  const GameModel game(config, rate);
 
   std::cout << "\nStep 2 — selfish allocation (Algorithm 1):\n";
   const StrategyMatrix ne = sequential_allocation(game);

@@ -28,9 +28,11 @@ int main() {
         std::make_shared<ConstantRate>(1.0),
         std::make_shared<ConstantRate>(1.0),
         std::make_shared<ConstantRate>(1.0)};
-    const HeterogeneousGame game(GameConfig(users, 4, 2), std::move(rates));
-    const auto outcome =
-        game.run_best_response_dynamics(game.greedy_allocation());
+    const GameModel game(4, std::vector<RadioCount>(users, 2),
+                         std::move(rates));
+    const auto outcome = run_response_dynamics(
+        game, sequential_allocation(
+                  game, {.placement = PlacementRule::kBestMarginal}));
     const auto& ne = outcome.final_state;
     std::string loads;
     for (ChannelId c = 0; c < 4; ++c) {
@@ -53,12 +55,12 @@ int main() {
   std::cout << "(b) Energy-priced radios — N=4, C=4, k=3, constant R=1:\n\n";
   Table energy_table({"cost/radio", "deployed (of 12)", "welfare",
                       "NE verified"});
-  const Game base(GameConfig(4, 4, 3), std::make_shared<ConstantRate>(1.0));
+  const GameConfig energy_config(4, 4, 3);
   for (const double cost :
        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.1}) {
-    const EnergyAwareGame game(base, cost);
-    const auto outcome =
-        game.run_best_response_dynamics(base.empty_strategy());
+    const GameModel game(energy_config, std::make_shared<ConstantRate>(1.0),
+                         cost);
+    const auto outcome = run_response_dynamics(game, game.empty_strategy());
     const auto& ne = outcome.final_state;
     energy_table.add_row({Table::fmt(cost, 2),
                           Table::fmt(static_cast<int>(ne.total_deployed())),
@@ -81,10 +83,10 @@ int main() {
                    "NE welfare RTS/CTS"});
   for (const std::size_t users : {4u, 8u, 16u, 32u}) {
     const GameConfig config(users, 6, 2);
-    const Game basic_game(config,
-                          basic_model.make_practical_rate(config.total_radios()));
-    const Game rts_game(config,
-                        rts_model.make_practical_rate(config.total_radios()));
+    const GameModel basic_game(
+        config, basic_model.make_practical_rate(config.total_radios()));
+    const GameModel rts_game(
+        config, rts_model.make_practical_rate(config.total_radios()));
     mac_table.add_row({Table::fmt(users),
                        Table::fmt(price_of_anarchy(basic_game), 4),
                        Table::fmt(price_of_anarchy(rts_game), 4),
@@ -98,7 +100,8 @@ int main() {
   // ---------------------------------------------------------------- (d)
   std::cout << "(d) Algorithm 1 tie-break ablation (N=9, C=6, k=3,\n"
             << "    constant R, 50 seeds for the random policy):\n\n";
-  const Game game(GameConfig(9, 6, 3), std::make_shared<ConstantRate>(1.0));
+  const GameModel game(GameConfig(9, 6, 3),
+                       std::make_shared<ConstantRate>(1.0));
   const StrategyMatrix lowest = sequential_allocation(game);
   std::size_t random_ne = 0;
   RunningStats welfare_stats;

@@ -15,7 +15,7 @@ int main() {
             << "==============================================================\n\n";
 
   const GameConfig config(4, 5, 4);
-  const Game game(config, make_tdma_rate(1.0));
+  const GameModel game(config, make_tdma_rate(1.0));
   const auto matrix = StrategyMatrix::from_rows(config, {{1, 1, 1, 1, 0},
                                                          {1, 0, 0, 1, 1},
                                                          {1, 2, 0, 1, 0},

@@ -16,7 +16,7 @@ namespace {
 
 using namespace mrca;
 
-void analyze(const std::string& title, const Game& game,
+void analyze(const std::string& title, const GameModel& game,
              const StrategyMatrix& matrix) {
   std::cout << title << '\n'
             << render_occupancy(matrix) << render_loads(matrix) << "\n\n"
@@ -42,7 +42,7 @@ int main() {
             << "==============================================================\n\n";
   {
     const GameConfig config(7, 6, 4);
-    const Game game(config, make_tdma_rate(1.0));
+    const GameModel game(config, make_tdma_rate(1.0));
     const auto fig4 = StrategyMatrix::from_rows(config, {{0, 0, 0, 0, 2, 2},
                                                          {1, 1, 1, 1, 0, 0},
                                                          {1, 1, 1, 1, 0, 0},
@@ -63,7 +63,7 @@ int main() {
             << "==============================================================\n\n";
   {
     const GameConfig config(4, 6, 4);
-    const Game game(config, make_tdma_rate(1.0));
+    const GameModel game(config, make_tdma_rate(1.0));
     const auto fig5 = StrategyMatrix::from_rows(config, {{1, 1, 1, 1, 0, 0},
                                                          {1, 1, 1, 1, 0, 0},
                                                          {1, 1, 0, 0, 1, 1},

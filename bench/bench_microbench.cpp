@@ -9,12 +9,13 @@ namespace {
 
 using namespace mrca;
 
-Game make_game(std::size_t users) {
-  return Game(GameConfig(users, 12, 4), std::make_shared<ConstantRate>(1.0));
+GameModel make_game(std::size_t users) {
+  return GameModel(GameConfig(users, 12, 4),
+                   std::make_shared<ConstantRate>(1.0));
 }
 
 void BM_Utility(benchmark::State& state) {
-  const Game game = make_game(static_cast<std::size_t>(state.range(0)));
+  const GameModel game = make_game(static_cast<std::size_t>(state.range(0)));
   const StrategyMatrix ne = sequential_allocation(game);
   UserId user = 0;
   for (auto _ : state) {
@@ -25,7 +26,7 @@ void BM_Utility(benchmark::State& state) {
 BENCHMARK(BM_Utility)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_MoveBenefit(benchmark::State& state) {
-  const Game game = make_game(64);
+  const GameModel game = make_game(64);
   StrategyMatrix ne = sequential_allocation(game);
   // Find a user-owned channel to move from.
   RadioMove move{0, 0, 1};
@@ -43,16 +44,16 @@ void BM_MoveBenefit(benchmark::State& state) {
 BENCHMARK(BM_MoveBenefit);
 
 void BM_BestResponseDp(benchmark::State& state) {
-  const Game game = make_game(static_cast<std::size_t>(state.range(0)));
+  const GameModel game = make_game(static_cast<std::size_t>(state.range(0)));
   const StrategyMatrix ne = sequential_allocation(game);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(best_response(game, ne, 0));
+    benchmark::DoNotOptimize(game.best_response(ne, 0));
   }
 }
 BENCHMARK(BM_BestResponseDp)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_PotentialEvaluation(benchmark::State& state) {
-  const Game game = make_game(64);
+  const GameModel game = make_game(64);
   const StrategyMatrix ne = sequential_allocation(game);
   for (auto _ : state) {
     benchmark::DoNotOptimize(potential(game, ne));
@@ -83,7 +84,7 @@ void BM_DcfSimulationSecond(benchmark::State& state) {
 BENCHMARK(BM_DcfSimulationSecond)->Arg(2)->Arg(10)->Arg(50);
 
 void BM_SequentialAllocationLarge(benchmark::State& state) {
-  const Game game(GameConfig(256, 16, 8),
+  const GameModel game(GameConfig(256, 16, 8),
                   std::make_shared<ConstantRate>(1.0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sequential_allocation(game));

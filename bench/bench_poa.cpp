@@ -36,7 +36,7 @@ int main() {
   for (const auto& rate_case : rates) {
     for (const std::size_t users : {3u, 4u, 6u, 9u, 12u, 18u}) {
       const GameConfig config(users, 6, 2);
-      const Game game(config, rate_case.rate);
+      const GameModel game(config, rate_case.rate);
       const StrategyMatrix ne = sequential_allocation(game);
       table.add_row({rate_case.label, Table::fmt(users),
                      Table::fmt(nash_welfare(game), 4),
@@ -63,7 +63,7 @@ int main() {
          {std::tuple<std::size_t, std::size_t, RadioCount>{3, 2, 2},
           {3, 3, 2},
           {2, 3, 3}}) {
-      const Game game(GameConfig(n, c, k), rate_case.rate);
+      const GameModel game(GameConfig(n, c, k), rate_case.rate);
       const auto equilibria = enumerate_nash_equilibria(game);
       std::size_t pareto = 0;
       std::size_t system = 0;

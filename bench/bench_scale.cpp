@@ -168,7 +168,6 @@ TimedRun run_cell(const GameModel& model, const StrategyMatrix& start,
   dynamics.granularity = options.granularity;
   dynamics.order = ActivationOrder::kRoundRobin;
   dynamics.max_passes = options.max_passes;
-  dynamics.use_incremental_cache = true;
   dynamics.use_dirty_channel_pruning = pruned;
   Rng rng(options.seed + 1);  // consumed only by random-improving play
   const auto real_begin = std::chrono::steady_clock::now();

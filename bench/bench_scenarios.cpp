@@ -1,7 +1,7 @@
 // Scenario hot-path benchmarks for the unified GameModel PR:
 //  - the shared cache-accelerated dynamics driver on each scenario kind
 //    (heterogeneous band, mixed radio budgets, energy-priced utilities) at
-//    the 512-user scale, incremental vs full recompute;
+//    the 512-user scale;
 //  - end-to-end scenario-sweep throughput across the worker pool.
 #include <benchmark/benchmark.h>
 
@@ -28,17 +28,13 @@ engine::ScenarioSpec scenario_of(const std::string& name) {
 }
 
 /// Best-response play from a random start on one scenario kind.
-void run_scenario_dynamics(benchmark::State& state, const std::string& name,
-                           bool incremental) {
+void run_scenario_dynamics(benchmark::State& state, const std::string& name) {
   const GameModel model = make_model(scenario_of(name));
   Rng start_rng(42);
   const StrategyMatrix start = random_full_allocation(model, start_rng);
   DynamicsOptions options;
   options.granularity = ResponseGranularity::kBestSingleMove;
-  // The welfare trace makes the A/B honest: without the cache every
-  // improving step pays a full O(|N|*|C|) welfare recompute.
   options.record_welfare_trace = true;
-  options.use_incremental_cache = incremental;
   for (auto _ : state) {
     const DynamicsResult result =
         run_response_dynamics(model, start, options);
@@ -48,22 +44,17 @@ void run_scenario_dynamics(benchmark::State& state, const std::string& name,
 }
 
 void BM_HeterogeneousDynIncremental512(benchmark::State& state) {
-  run_scenario_dynamics(state, "het=4:2:1:1", /*incremental=*/true);
+  run_scenario_dynamics(state, "het=4:2:1:1");
 }
 BENCHMARK(BM_HeterogeneousDynIncremental512)->Unit(benchmark::kMillisecond);
 
-void BM_HeterogeneousDynFullRecompute512(benchmark::State& state) {
-  run_scenario_dynamics(state, "het=4:2:1:1", /*incremental=*/false);
-}
-BENCHMARK(BM_HeterogeneousDynFullRecompute512)->Unit(benchmark::kMillisecond);
-
 void BM_BudgetMixDynIncremental512(benchmark::State& state) {
-  run_scenario_dynamics(state, "budgets=1:2:4:8", /*incremental=*/true);
+  run_scenario_dynamics(state, "budgets=1:2:4:8");
 }
 BENCHMARK(BM_BudgetMixDynIncremental512)->Unit(benchmark::kMillisecond);
 
 void BM_EnergyDynIncremental512(benchmark::State& state) {
-  run_scenario_dynamics(state, "energy=0.05", /*incremental=*/true);
+  run_scenario_dynamics(state, "energy=0.05");
 }
 BENCHMARK(BM_EnergyDynIncremental512)->Unit(benchmark::kMillisecond);
 

@@ -12,16 +12,16 @@ using namespace mrca;
 
 /// A converged mid-size NE allocation to replay: 8 users x 2 radios over 4
 /// channels -> every channel carries 4 stations.
-StrategyMatrix make_ne_allocation(const Game& game) {
+StrategyMatrix make_ne_allocation(const GameModel& game) {
   return sequential_allocation(game);
 }
 
-Game make_game() {
-  return Game(GameConfig(8, 4, 2), std::make_shared<ConstantRate>(1.0));
+GameModel make_game() {
+  return GameModel(GameConfig(8, 4, 2), std::make_shared<ConstantRate>(1.0));
 }
 
 void run_replay(benchmark::State& state, sim::MacKind mac) {
-  const Game game = make_game();
+  const GameModel game = make_game();
   const StrategyMatrix ne = make_ne_allocation(game);
   engine::SimTierSpec tier;
   tier.mac = mac;
@@ -45,7 +45,7 @@ void BM_ReplayDcfHalfSecond(benchmark::State& state) {
 BENCHMARK(BM_ReplayDcfHalfSecond)->Unit(benchmark::kMillisecond);
 
 void BM_AnalyticPredictorDcf(benchmark::State& state) {
-  const Game game = make_game();
+  const GameModel game = make_game();
   const StrategyMatrix ne = make_ne_allocation(game);
   engine::SimTierSpec tier;  // DCF: one Bianchi fixed point per load value
   for (auto _ : state) {

@@ -1,7 +1,6 @@
-// A/B benchmarks for the batch engine PR:
-//  - response dynamics with the incremental utility cache vs the seed's
-//    full-recompute path, on a 512-user game (the acceptance scenario);
-//  - best-response oracle through the memoized RateTable vs virtual dispatch;
+// Batch-engine benchmarks:
+//  - response dynamics (best single move and exact best response) on a
+//    512-user game;
 //  - end-to-end sweep throughput at 1 vs hardware threads;
 //  - streaming sessions: JSONL record streaming holds its peak buffered
 //    record count (the session's only run-proportional state) flat as the
@@ -20,58 +19,37 @@ constexpr std::size_t kUsers = 512;
 constexpr std::size_t kChannels = 12;
 constexpr RadioCount kRadios = 4;
 
-Game make_large_game() {
-  return Game(GameConfig(kUsers, kChannels, kRadios),
-              std::make_shared<PowerLawRate>(1.0, 1.0));
+GameModel make_large_game() {
+  return GameModel(GameConfig(kUsers, kChannels, kRadios),
+                   std::make_shared<PowerLawRate>(1.0, 1.0));
 }
 
-/// Best-single-move play from a random start with the welfare trace on —
-/// the configuration where per-activation full recompute hurts most.
-void run_dynamics(benchmark::State& state, bool incremental) {
-  const Game game = make_large_game();
+/// Best-single-move play from a random start with the welfare trace on.
+void BM_DynamicsIncremental512(benchmark::State& state) {
+  const GameModel game = make_large_game();
   Rng start_rng(42);
   const StrategyMatrix start = random_full_allocation(game, start_rng);
   DynamicsOptions options;
   options.granularity = ResponseGranularity::kBestSingleMove;
   options.record_welfare_trace = true;
-  options.use_incremental_cache = incremental;
   for (auto _ : state) {
     const DynamicsResult result = run_response_dynamics(game, start, options);
     benchmark::DoNotOptimize(result.improving_steps);
     if (!result.converged) state.SkipWithError("dynamics did not converge");
   }
 }
-
-void BM_DynamicsFullRecompute512(benchmark::State& state) {
-  run_dynamics(state, /*incremental=*/false);
-}
-BENCHMARK(BM_DynamicsFullRecompute512)->Unit(benchmark::kMillisecond);
-
-void BM_DynamicsIncremental512(benchmark::State& state) {
-  run_dynamics(state, /*incremental=*/true);
-}
 BENCHMARK(BM_DynamicsIncremental512)->Unit(benchmark::kMillisecond);
 
-void run_best_response_dynamics(benchmark::State& state, bool incremental) {
-  const Game game = make_large_game();
+void BM_BestResponseDynIncremental512(benchmark::State& state) {
+  const GameModel game = make_large_game();
   Rng start_rng(43);
   const StrategyMatrix start = random_full_allocation(game, start_rng);
   DynamicsOptions options;
   options.granularity = ResponseGranularity::kBestResponse;
-  options.use_incremental_cache = incremental;
   for (auto _ : state) {
     const DynamicsResult result = run_response_dynamics(game, start, options);
     benchmark::DoNotOptimize(result.improving_steps);
   }
-}
-
-void BM_BestResponseDynFullRecompute512(benchmark::State& state) {
-  run_best_response_dynamics(state, /*incremental=*/false);
-}
-BENCHMARK(BM_BestResponseDynFullRecompute512)->Unit(benchmark::kMillisecond);
-
-void BM_BestResponseDynIncremental512(benchmark::State& state) {
-  run_best_response_dynamics(state, /*incremental=*/true);
 }
 BENCHMARK(BM_BestResponseDynIncremental512)->Unit(benchmark::kMillisecond);
 

@@ -28,10 +28,10 @@ struct AuditRow {
   std::size_t stable_not_nash = 0;
 };
 
-AuditRow audit(const Game& game) {
+AuditRow audit(const GameModel& game) {
   AuditRow row;
   row.config = game.config().describe();
-  row.rate = game.rate_function().name();
+  row.rate = game.rate_function(0).name();
   for_each_strategy_matrix(
       game.config(),
       [&](const StrategyMatrix& matrix) {
@@ -72,7 +72,7 @@ int main() {
           {2, 3, 3},
           {4, 4, 2},
           {3, 4, 3}}) {
-      const Game game(GameConfig(n, c, k), rate);
+      const GameModel game(GameConfig(n, c, k), rate);
       const AuditRow row = audit(game);
       table.add_row({row.config, row.rate, Table::fmt(row.matrices),
                      Table::fmt(row.nash), Table::fmt(row.theorem),
@@ -100,7 +100,7 @@ int main() {
         {3, 3, 2},
         {4, 4, 2},
         {5, 3, 1}}) {
-    const Game game(GameConfig(n, c, k), constant);
+    const GameModel game(GameConfig(n, c, k), constant);
     const auto equilibria = enumerate_nash_equilibria(game);
     const auto sizes = symmetry_class_sizes(equilibria);
     classes_table.add_row({game.config().describe(),
@@ -135,7 +135,7 @@ int main() {
 
   // Show the concrete smallest counterexample end to end.
   std::cout << "\nSmallest counterexample (N=4, k=2, C=3, constant R):\n";
-  const Game game(probe_config, constant);
+  const GameModel game(probe_config, constant);
   const auto counterexample = StrategyMatrix::from_rows(
       probe_config, {{2, 0, 0}, {0, 1, 1}, {0, 1, 1}, {0, 1, 1}});
   std::cout << render_matrix(counterexample)
@@ -147,6 +147,6 @@ int main() {
                     ? "equilibrium"
                     : "NOT an equilibrium")
             << "\n  u1's profitable deviation: "
-            << best_single_change(game, counterexample, 0)->describe() << '\n';
+            << game.best_single_change(counterexample, 0)->describe() << '\n';
   return 0;
 }

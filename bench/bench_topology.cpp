@@ -26,17 +26,15 @@ GameModel make_model(const std::string& scenario) {
       kUsers, kChannels, kRadios, base_rate());
 }
 
-/// Best-single-move play from a random start, incremental vs full welfare
-/// recompute, on a graph-load vs global-load model.
-void run_dynamics(benchmark::State& state, const std::string& scenario,
-                  bool incremental) {
+/// Best-single-move play from a random start on a graph-load vs
+/// global-load model.
+void run_dynamics(benchmark::State& state, const std::string& scenario) {
   const GameModel model = make_model(scenario);
   Rng start_rng(42);
   const StrategyMatrix start = random_full_allocation(model, start_rng);
   DynamicsOptions options;
   options.granularity = ResponseGranularity::kBestSingleMove;
   options.record_welfare_trace = true;
-  options.use_incremental_cache = incremental;
   for (auto _ : state) {
     const DynamicsResult result =
         run_response_dynamics(model, start, options);
@@ -46,17 +44,12 @@ void run_dynamics(benchmark::State& state, const std::string& scenario,
 }
 
 void BM_RingDynIncremental512(benchmark::State& state) {
-  run_dynamics(state, "topology=ring:2", /*incremental=*/true);
+  run_dynamics(state, "topology=ring:2");
 }
 BENCHMARK(BM_RingDynIncremental512)->Unit(benchmark::kMillisecond);
 
-void BM_RingDynFullRecompute512(benchmark::State& state) {
-  run_dynamics(state, "topology=ring:2", /*incremental=*/false);
-}
-BENCHMARK(BM_RingDynFullRecompute512)->Unit(benchmark::kMillisecond);
-
 void BM_CompleteDynIncremental512(benchmark::State& state) {
-  run_dynamics(state, "base", /*incremental=*/true);
+  run_dynamics(state, "base");
 }
 BENCHMARK(BM_CompleteDynIncremental512)->Unit(benchmark::kMillisecond);
 

@@ -16,7 +16,7 @@
 
 namespace {
 
-void report(const mrca::Game& game, const mrca::StrategyMatrix& state,
+void report(const mrca::GameModel& game, const mrca::StrategyMatrix& state,
             const std::string& label) {
   std::cout << label << "\n  " << mrca::render_loads(state)
             << "\n  welfare " << game.welfare(state) << " / optimum "
@@ -32,7 +32,8 @@ int main() {
   using namespace mrca;
 
   const GameConfig config(/*users=*/5, /*channels=*/4, /*radios=*/2);
-  const Game game(config, make_tdma_rate(1.0));
+  const auto rate = make_tdma_rate(1.0);
+  const GameModel game(config, rate);
   std::cout << "Cognitive radio band: " << config.describe()
             << ", constant R = 1 Mbit/s per channel\n\n";
 
@@ -64,7 +65,7 @@ int main() {
   const std::vector<UserId> remaining = {1, 3};  // u2 and u4 stay
   const GameConfig shrunk_config(remaining.size(), config.num_channels,
                                  config.radios_per_user);
-  const Game shrunk_game(shrunk_config, game.rate_function_ptr());
+  const GameModel shrunk_game(shrunk_config, rate);
   StrategyMatrix shrunk = shrunk_game.empty_strategy();
   for (UserId slot = 0; slot < remaining.size(); ++slot) {
     shrunk.set_row(slot, spectrum.row(remaining[slot]));

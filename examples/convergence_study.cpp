@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   const int trials = argc > 1 ? std::atoi(argv[1]) : 25;
   const GameConfig config(/*users=*/8, /*channels=*/6, /*radios=*/3);
-  const Game game(config, make_tdma_rate(1.0));
+  const GameModel game(config, make_tdma_rate(1.0));
   std::cout << "Convergence study: " << config.describe()
             << ", constant R, " << trials << " random starts each\n\n";
 

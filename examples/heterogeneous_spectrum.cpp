@@ -23,13 +23,17 @@ int main() {
       std::make_shared<ConstantRate>(1.0),
       std::make_shared<ConstantRate>(2.0),  // one mid-size channel
   };
-  const HeterogeneousGame game(config, rates);
+  const GameModel game(config.num_channels,
+                       std::vector<RadioCount>(config.num_users,
+                                               config.radios_per_user),
+                       rates);
 
   std::cout << "Heterogeneous band (" << config.describe()
             << "), channel rates: 4.0 / 1.0 / 1.0 / 2.0 Mbit/s\n\n";
 
-  const StrategyMatrix greedy = game.greedy_allocation();
-  const auto outcome = game.run_best_response_dynamics(greedy);
+  const StrategyMatrix greedy = sequential_allocation(
+      game, {.placement = PlacementRule::kBestMarginal});
+  const auto outcome = run_response_dynamics(game, greedy);
   const StrategyMatrix& ne = outcome.final_state;
 
   std::cout << "Selfish allocation (greedy + best-response polish, "

@@ -30,12 +30,14 @@ int main(int argc, char** argv) {
   // 1. MAC model -> rate function (Mbit/s).
   const DcfParameters mac = DcfParameters::bianchi_fhss();
   const BianchiDcfModel bianchi(mac);
-  const Game game(config, bianchi.make_practical_rate(config.total_radios()));
+  const GameModel game(config,
+                       bianchi.make_practical_rate(config.total_radios()));
 
   std::cout << "Practical CSMA/CA total rate per channel (Bianchi model):\n";
   Table rate_table({"radios on channel", "R(k) [Mbit/s]"});
   for (int k = 1; k <= std::min(config.total_radios(), 8); ++k) {
-    rate_table.add_row({Table::fmt(k), Table::fmt(game.rate_function().rate(k), 4)});
+    rate_table.add_row(
+        {Table::fmt(k), Table::fmt(game.rate_function(0).rate(k), 4)});
   }
   rate_table.print(std::cout);
   std::cout << '\n';

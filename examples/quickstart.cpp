@@ -16,7 +16,7 @@ int main() {
   //    reservation-TDMA MAC => the total rate per channel is constant
   //    (1 Mbit/s here) no matter how many radios share it.
   const GameConfig config(/*users=*/4, /*channels=*/6, /*radios=*/4);
-  const Game game(config, make_tdma_rate(1.0));
+  const GameModel game(config, make_tdma_rate(1.0));
 
   std::cout << "Multi-radio channel allocation (" << config.describe()
             << ")\n\n";

@@ -1,8 +1,8 @@
 #include "core/alloc/best_response.h"
 
 #include <limits>
-#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "core/alloc/utility_cache.h"
 #include "core/analysis/deviation.h"
@@ -11,52 +11,33 @@
 namespace mrca {
 namespace {
 
-/// Per-run scratch for the pruned cached path: the flat scan kernels and
-/// the dirty-channel list are reused across millions of activations with
-/// zero per-activation allocation.
+/// Per-run scratch: the flat scan kernels and the dirty-channel list are
+/// reused across millions of activations with zero per-activation
+/// allocation.
 struct ScanScratch {
   detail::ScanBuffers buffers;
   std::vector<ChannelId> dirty;
 };
 
-void apply_change(StrategyMatrix& strategies, const SingleChange& change,
-                  UtilityCache* cache) {
-  switch (change.kind) {
-    case SingleChange::Kind::kMove:
-      if (cache) {
-        cache->move_radio(strategies, change.user, change.from, change.to);
-      } else {
-        strategies.move_radio(change.user, change.from, change.to);
-      }
-      break;
-    case SingleChange::Kind::kDeploy:
-      if (cache) {
-        cache->add_radio(strategies, change.user, change.to);
-      } else {
-        strategies.add_radio(change.user, change.to);
-      }
-      break;
-    case SingleChange::Kind::kPark:
-      if (cache) {
-        cache->remove_radio(strategies, change.user, change.from);
-      } else {
-        strategies.remove_radio(change.user, change.from);
-      }
-      break;
-  }
-}
-
-/// The pruned cached activation. plan_scan has already ruled out kSkip;
-/// single-move granularities scan through the cache's O(1) tracked loads
+/// Applies the user's response; returns true if the allocation changed.
+/// Without pruning plan_scan always answers kFull and note_scan is a
+/// no-op, so the unpruned run is this same body scanning every candidate.
+/// Single-move granularities scan through the cache's O(1) tracked loads
 /// (identical values to the model's accessors, so identical candidates),
 /// narrowed to the dirty channels when the plan allows. Best-response
 /// granularity has no partial DP — any dirty channel means a full oracle
 /// run — so it only benefits from kSkip, which is where the per-user DP
 /// cost actually lives at scale.
-bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
-                     UserId user, const DynamicsOptions& options, Rng* rng,
-                     UtilityCache& cache, UtilityCache::ScanPlan plan,
-                     ScanScratch& scratch) {
+bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
+              const DynamicsOptions& options, Rng* rng, UtilityCache& cache,
+              ScanScratch& scratch) {
+  const UtilityCache::ScanPlan plan = cache.plan_scan(user, scratch.dirty);
+  if (plan == UtilityCache::ScanPlan::kSkip) {
+    // Proven no-op: the user's last completed scan found nothing above
+    // tolerance and nothing it saw has changed since. No Rng is drawn —
+    // the full scan's improving set would be empty too.
+    return false;
+  }
   const auto rate_at = [&](ChannelId c, RadioCount load) {
     return model.rate(c, load);
   };
@@ -64,6 +45,8 @@ bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
   const bool partial = plan == UtilityCache::ScanPlan::kDirtyChannels;
   switch (options.granularity) {
     case ResponseGranularity::kBestResponse: {
+      // Raw units on both sides (cache tracks raw; the DP is weight-free):
+      // weighted models walk bit-identical trajectories to the base game.
       const double current = cache.utility(user);
       BestResponse response = model.best_response(strategies, user);
       const bool improved = response.utility > current + options.tolerance;
@@ -83,7 +66,7 @@ bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
                         strategies, user, options.tolerance, rate_at,
                         model.radio_cost(), has_spare, load_at,
                         scratch.buffers);
-      if (change) apply_change(strategies, *change, &cache);
+      if (change) cache.apply(strategies, *change);
       cache.note_scan(user, change.has_value());
       return change.has_value();
     }
@@ -106,8 +89,7 @@ bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
         cache.note_scan(user, false);
         return false;
       }
-      apply_change(strategies, improving[rng->index(improving.size())],
-                   &cache);
+      cache.apply(strategies, improving[rng->index(improving.size())]);
       cache.note_scan(user, true);
       return true;
     }
@@ -115,62 +97,8 @@ bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
   throw std::logic_error("run_response_dynamics: unknown granularity");
 }
 
-/// Applies the user's response; returns true if the allocation changed.
-/// `cache` is null on the full-recompute path; `prune` routes through the
-/// dirty-channel plan (bit-identical results, see activate_pruned).
-bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
-              const DynamicsOptions& options, Rng* rng, UtilityCache* cache,
-              bool prune, ScanScratch& scratch) {
-  if (prune) {
-    const UtilityCache::ScanPlan plan = cache->plan_scan(user, scratch.dirty);
-    if (plan == UtilityCache::ScanPlan::kSkip) {
-      // Proven no-op: the user's last completed scan found nothing above
-      // tolerance and nothing it saw has changed since. No Rng is drawn —
-      // the full scan's improving set would be empty too.
-      return false;
-    }
-    return activate_pruned(model, strategies, user, options, rng, *cache,
-                           plan, scratch);
-  }
-  switch (options.granularity) {
-    case ResponseGranularity::kBestResponse: {
-      // Raw units on both sides (cache tracks raw; the DP is weight-free):
-      // weighted models walk bit-identical trajectories to the base game.
-      const double current =
-          cache ? cache->utility(user) : model.raw_utility(strategies, user);
-      BestResponse response = model.best_response(strategies, user);
-      if (response.utility > current + options.tolerance) {
-        if (cache) {
-          cache->set_row(strategies, user, response.strategy);
-        } else {
-          strategies.set_row(user, response.strategy);
-        }
-        return true;
-      }
-      return false;
-    }
-    case ResponseGranularity::kBestSingleMove: {
-      const auto change =
-          model.best_single_change(strategies, user, options.tolerance);
-      if (!change) return false;
-      apply_change(strategies, *change, cache);
-      return true;
-    }
-    case ResponseGranularity::kRandomImprovingMove: {
-      const std::vector<SingleChange> improving =
-          model.improving_changes_for_user(strategies, user,
-                                           options.tolerance);
-      if (improving.empty()) return false;
-      apply_change(strategies, improving[rng->index(improving.size())], cache);
-      return true;
-    }
-  }
-  throw std::logic_error("run_response_dynamics: unknown granularity");
-}
+}  // namespace
 
-/// The run's activation budget: max_passes (in units of full passes over
-/// the users) wins over the absolute max_activations when set, saturating
-/// instead of overflowing.
 std::size_t activation_budget(const DynamicsOptions& options,
                               std::size_t users) {
   if (options.max_passes == 0) return options.max_activations;
@@ -178,8 +106,6 @@ std::size_t activation_budget(const DynamicsOptions& options,
   if (options.max_passes > kMax / users) return kMax;
   return options.max_passes * users;
 }
-
-}  // namespace
 
 DynamicsResult run_response_dynamics(const GameModel& model,
                                      const StrategyMatrix& start,
@@ -195,20 +121,13 @@ DynamicsResult run_response_dynamics(const GameModel& model,
   const std::size_t users = model.config().num_users;
   DynamicsResult result{false, 0, 0, start, {}, 0, 0};
   StrategyMatrix& state = result.final_state;
-  std::optional<UtilityCache> cache;
-  if (options.use_incremental_cache) cache.emplace(model, state);
-  UtilityCache* cache_ptr = cache ? &*cache : nullptr;
-  const bool prune =
-      options.use_dirty_channel_pruning && cache_ptr != nullptr;
-  if (prune) cache_ptr->enable_scan_pruning();
+  UtilityCache cache(model, state);
+  if (options.use_dirty_channel_pruning) cache.enable_scan_pruning();
   ScanScratch scratch;
-  const auto current_welfare = [&] {
-    // Raw welfare on both paths: the trace measures the spectrum's
-    // throughput economy, not the operator's valuation of it.
-    return cache_ptr ? cache_ptr->welfare() : model.raw_welfare(state);
-  };
+  // Raw welfare: the trace measures the spectrum's throughput economy, not
+  // the operator's valuation of it.
   if (options.record_welfare_trace) {
-    result.welfare_trace.push_back(current_welfare());
+    result.welfare_trace.push_back(cache.welfare());
   }
 
   // A streak of `users` quiet activations triggers an exact verification
@@ -223,12 +142,11 @@ DynamicsResult run_response_dynamics(const GameModel& model,
                             : static_cast<UserId>(rng->index(users));
     next_user = (next_user + 1) % users;
     ++result.activations;
-    if (activate(model, state, user, options, rng, cache_ptr, prune,
-                 scratch)) {
+    if (activate(model, state, user, options, rng, cache, scratch)) {
       ++result.improving_steps;
       quiet_streak = 0;
       if (options.record_welfare_trace) {
-        result.welfare_trace.push_back(current_welfare());
+        result.welfare_trace.push_back(cache.welfare());
       }
       continue;
     }
@@ -243,12 +161,11 @@ DynamicsResult run_response_dynamics(const GameModel& model,
     bool any_improvement = false;
     for (UserId verify = 0; verify < users; ++verify) {
       ++result.activations;
-      if (activate(model, state, verify, options, rng, cache_ptr, prune,
-                   scratch)) {
+      if (activate(model, state, verify, options, rng, cache, scratch)) {
         any_improvement = true;
         ++result.improving_steps;
         if (options.record_welfare_trace) {
-          result.welfare_trace.push_back(current_welfare());
+          result.welfare_trace.push_back(cache.welfare());
         }
         break;
       }
@@ -259,19 +176,10 @@ DynamicsResult run_response_dynamics(const GameModel& model,
     }
     quiet_streak = 0;
   }
-  if (cache_ptr) {
-    result.scan_skips = cache_ptr->scan_skips();
-    result.reprice_touches = cache_ptr->reprice_touches();
-  }
-  result.final_welfare = current_welfare();
+  result.scan_skips = cache.scan_skips();
+  result.reprice_touches = cache.reprice_touches();
+  result.final_welfare = cache.welfare();
   return result;
-}
-
-DynamicsResult run_response_dynamics(const Game& game,
-                                     const StrategyMatrix& start,
-                                     const DynamicsOptions& options,
-                                     Rng* rng) {
-  return run_response_dynamics(GameModel(game), start, options, rng);
 }
 
 }  // namespace mrca

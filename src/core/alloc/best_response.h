@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -50,17 +49,12 @@ struct DynamicsOptions {
   double tolerance = kUtilityTolerance;
   /// Record welfare after every improving step (for convergence plots).
   bool record_welfare_trace = false;
-  /// Maintain utilities/welfare incrementally through a UtilityCache and
-  /// memoized rate lookups (O(changed channels) per activation) instead of
-  /// recomputing them from the full matrix. Same trajectories, much faster;
-  /// off reproduces the full-recompute path for A/B benchmarks.
-  bool use_incremental_cache = true;
-  /// Dirty-channel scan pruning (requires the incremental cache; ignored
-  /// without it): consult UtilityCache::plan_scan before each activation
-  /// and skip — or narrow to the changed channels — every deviation scan
-  /// the cache's memo proves redundant. Trajectories are bit-identical to
-  /// the unpruned path (regression-tested per scenario kind); off
-  /// reproduces the full-scan path for A/B benchmarks.
+  /// Dirty-channel scan pruning: consult UtilityCache::plan_scan before
+  /// each activation and skip — or narrow to the changed channels — every
+  /// deviation scan the cache's memo proves redundant. Trajectories are
+  /// bit-identical to the unpruned run (regression-tested per scenario
+  /// kind); off scans every candidate, the reference the pruning tests and
+  /// benches compare against.
   /// DynamicsResult::scan_skips is the operation-count witness.
   bool use_dirty_channel_pruning = true;
 };
@@ -74,9 +68,9 @@ struct DynamicsResult {
   StrategyMatrix final_state;
   std::vector<double> welfare_trace;
   /// Activations resolved as proven O(1) no-ops by dirty-channel pruning
-  /// (0 on the uncached or unpruned paths).
+  /// (0 on unpruned runs).
   std::size_t scan_skips = 0;
-  /// Per-user utility updates performed by cache repricing (0 uncached).
+  /// Per-user utility updates performed by cache repricing.
   std::size_t reprice_touches = 0;
   /// Raw welfare of final_state at stop — the engine-agnostic "welfare at
   /// stop" column every dynamics engine reports, whether or not a welfare
@@ -86,18 +80,17 @@ struct DynamicsResult {
 
 /// Runs the dynamics from `start` until stable or the activation budget is
 /// exhausted. `rng` is required for ActivationOrder::kUniformRandom. This
-/// is THE dynamics implementation: every game the library models (base and
-/// extensions alike) runs through it.
+/// is THE best-response implementation: every game the library models
+/// runs through it, utilities and welfare maintained by a UtilityCache.
 DynamicsResult run_response_dynamics(const GameModel& model,
                                      const StrategyMatrix& start,
                                      const DynamicsOptions& options = {},
                                      Rng* rng = nullptr);
 
-/// Convenience overload for the paper's homogeneous game: builds the
-/// equivalent GameModel (one tabulation) and delegates.
-DynamicsResult run_response_dynamics(const Game& game,
-                                     const StrategyMatrix& start,
-                                     const DynamicsOptions& options = {},
-                                     Rng* rng = nullptr);
+/// A run's activation budget, shared by every engine: max_passes (in
+/// units of full passes over the users) wins over the absolute
+/// max_activations when set, saturating instead of overflowing.
+std::size_t activation_budget(const DynamicsOptions& options,
+                              std::size_t users);
 
 }  // namespace mrca

@@ -66,15 +66,4 @@ DistributedResult run_distributed_allocation(const GameModel& model,
   return result;
 }
 
-DistributedResult run_distributed_allocation(const Game& game,
-                                             const StrategyMatrix& start,
-                                             const DistributedOptions& options,
-                                             Rng& rng) {
-  // One tabulation up front, then the model path: the table lookups are
-  // bit-identical to the live rate function, so the planned changes — and
-  // with them the RNG stream and the trajectory — match the pre-port
-  // implementation exactly.
-  return run_distributed_allocation(GameModel(game), start, options, rng);
-}
-
 }  // namespace mrca

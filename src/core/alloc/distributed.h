@@ -18,12 +18,10 @@
 // scenario axis (per-channel rates, per-user budgets, energy price): an
 // active user's best single change may deploy a spare radio or park one,
 // budget- and cost-aware, through the same shared deviation scanner as the
-// centralized dynamics. The Game overload is a thin view (one tabulation,
-// then the model path) and walks bit-identical trajectories.
+// centralized dynamics.
 #pragma once
 
 #include "common/rng.h"
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -44,11 +42,6 @@ struct DistributedResult {
 };
 
 DistributedResult run_distributed_allocation(const GameModel& model,
-                                             const StrategyMatrix& start,
-                                             const DistributedOptions& options,
-                                             Rng& rng);
-
-DistributedResult run_distributed_allocation(const Game& game,
                                              const StrategyMatrix& start,
                                              const DistributedOptions& options,
                                              Rng& rng);

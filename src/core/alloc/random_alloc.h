@@ -3,28 +3,25 @@
 #pragma once
 
 #include "common/rng.h"
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
 namespace mrca {
 
-/// Every user places all k radios independently and uniformly at random
+// Each user draws against their OWN radio budget k_i, so the same starts
+// serve every scenario axis.
+
+/// Every user places all k_i radios independently and uniformly at random
 /// over the channels (radios may stack arbitrarily).
-StrategyMatrix random_full_allocation(const Game& game, Rng& rng);
-
-/// Every user places a uniformly random number of radios in [0, k], each on
-/// a uniformly random channel (exercises parked-radio states like Fig. 1).
-StrategyMatrix random_partial_allocation(const Game& game, Rng& rng);
-
-/// Every user places all k radios on k distinct random channels (a random
-/// member of the "spread" strategy class of Theorem 1's main case).
-StrategyMatrix random_spread_allocation(const Game& game, Rng& rng);
-
-// Unified-model variants: each user draws against their OWN radio budget,
-// so the same starts serve heterogeneous/variable-radio/energy scenarios.
-// For uniform budgets the RNG stream is identical to the Game overloads.
 StrategyMatrix random_full_allocation(const GameModel& model, Rng& rng);
+
+/// Every user places a uniformly random number of radios in [0, k_i], each
+/// on a uniformly random channel (exercises parked-radio states like
+/// Fig. 1).
 StrategyMatrix random_partial_allocation(const GameModel& model, Rng& rng);
+
+/// Every user places all k_i radios on k_i distinct random channels (a
+/// random member of the "spread" strategy class of Theorem 1's main case).
+StrategyMatrix random_spread_allocation(const GameModel& model, Rng& rng);
 
 }  // namespace mrca

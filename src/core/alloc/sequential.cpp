@@ -27,8 +27,8 @@ ChannelId pick(const std::vector<ChannelId>& candidates, TieBreak tie_break,
   throw std::logic_error("sequential allocator: unknown tie break");
 }
 
-/// The placement rule shared by the Game and GameModel entry points: it
-/// reads only the matrix, so one implementation serves every game kind.
+/// The Algorithm 1 placement rule: it reads only the matrix, so one
+/// implementation serves every scenario axis.
 ChannelId place_one_radio_rule(StrategyMatrix& strategies, UserId user,
                                TieBreak tie_break, Rng* rng,
                                UtilityCache* cache) {
@@ -73,8 +73,8 @@ ChannelId place_one_radio_rule(StrategyMatrix& strategies, UserId user,
 
 /// Greedy marginal placement: the channel where one more of `user`'s radios
 /// gains the largest utility share (ties to the lowest index / the rng,
-/// like every other placement decision). This was HeterogeneousGame's
-/// bespoke allocator; it now rides the shared driver for every model.
+/// like every other placement decision) — the greedy start for
+/// heterogeneous bands, on the shared driver for every model.
 ChannelId place_one_radio_marginal(const GameModel& model,
                                    StrategyMatrix& strategies, UserId user,
                                    TieBreak tie_break, Rng* rng,
@@ -135,39 +135,6 @@ std::vector<UserId> resolve_user_order(std::size_t num_users,
 }
 
 }  // namespace
-
-ChannelId place_one_radio(const Game& game, StrategyMatrix& strategies,
-                          UserId user, TieBreak tie_break, Rng* rng,
-                          UtilityCache* cache) {
-  game.check_compatible(strategies);
-  return place_one_radio_rule(strategies, user, tie_break, rng, cache);
-}
-
-void allocate_user_sequentially(const Game& game, StrategyMatrix& strategies,
-                                UserId user, TieBreak tie_break, Rng* rng,
-                                UtilityCache* cache) {
-  game.check_compatible(strategies);
-  if (strategies.user_total(user) != 0) {
-    throw std::logic_error(
-        "allocate_user_sequentially: user already has radios deployed");
-  }
-  const RadioCount k = game.config().radios_per_user;
-  for (RadioCount j = 0; j < k; ++j) {
-    place_one_radio_rule(strategies, user, tie_break, rng, cache);
-  }
-}
-
-StrategyMatrix sequential_allocation(const Game& game,
-                                     const SequentialOptions& options,
-                                     Rng* rng) {
-  StrategyMatrix strategies = game.empty_strategy();
-  const std::vector<UserId> order =
-      resolve_user_order(game.config().num_users, options);
-  for (const UserId user : order) {
-    allocate_user_sequentially(game, strategies, user, options.tie_break, rng);
-  }
-  return strategies;
-}
 
 ChannelId place_one_radio(const GameModel& model, StrategyMatrix& strategies,
                           UserId user, TieBreak tie_break, Rng* rng,

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -37,59 +36,38 @@ enum class TieBreak {
 /// (per-user order, per-radio loop, tie-break policy, cache insertion).
 enum class PlacementRule {
   /// The paper's Algorithm 1 rule: a least-loaded channel (all-equal loads
-  /// prefer a channel the user does not occupy). Reads only the matrix, so
-  /// it is the rule for BOTH the Game and the GameModel entry points.
+  /// prefer a channel the user does not occupy). Reads only the matrix.
   kLeastLoaded,
   /// Greedy selfish filling: the channel where this radio's marginal
   /// utility share is largest (per-channel rates make this the discrete
-  /// water-filling start for heterogeneous bands). Needs the model's rates,
-  /// so it is only available on the GameModel entry points.
+  /// water-filling start for heterogeneous bands).
   kBestMarginal,
 };
 
 struct SequentialOptions {
   TieBreak tie_break = TieBreak::kLowestIndex;
   /// Order in which users allocate; empty = natural order 0..N-1.
-  std::vector<UserId> user_order;
+  std::vector<UserId> user_order = {};
   PlacementRule placement = PlacementRule::kLeastLoaded;
 };
 
-/// Runs Algorithm 1 from an empty allocation and returns the result.
-/// `rng` may be null unless tie_break == kRandom.
-StrategyMatrix sequential_allocation(const Game& game,
-                                     const SequentialOptions& options = {},
-                                     Rng* rng = nullptr);
-
-/// Allocates all k radios of one user into an existing matrix using the
-/// Algorithm 1 placement rule (the user must currently have no radios).
-/// When `cache` is given it must track `strategies`; radios are inserted
-/// through it so utilities/welfare stay current with no extra recompute.
-void allocate_user_sequentially(const Game& game, StrategyMatrix& strategies,
-                                UserId user,
-                                TieBreak tie_break = TieBreak::kLowestIndex,
-                                Rng* rng = nullptr,
-                                UtilityCache* cache = nullptr);
-
-/// Places a single radio by the Algorithm 1 rule; returns the channel used.
-ChannelId place_one_radio(const Game& game, StrategyMatrix& strategies,
-                          UserId user,
-                          TieBreak tie_break = TieBreak::kLowestIndex,
-                          Rng* rng = nullptr, UtilityCache* cache = nullptr);
-
-// --- Unified-model variants -----------------------------------------------
 // The Algorithm 1 placement rule only reads channel loads, so it carries
-// over verbatim to every extension game: each user deploys their OWN budget
+// over verbatim to every scenario axis: each user deploys their OWN budget
 // of radios onto least-loaded channels. For heterogeneous rates this is a
 // deterministic load-balancing start (the dynamics then water-fill).
 
 /// Runs the generalized Algorithm 1 from an empty allocation —
 /// `options.placement` selects the rule (least-loaded by default, greedy
-/// marginal filling for the water-filling start).
+/// marginal filling for the water-filling start). `rng` may be null unless
+/// tie_break == kRandom.
 StrategyMatrix sequential_allocation(const GameModel& model,
                                      const SequentialOptions& options = {},
                                      Rng* rng = nullptr);
 
-/// Allocates all budget(user) radios of one user into an existing matrix.
+/// Allocates all budget(user) radios of one user into an existing matrix
+/// (the user must currently have no radios). When `cache` is given it must
+/// track `strategies`; radios are inserted through it so utilities/welfare
+/// stay current with no extra recompute.
 void allocate_user_sequentially(const GameModel& model,
                                 StrategyMatrix& strategies, UserId user,
                                 TieBreak tie_break = TieBreak::kLowestIndex,

@@ -27,13 +27,6 @@ UtilityCache::UtilityCache(const GameModel& model,
   rebuild(strategies);
 }
 
-UtilityCache::UtilityCache(const Game& game, const StrategyMatrix& strategies)
-    : owned_(std::make_shared<GameModel>(game)),
-      model_(owned_.get()),
-      num_channels_(game.config().num_channels) {
-  rebuild(strategies);
-}
-
 void UtilityCache::rebuild(const StrategyMatrix& strategies) {
   model_->validate(strategies);
   tracked_ = &strategies;
@@ -315,6 +308,21 @@ void UtilityCache::set_row(StrategyMatrix& strategies, UserId user,
     reprice_channel(strategies, user, c, new_row[c] - strategies.at(user, c));
   }
   strategies.set_row(user, new_row);
+}
+
+void UtilityCache::apply(StrategyMatrix& strategies,
+                         const SingleChange& change) {
+  switch (change.kind) {
+    case SingleChange::Kind::kMove:
+      move_radio(strategies, change.user, change.from, change.to);
+      return;
+    case SingleChange::Kind::kDeploy:
+      add_radio(strategies, change.user, change.to);
+      return;
+    case SingleChange::Kind::kPark:
+      remove_radio(strategies, change.user, change.from);
+      return;
+  }
 }
 
 double UtilityCache::max_drift(const StrategyMatrix& strategies) const {

@@ -40,11 +40,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/rate_table.h"
 #include "core/strategy.h"
@@ -58,10 +56,6 @@ class UtilityCache {
   /// Builds the cache for `strategies` (O(|N|*|C|)). The model must outlive
   /// the cache.
   UtilityCache(const GameModel& model, const StrategyMatrix& strategies);
-
-  /// Convenience for the paper's homogeneous game: builds and owns an
-  /// equivalent GameModel internally (tabulation is the only extra work).
-  UtilityCache(const Game& game, const StrategyMatrix& strategies);
 
   const GameModel& model() const noexcept { return *model_; }
 
@@ -143,6 +137,9 @@ class UtilityCache {
                   ChannelId to);
   void set_row(StrategyMatrix& strategies, UserId user,
                std::span<const RadioCount> new_row);
+  /// Applies one single-radio change (move / deploy / park) — the mutator
+  /// every dynamics engine commits its decisions through.
+  void apply(StrategyMatrix& strategies, const SingleChange& change);
 
   /// Recomputes everything from scratch and re-pairs the cache with
   /// `strategies`. O(|N|*|C| + nnz) globally, O(|N|*|C| + nnz*degree)
@@ -185,7 +182,6 @@ class UtilityCache {
                                     : kMaskOverflowBit);
   }
 
-  std::shared_ptr<const GameModel> owned_;  ///< set by the Game constructor
   const GameModel* model_;
   const Topology* topology_ = nullptr;  ///< model's graph; null = global
   const StrategyMatrix* tracked_ = nullptr;  ///< the paired matrix

@@ -4,28 +4,26 @@
 #include <stdexcept>
 
 #include "core/analysis/deviation_detail.h"
+#include "core/game_model.h"
 
 namespace mrca {
 namespace {
 
-// The homogeneous game's two rate-lookup flavors, adapted to the shared
-// detail:: implementation's (channel, load) signature (the channel index
-// is irrelevant when every channel runs the same R): the virtual-dispatch
-// path (RateFunction) and the memoized path (RateTable) produce
-// bit-identical values from the same arithmetic in deviation_detail.h.
+/// The load `user` sees on a channel (the global column sum, or the
+/// closed-neighborhood sum under a topology), through the model's checked
+/// accessor: the O(1) benefits below read two channels, so the shape check
+/// per read is the whole validation cost.
+auto load_seen(const GameModel& model, const StrategyMatrix& strategies,
+               UserId user) {
+  return [&model, &strategies, user](ChannelId c) {
+    return model.perceived_load(strategies, user, c);
+  };
+}
 
-struct DirectRate {
-  const RateFunction* fn;
-  double operator()(ChannelId, RadioCount k) const { return fn->rate(k); }
-};
-
-struct TableRate {
-  const RateTable* table;
-  double operator()(ChannelId, RadioCount k) const { return table->rate(k); }
-};
-
-bool has_spare(const StrategyMatrix& strategies, UserId user) {
-  return strategies.spare_radios(user) > 0;
+auto model_rate(const GameModel& model) {
+  return [&model](ChannelId c, RadioCount load) {
+    return model.rate(c, load);
+  };
 }
 
 }  // namespace
@@ -48,121 +46,66 @@ std::string SingleChange::describe() const {
   return out.str();
 }
 
-double move_benefit(const Game& game, const StrategyMatrix& strategies,
+double move_benefit(const GameModel& model, const StrategyMatrix& strategies,
                     const RadioMove& move) {
-  game.check_compatible(strategies);
   if (strategies.at(move.user, move.from) <= 0) {
     throw std::logic_error("move_benefit: user has no radio on source channel");
   }
   return detail::move_benefit_at(strategies, move.user, move.from, move.to,
-                                 DirectRate{&game.rate_function()});
+                                 model_rate(model),
+                                 load_seen(model, strategies, move.user));
 }
 
-double deploy_benefit(const Game& game, const StrategyMatrix& strategies,
+double deploy_benefit(const GameModel& model, const StrategyMatrix& strategies,
                       UserId user, ChannelId channel) {
-  game.check_compatible(strategies);
-  if (strategies.spare_radios(user) <= 0) {
+  if (strategies.user_total(user) >= model.budget(user)) {
     throw std::logic_error("deploy_benefit: user has no spare radio");
   }
   return detail::deploy_benefit_at(strategies, user, channel,
-                                   DirectRate{&game.rate_function()},
-                                   /*cost=*/0.0);
+                                   model_rate(model), model.radio_cost(),
+                                   load_seen(model, strategies, user));
 }
 
-double park_benefit(const Game& game, const StrategyMatrix& strategies,
+double park_benefit(const GameModel& model, const StrategyMatrix& strategies,
                     UserId user, ChannelId channel) {
-  game.check_compatible(strategies);
   if (strategies.at(user, channel) <= 0) {
     throw std::logic_error("park_benefit: user has no radio on that channel");
   }
-  return detail::park_benefit_at(strategies, user, channel,
-                                 DirectRate{&game.rate_function()},
-                                 /*cost=*/0.0);
-}
-
-std::optional<SingleChange> best_single_change(const Game& game,
-                                               const StrategyMatrix& strategies,
-                                               UserId user, double tolerance) {
-  game.check_compatible(strategies);
-  return detail::best_single_change(strategies, user, tolerance,
-                                    DirectRate{&game.rate_function()},
-                                    /*cost=*/0.0, has_spare(strategies, user));
-}
-
-std::optional<SingleChange> best_single_change(const Game& game,
-                                               const StrategyMatrix& strategies,
-                                               UserId user, double tolerance,
-                                               const RateTable& rates) {
-  game.check_compatible(strategies);
-  return detail::best_single_change(strategies, user, tolerance,
-                                    TableRate{&rates}, /*cost=*/0.0,
-                                    has_spare(strategies, user));
-}
-
-std::vector<SingleChange> improving_changes_for_user(
-    const Game& game, const StrategyMatrix& strategies, UserId user,
-    double tolerance) {
-  game.check_compatible(strategies);
-  return detail::improving_changes(strategies, user, tolerance,
-                                   DirectRate{&game.rate_function()},
-                                   /*cost=*/0.0, has_spare(strategies, user));
-}
-
-std::vector<SingleChange> improving_changes_for_user(
-    const Game& game, const StrategyMatrix& strategies, UserId user,
-    double tolerance, const RateTable& rates) {
-  game.check_compatible(strategies);
-  return detail::improving_changes(strategies, user, tolerance,
-                                   TableRate{&rates}, /*cost=*/0.0,
-                                   has_spare(strategies, user));
+  return detail::park_benefit_at(strategies, user, channel, model_rate(model),
+                                 model.radio_cost(),
+                                 load_seen(model, strategies, user));
 }
 
 std::vector<SingleChange> improving_single_changes(
-    const Game& game, const StrategyMatrix& strategies, double tolerance) {
+    const GameModel& model, const StrategyMatrix& strategies,
+    double tolerance) {
   std::vector<SingleChange> result;
   for (UserId user = 0; user < strategies.num_users(); ++user) {
-    auto per_user =
-        improving_changes_for_user(game, strategies, user, tolerance);
+    auto per_user = model.improving_changes_for_user(strategies, user,
+                                                     tolerance);
     result.insert(result.end(), per_user.begin(), per_user.end());
   }
   return result;
 }
 
-BestResponse best_response(const Game& game, const StrategyMatrix& strategies,
-                           UserId user) {
-  game.check_compatible(strategies);
-  return detail::best_response(
-      strategies, user,
-      static_cast<std::size_t>(game.config().radios_per_user),
-      DirectRate{&game.rate_function()}, /*cost=*/0.0);
-}
-
-BestResponse best_response(const Game& game, const StrategyMatrix& strategies,
-                           UserId user, const RateTable& rates) {
-  game.check_compatible(strategies);
-  return detail::best_response(
-      strategies, user,
-      static_cast<std::size_t>(game.config().radios_per_user),
-      TableRate{&rates}, /*cost=*/0.0);
-}
-
-double utility_if_played(const Game& game, const StrategyMatrix& strategies,
-                         UserId user, std::span<const RadioCount> row) {
-  game.check_compatible(strategies);
+double utility_if_played(const GameModel& model,
+                         const StrategyMatrix& strategies, UserId user,
+                         std::span<const RadioCount> row) {
   if (row.size() != strategies.num_channels()) {
     throw std::invalid_argument("utility_if_played: wrong row width");
   }
-  const RateFunction& rate_fn = game.rate_function();
   double total = 0.0;
+  RadioCount deployed = 0;
   for (ChannelId c = 0; c < strategies.num_channels(); ++c) {
     if (row[c] <= 0) continue;
     const RadioCount opponents =
-        strategies.channel_load(c) - strategies.at(user, c);
+        model.perceived_load(strategies, user, c) - strategies.at(user, c);
     const RadioCount load = opponents + row[c];
     total += static_cast<double>(row[c]) / static_cast<double>(load) *
-             rate_fn.rate(load);
+             model.rate(c, load);
+    deployed += row[c];
   }
-  return total;
+  return total - model.radio_cost() * static_cast<double>(deployed);
 }
 
 }  // namespace mrca

@@ -1,6 +1,8 @@
 // Exact deviation analysis: the "benefit of change" of paper eq. (7),
-// generalized to every single-radio change (move / deploy / park), plus the
-// exact best response of a user computed by dynamic programming.
+// generalized to every single-radio change (move / deploy / park), and the
+// result types of the deviation scans and the exact best-response DP
+// (GameModel::best_single_change / improving_changes_for_user /
+// best_response; the shared kernels live in deviation_detail.h).
 //
 // The paper's lemmas analyze only moves from a more-loaded to a less-loaded
 // channel; the checkers here enumerate *all* directed single-radio changes
@@ -8,16 +10,16 @@
 // which is what Definition 1 actually quantifies over.
 #pragma once
 
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/game.h"
-#include "core/rate_table.h"
 #include "core/strategy.h"
 #include "core/types.h"
 
 namespace mrca {
+
+class GameModel;
 
 /// One single-radio change to a user's strategy.
 struct SingleChange {
@@ -35,73 +37,38 @@ struct SingleChange {
 /// Exact utility change for user `move.user` from moving one radio
 /// from `move.from` to `move.to` (paper eq. (7)), computed in O(1) from the
 /// two affected channels. Requires the user to have a radio on `from`.
-double move_benefit(const Game& game, const StrategyMatrix& strategies,
+double move_benefit(const GameModel& model, const StrategyMatrix& strategies,
                     const RadioMove& move);
 
-/// Utility change from deploying one spare radio on `channel`.
-/// Requires the user to have a spare radio.
-double deploy_benefit(const Game& game, const StrategyMatrix& strategies,
+/// Utility change from deploying one spare radio on `channel` (the energy
+/// price included). Requires the user to have a spare radio.
+double deploy_benefit(const GameModel& model, const StrategyMatrix& strategies,
                       UserId user, ChannelId channel);
 
 /// Utility change from parking (withdrawing) one radio from `channel`.
 /// Requires the user to have a radio there. Can be positive for strictly
 /// decreasing rate functions (withdrawing reduces contention on a channel
 /// the user dominates), which is why full stability must consider it.
-double park_benefit(const Game& game, const StrategyMatrix& strategies,
+double park_benefit(const GameModel& model, const StrategyMatrix& strategies,
                     UserId user, ChannelId channel);
-
-/// Best strictly-improving single-radio change for `user`, if any exists
-/// with benefit > tolerance. Scans all moves, deploys and parks.
-std::optional<SingleChange> best_single_change(
-    const Game& game, const StrategyMatrix& strategies, UserId user,
-    double tolerance = kUtilityTolerance);
-
-/// Same scan through a memoized RateTable (bit-identical benefits, no
-/// virtual dispatch in the O(|C|^2) inner loop) — the dynamics' hot path.
-std::optional<SingleChange> best_single_change(const Game& game,
-                                               const StrategyMatrix& strategies,
-                                               UserId user, double tolerance,
-                                               const RateTable& rates);
 
 /// All strictly-improving single-radio changes of every user (diagnostics).
 std::vector<SingleChange> improving_single_changes(
-    const Game& game, const StrategyMatrix& strategies,
+    const GameModel& model, const StrategyMatrix& strategies,
     double tolerance = kUtilityTolerance);
 
-/// The strictly-improving single-radio changes of ONE user.
-std::vector<SingleChange> improving_changes_for_user(
-    const Game& game, const StrategyMatrix& strategies, UserId user,
-    double tolerance = kUtilityTolerance);
-
-/// RateTable-backed variant (bit-identical results).
-std::vector<SingleChange> improving_changes_for_user(
-    const Game& game, const StrategyMatrix& strategies, UserId user,
-    double tolerance, const RateTable& rates);
-
-/// Result of an exact best-response computation.
+/// Result of an exact best-response computation (GameModel::best_response:
+/// an O(|C| * k^2) DP with no concavity assumption, so an oracle over every
+/// alternative strategy, multi-radio redistributions and partial
+/// deployment included).
 struct BestResponse {
   std::vector<RadioCount> strategy;  // the argmax row
   double utility = 0.0;              // value of the best response
 };
 
-/// Exact best response of `user` against the other users' radios:
-/// maximize sum_c f_c(x_c), f_c(x) = x * R(L_c + x) / (L_c + x) with L_c the
-/// opponents' load on channel c, subject to sum_c x_c <= k, x_c >= 0.
-///
-/// Solved by O(|C| * k^2) dynamic programming with no concavity assumption,
-/// so it is an *oracle*: U_i(best_response) >= U_i(s_i') for every
-/// alternative strategy s_i', including multi-radio redistributions and
-/// partial deployment (Figure 1's users with parked radios are in-scope).
-BestResponse best_response(const Game& game, const StrategyMatrix& strategies,
-                           UserId user);
-
-/// RateTable-backed variant: the O(|C| * k) gain table is filled from the
-/// memoized rates (bit-identical DP values).
-BestResponse best_response(const Game& game, const StrategyMatrix& strategies,
-                           UserId user, const RateTable& rates);
-
-/// Utility user would get from `row` holding everyone else fixed.
-double utility_if_played(const Game& game, const StrategyMatrix& strategies,
-                         UserId user, std::span<const RadioCount> row);
+/// Raw utility user would get from `row` holding everyone else fixed.
+double utility_if_played(const GameModel& model,
+                         const StrategyMatrix& strategies, UserId user,
+                         std::span<const RadioCount> row);
 
 }  // namespace mrca

@@ -1,10 +1,9 @@
 // THE single-radio deviation scanner and exact best-response DP — one
-// implementation, shared by the homogeneous Game path (core/analysis/
-// deviation.cpp, rate uniform across channels, zero cost) and the unified
-// GameModel path (core/game_model.cpp, per-channel rates, per-user
-// budgets, energy price). The scan order (deploys, then per-source parks
-// and moves), the strict-'>' tie policy and the share() arithmetic are
-// load-bearing: both paths must walk bit-identical trajectories, so they
+// implementation, shared by GameModel's checked members (core/
+// game_model.cpp) and the dynamics drivers' cached scans (core/alloc,
+// core/dynamics). The scan order (deploys, then per-source parks and
+// moves), the strict-'>' tie policy and the share() arithmetic are
+// load-bearing: every caller must walk bit-identical trajectories, so they
 // must come from this file and nowhere else.
 //
 // `RateAt` is any callable `double(ChannelId, RadioCount)` returning the
@@ -12,9 +11,9 @@
 // (0 for the paper's game).
 //
 // `LoadAt` is any callable `RadioCount(ChannelId)` returning the load the
-// DEVIATING user experiences on a channel. The single-collision-domain
-// overloads below pass the global column sum; interference-graph models
-// pass the user's closed-neighborhood perceived load. Both satisfy the one
+// DEVIATING user experiences on a channel: the global column sum in the
+// single collision domain, the user's closed-neighborhood perceived load
+// under an interference graph. Both satisfy the one
 // property the arithmetic relies on: moving the user's own radio changes
 // the load it sees by exactly +/-1 (the user is in its own closed
 // neighborhood), so every benefit formula generalizes by substituting the
@@ -89,14 +88,6 @@ double move_benefit_at(const StrategyMatrix& strategies, UserId user,
   return after - before;
 }
 
-template <typename RateAt>
-double move_benefit_at(const StrategyMatrix& strategies, UserId user,
-                       ChannelId from, ChannelId to, RateAt rate_at) {
-  return move_benefit_at(
-      strategies, user, from, to, rate_at,
-      [&](ChannelId c) { return strategies.channel_load(c); });
-}
-
 /// Deploying one spare radio pays the energy price; a move is cost-neutral.
 template <typename RateAt, typename LoadAt>
 double deploy_benefit_at(const StrategyMatrix& strategies, UserId user,
@@ -108,14 +99,6 @@ double deploy_benefit_at(const StrategyMatrix& strategies, UserId user,
          share(rate_at(channel, load), own, load) - cost;
 }
 
-template <typename RateAt>
-double deploy_benefit_at(const StrategyMatrix& strategies, UserId user,
-                         ChannelId channel, RateAt rate_at, double cost) {
-  return deploy_benefit_at(
-      strategies, user, channel, rate_at, cost,
-      [&](ChannelId c) { return strategies.channel_load(c); });
-}
-
 /// Parking one radio refunds the energy price.
 template <typename RateAt, typename LoadAt>
 double park_benefit_at(const StrategyMatrix& strategies, UserId user,
@@ -125,14 +108,6 @@ double park_benefit_at(const StrategyMatrix& strategies, UserId user,
   const RadioCount load = load_at(channel);
   return share(rate_at(channel, load - 1), own - 1, load - 1) -
          share(rate_at(channel, load), own, load) + cost;
-}
-
-template <typename RateAt>
-double park_benefit_at(const StrategyMatrix& strategies, UserId user,
-                       ChannelId channel, RateAt rate_at, double cost) {
-  return park_benefit_at(
-      strategies, user, channel, rate_at, cost,
-      [&](ChannelId c) { return strategies.channel_load(c); });
 }
 
 /// Fills the three share kernels for channel `c` from buf.own / buf.load.
@@ -183,25 +158,6 @@ void scan_single_changes(const StrategyMatrix& strategies, UserId user,
               (buf.before[from] + buf.before[to])});
     }
   }
-}
-
-template <typename RateAt, typename LoadAt, typename Consider>
-void scan_single_changes(const StrategyMatrix& strategies, UserId user,
-                         RateAt rate_at, double cost, bool has_spare,
-                         LoadAt load_at, Consider&& consider) {
-  ScanBuffers buf;
-  scan_single_changes(strategies, user, rate_at, cost, has_spare, load_at,
-                      buf, std::forward<Consider>(consider));
-}
-
-template <typename RateAt, typename Consider>
-void scan_single_changes(const StrategyMatrix& strategies, UserId user,
-                         RateAt rate_at, double cost, bool has_spare,
-                         Consider&& consider) {
-  scan_single_changes(
-      strategies, user, rate_at, cost, has_spare,
-      [&](ChannelId c) { return strategies.channel_load(c); },
-      std::forward<Consider>(consider));
 }
 
 /// Partial rescan against a proven-clean memo: the caller guarantees that
@@ -289,16 +245,6 @@ std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,
                             has_spare, load_at, buf);
 }
 
-template <typename RateAt>
-std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,
-                                               UserId user, double tolerance,
-                                               RateAt rate_at, double cost,
-                                               bool has_spare) {
-  return best_single_change(
-      strategies, user, tolerance, rate_at, cost, has_spare,
-      [&](ChannelId c) { return strategies.channel_load(c); });
-}
-
 /// best_single_change over the pruned candidate set (see
 /// scan_single_changes_pruned for the validity contract).
 template <typename RateAt, typename LoadAt>
@@ -342,16 +288,6 @@ std::vector<SingleChange> improving_changes(const StrategyMatrix& strategies,
   ScanBuffers buf;
   return improving_changes(strategies, user, tolerance, rate_at, cost,
                            has_spare, load_at, buf);
-}
-
-template <typename RateAt>
-std::vector<SingleChange> improving_changes(const StrategyMatrix& strategies,
-                                            UserId user, double tolerance,
-                                            RateAt rate_at, double cost,
-                                            bool has_spare) {
-  return improving_changes(
-      strategies, user, tolerance, rate_at, cost, has_spare,
-      [&](ChannelId c) { return strategies.channel_load(c); });
 }
 
 /// improving_changes over the pruned candidate set. A candidate the full
@@ -444,14 +380,6 @@ BestResponse best_response(const StrategyMatrix& strategies, UserId user,
     remaining -= x;
   }
   return response;
-}
-
-template <typename RateAt>
-BestResponse best_response(const StrategyMatrix& strategies, UserId user,
-                           std::size_t budget, RateAt rate_at, double cost) {
-  return best_response(
-      strategies, user, budget, rate_at, cost,
-      [&](ChannelId c) { return strategies.channel_load(c); });
 }
 
 }  // namespace detail

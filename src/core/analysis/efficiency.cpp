@@ -20,18 +20,10 @@ std::vector<RadioCount> nash_load_profile(const GameConfig& config) {
   return loads;
 }
 
-double nash_welfare(const Game& game) {
-  double welfare = 0.0;
-  for (const RadioCount load : nash_load_profile(game.config())) {
-    if (load > 0) welfare += game.rate_function().rate(load);
-  }
-  return welfare;
-}
-
 double nash_welfare(const GameModel& model) {
   if (theorem1_preconditions_hold(model)) {
-    // Closed form: the memoized table lookups are bit-identical to the live
-    // rate function, so this matches the Game path bit-for-bit.
+    // Closed form over the balanced load profile (uniform rates, so any
+    // channel's table serves).
     double welfare = 0.0;
     for (const RadioCount load : nash_load_profile(model.config())) {
       if (load > 0) welfare += model.rate(0, load);
@@ -48,12 +40,6 @@ double nash_welfare(const GameModel& model) {
     return std::numeric_limits<double>::quiet_NaN();
   }
   return model.welfare(result.final_state);
-}
-
-double price_of_anarchy(const Game& game) {
-  const double at_nash = nash_welfare(game);
-  if (at_nash <= 0.0) return 0.0;
-  return game.optimal_welfare() / at_nash;
 }
 
 double price_of_anarchy(const GameModel& model) {
@@ -83,20 +69,9 @@ RadioCount load_imbalance(const GameModel& model,
   return hi - lo;
 }
 
-double utility_fairness(const Game& game, const StrategyMatrix& strategies) {
-  const std::vector<double> utilities = game.utilities(strategies);
-  return jain_fairness(utilities);
-}
-
 double utility_fairness(const GameModel& model,
                         const StrategyMatrix& strategies) {
   return jain_fairness(model.utilities(strategies));
-}
-
-double welfare_efficiency(const Game& game, const StrategyMatrix& strategies) {
-  const double optimum = game.optimal_welfare();
-  if (optimum <= 0.0) return 1.0;
-  return game.welfare(strategies) / optimum;
 }
 
 double welfare_efficiency(const GameModel& model,

@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -27,14 +26,11 @@ namespace mrca {
 /// (descending, e.g. {3,3,2,2}).
 std::vector<RadioCount> nash_load_profile(const GameConfig& config);
 
-/// Welfare of any NE: sum of R(load) over the balanced load profile.
-/// Requires the conflict regime check only for interpretation; in the
-/// no-conflict regime this returns the Fact-1 welfare min(T,|C|)*R(1).
-double nash_welfare(const Game& game);
-
-/// Model-generic NE welfare. Homogeneous models (Theorem 1 preconditions
-/// hold) use the closed form above, bit-identical to the Game path. Any
-/// other model computes an actual equilibrium exactly: generalized
+/// Welfare of a Nash equilibrium. Homogeneous models (Theorem 1
+/// preconditions hold) use the closed form: sum of R(load) over the
+/// balanced load profile, shared by every NE (in the no-conflict regime
+/// this is the Fact-1 welfare min(T,|C|)*R(1)). Any other model computes
+/// an actual equilibrium exactly: generalized
 /// Algorithm 1 start, best-response dynamics, final state verified by the
 /// DP oracle. Deterministic (lowest-index ties, round-robin activation).
 /// Returns NaN if the dynamics exhaust their activation budget or the
@@ -48,11 +44,9 @@ double nash_welfare(const GameModel& model);
 /// Price of anarchy, optimal_welfare / nash_welfare. All NE of the
 /// homogeneous game have equal welfare, so PoA == PoS (price of
 /// stability). 1.0 for constant R in the conflict regime (Theorem 2's
-/// system-optimality); > 1 for strictly decreasing R.
-double price_of_anarchy(const Game& game);
-
-/// Model-generic PoA against the canonical equilibrium of nash_welfare
-/// (see caveat there). NaN when that welfare is NaN or not positive.
+/// system-optimality); > 1 for strictly decreasing R. Other models are
+/// measured against the canonical equilibrium of nash_welfare (see caveat
+/// there). NaN when that welfare is NaN or not positive.
 double price_of_anarchy(const GameModel& model);
 
 /// Max minus min channel load of an arbitrary allocation, over the
@@ -67,12 +61,10 @@ RadioCount load_imbalance(const GameModel& model,
                           const StrategyMatrix& strategies);
 
 /// Jain fairness index over users' utilities.
-double utility_fairness(const Game& game, const StrategyMatrix& strategies);
 double utility_fairness(const GameModel& model,
                         const StrategyMatrix& strategies);
 
 /// Fraction of the system optimum this allocation achieves, in [0, 1].
-double welfare_efficiency(const Game& game, const StrategyMatrix& strategies);
 double welfare_efficiency(const GameModel& model,
                           const StrategyMatrix& strategies);
 

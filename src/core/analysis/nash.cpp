@@ -13,22 +13,9 @@ bool is_single_move_stable(const GameModel& model,
   return true;
 }
 
-bool is_single_move_stable(const Game& game, const StrategyMatrix& strategies,
-                           double tolerance) {
-  for (UserId user = 0; user < strategies.num_users(); ++user) {
-    if (best_single_change(game, strategies, user, tolerance)) return false;
-  }
-  return true;
-}
-
 bool is_nash_equilibrium(const GameModel& model,
                          const StrategyMatrix& strategies, double tolerance) {
   return model.is_nash_equilibrium(strategies, tolerance);
-}
-
-bool is_nash_equilibrium(const Game& game, const StrategyMatrix& strategies,
-                         double tolerance) {
-  return !find_nash_violation(game, strategies, tolerance).has_value();
 }
 
 std::optional<NashViolation> find_nash_violation(
@@ -40,20 +27,6 @@ std::optional<NashViolation> find_nash_violation(
     // verdict matches the base game's for any valuation weights.
     const double current = model.raw_utility(strategies, user);
     BestResponse response = model.best_response(strategies, user);
-    if (response.utility > current + tolerance) {
-      return NashViolation{user, std::move(response.strategy), current,
-                           response.utility};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<NashViolation> find_nash_violation(
-    const Game& game, const StrategyMatrix& strategies, double tolerance) {
-  game.check_compatible(strategies);
-  for (UserId user = 0; user < strategies.num_users(); ++user) {
-    const double current = game.utility(strategies, user);
-    BestResponse response = best_response(game, strategies, user);
     if (response.utility > current + tolerance) {
       return NashViolation{user, std::move(response.strategy), current,
                            response.utility};
@@ -224,21 +197,6 @@ std::vector<StrategyMatrix> enumerate_nash_equilibria(
       model,
       [&](const StrategyMatrix& matrix) {
         if (model.is_nash_equilibrium(matrix, tolerance)) {
-          equilibria.push_back(matrix);
-        }
-        return true;
-      },
-      full_deployment_only);
-  return equilibria;
-}
-
-std::vector<StrategyMatrix> enumerate_nash_equilibria(
-    const Game& game, double tolerance, bool full_deployment_only) {
-  std::vector<StrategyMatrix> equilibria;
-  for_each_strategy_matrix(
-      game.config(),
-      [&](const StrategyMatrix& matrix) {
-        if (is_nash_equilibrium(game, matrix, tolerance)) {
           equilibria.push_back(matrix);
         }
         return true;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/analysis/deviation.h"
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -27,8 +26,6 @@ namespace mrca {
 /// per-user budgets and the energy price all flow through the shared scan.
 bool is_single_move_stable(const GameModel& model,
                            const StrategyMatrix& strategies,
-                           double tolerance = kUtilityTolerance);
-bool is_single_move_stable(const Game& game, const StrategyMatrix& strategies,
                            double tolerance = kUtilityTolerance);
 
 /// A witness that a strategy matrix is not a Nash equilibrium.
@@ -41,20 +38,14 @@ struct NashViolation {
 
 /// True when the matrix is a Nash equilibrium per Definition 1: for every
 /// user, the exact best response does not beat the current strategy by more
-/// than `tolerance`. (Free-function form of GameModel::is_nash_equilibrium,
-/// so the model API mirrors the Game one call-for-call.)
+/// than `tolerance`. (Free-function form of GameModel::is_nash_equilibrium.)
 bool is_nash_equilibrium(const GameModel& model,
                          const StrategyMatrix& strategies,
-                         double tolerance = kUtilityTolerance);
-bool is_nash_equilibrium(const Game& game, const StrategyMatrix& strategies,
                          double tolerance = kUtilityTolerance);
 
 /// As above, but returns the first profitable deviation found (or nullopt).
 std::optional<NashViolation> find_nash_violation(
     const GameModel& model, const StrategyMatrix& strategies,
-    double tolerance = kUtilityTolerance);
-std::optional<NashViolation> find_nash_violation(
-    const Game& game, const StrategyMatrix& strategies,
     double tolerance = kUtilityTolerance);
 
 /// Enumerates every strategy row for one user with `budget` radios over
@@ -100,9 +91,6 @@ double strategy_space_size(const GameModel& model,
 /// Brute-force count / collection of all Nash equilibria of a tiny game.
 std::vector<StrategyMatrix> enumerate_nash_equilibria(
     const GameModel& model, double tolerance = kUtilityTolerance,
-    bool full_deployment_only = false);
-std::vector<StrategyMatrix> enumerate_nash_equilibria(
-    const Game& game, double tolerance = kUtilityTolerance,
     bool full_deployment_only = false);
 
 }  // namespace mrca

@@ -5,25 +5,6 @@
 #include "core/analysis/nash.h"
 
 namespace mrca {
-namespace {
-
-/// The dominance scan shared by both entry points: `utility(s, i)` is any
-/// callable returning user i's utility under matrix s.
-template <typename UtilityOf>
-bool dominates_impl(const StrategyMatrix& candidate,
-                    const StrategyMatrix& incumbent, double tolerance,
-                    UtilityOf&& utility) {
-  bool some_strictly_better = false;
-  for (UserId i = 0; i < incumbent.num_users(); ++i) {
-    const double old_utility = utility(incumbent, i);
-    const double new_utility = utility(candidate, i);
-    if (new_utility < old_utility - tolerance) return false;
-    if (new_utility > old_utility + tolerance) some_strictly_better = true;
-  }
-  return some_strictly_better;
-}
-
-}  // namespace
 
 bool pareto_dominates(const GameModel& model, const StrategyMatrix& candidate,
                       const StrategyMatrix& incumbent, double tolerance) {
@@ -32,20 +13,14 @@ bool pareto_dominates(const GameModel& model, const StrategyMatrix& candidate,
   // Raw per-user utilities: a positive weight scales both sides of every
   // per-user comparison, so dominance is weight-invariant in exact
   // arithmetic — raw units keep the tolerance margin invariant too.
-  return dominates_impl(candidate, incumbent, tolerance,
-                        [&](const StrategyMatrix& s, UserId i) {
-                          return model.raw_utility(s, i);
-                        });
-}
-
-bool pareto_dominates(const Game& game, const StrategyMatrix& candidate,
-                      const StrategyMatrix& incumbent, double tolerance) {
-  game.check_compatible(candidate);
-  game.check_compatible(incumbent);
-  return dominates_impl(candidate, incumbent, tolerance,
-                        [&](const StrategyMatrix& s, UserId i) {
-                          return game.utility(s, i);
-                        });
+  bool some_strictly_better = false;
+  for (UserId i = 0; i < incumbent.num_users(); ++i) {
+    const double old_utility = model.raw_utility(incumbent, i);
+    const double new_utility = model.raw_utility(candidate, i);
+    if (new_utility < old_utility - tolerance) return false;
+    if (new_utility > old_utility + tolerance) some_strictly_better = true;
+  }
+  return some_strictly_better;
 }
 
 std::optional<StrategyMatrix> find_pareto_dominator(
@@ -62,39 +37,15 @@ std::optional<StrategyMatrix> find_pareto_dominator(
   return dominator;
 }
 
-std::optional<StrategyMatrix> find_pareto_dominator(
-    const Game& game, const StrategyMatrix& strategies, double tolerance) {
-  std::optional<StrategyMatrix> dominator;
-  for_each_strategy_matrix(game.config(), [&](const StrategyMatrix& other) {
-    if (pareto_dominates(game, other, strategies, tolerance)) {
-      dominator = other;
-      return false;  // stop enumeration
-    }
-    return true;
-  });
-  return dominator;
-}
-
 bool is_pareto_optimal(const GameModel& model,
                        const StrategyMatrix& strategies, double tolerance) {
   return !find_pareto_dominator(model, strategies, tolerance).has_value();
-}
-
-bool is_pareto_optimal(const Game& game, const StrategyMatrix& strategies,
-                       double tolerance) {
-  return !find_pareto_dominator(game, strategies, tolerance).has_value();
 }
 
 bool welfare_certifies_pareto(const GameModel& model,
                               const StrategyMatrix& strategies,
                               double tolerance) {
   return model.welfare(strategies) >= model.optimal_welfare() - tolerance;
-}
-
-bool welfare_certifies_pareto(const Game& game,
-                              const StrategyMatrix& strategies,
-                              double tolerance) {
-  return game.welfare(strategies) >= game.optimal_welfare() - tolerance;
 }
 
 }  // namespace mrca

@@ -5,16 +5,14 @@
 // S is Pareto-optimal iff no S' makes some user strictly better off without
 // making any user worse off. That is what `is_pareto_optimal` checks.
 //
-// Every check is model-generic: the GameModel overloads quantify over the
+// Every check is model-generic: the exhaustive checks quantify over the
 // budget-feasible joint strategy space (each user's own radio budget), so
 // energy-priced, heterogeneous-band and mixed-budget allocations get exact
-// Pareto verdicts. The Game overloads are thin views for the paper's
-// homogeneous game.
+// Pareto verdicts.
 #pragma once
 
 #include <optional>
 
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -25,9 +23,6 @@ namespace mrca {
 bool pareto_dominates(const GameModel& model, const StrategyMatrix& candidate,
                       const StrategyMatrix& incumbent,
                       double tolerance = kUtilityTolerance);
-bool pareto_dominates(const Game& game, const StrategyMatrix& candidate,
-                      const StrategyMatrix& incumbent,
-                      double tolerance = kUtilityTolerance);
 
 /// Exhaustive Pareto check over the full joint strategy space. Exponential;
 /// only for tiny games (tests and the Theorem 2 audit bench). Gate large
@@ -35,15 +30,10 @@ bool pareto_dominates(const Game& game, const StrategyMatrix& candidate,
 bool is_pareto_optimal(const GameModel& model,
                        const StrategyMatrix& strategies,
                        double tolerance = kUtilityTolerance);
-bool is_pareto_optimal(const Game& game, const StrategyMatrix& strategies,
-                       double tolerance = kUtilityTolerance);
 
 /// If a dominating matrix exists, returns one (for diagnostics).
 std::optional<StrategyMatrix> find_pareto_dominator(
     const GameModel& model, const StrategyMatrix& strategies,
-    double tolerance = kUtilityTolerance);
-std::optional<StrategyMatrix> find_pareto_dominator(
-    const Game& game, const StrategyMatrix& strategies,
     double tolerance = kUtilityTolerance);
 
 /// Sufficient condition usable at any scale: a matrix whose welfare equals
@@ -52,9 +42,6 @@ std::optional<StrategyMatrix> find_pareto_dominator(
 /// welfare under every model axis, energy price included). This is exactly
 /// the argument in the paper's proof of Theorem 2, valid for constant R.
 bool welfare_certifies_pareto(const GameModel& model,
-                              const StrategyMatrix& strategies,
-                              double tolerance = kUtilityTolerance);
-bool welfare_certifies_pareto(const Game& game,
                               const StrategyMatrix& strategies,
                               double tolerance = kUtilityTolerance);
 

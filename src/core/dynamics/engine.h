@@ -129,7 +129,7 @@ DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
 
 /// The two learners, exposed for direct tests and benches (run_dynamics is
 /// the normal entry point). Both honor DynamicsOptions' activation budget,
-/// tolerance, welfare trace and incremental-cache switches.
+/// tolerance and welfare trace.
 DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
                                        const GameModel& model,
                                        const StrategyMatrix& start,

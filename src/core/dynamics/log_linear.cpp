@@ -17,8 +17,6 @@
 // stream stays a pure function of the activation sequence.
 
 #include <cmath>
-#include <limits>
-#include <optional>
 #include <vector>
 
 #include "core/alloc/utility_cache.h"
@@ -27,46 +25,6 @@
 #include "core/dynamics/engine.h"
 
 namespace mrca {
-namespace {
-
-/// Same budget rule as the best-response driver: max_passes (units of full
-/// passes over the users) wins over max_activations when set, saturating.
-std::size_t activation_budget(const DynamicsOptions& options,
-                              std::size_t users) {
-  if (options.max_passes == 0) return options.max_activations;
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  if (options.max_passes > kMax / users) return kMax;
-  return options.max_passes * users;
-}
-
-void apply_change(StrategyMatrix& strategies, const SingleChange& change,
-                  UtilityCache* cache) {
-  switch (change.kind) {
-    case SingleChange::Kind::kMove:
-      if (cache) {
-        cache->move_radio(strategies, change.user, change.from, change.to);
-      } else {
-        strategies.move_radio(change.user, change.from, change.to);
-      }
-      break;
-    case SingleChange::Kind::kDeploy:
-      if (cache) {
-        cache->add_radio(strategies, change.user, change.to);
-      } else {
-        strategies.add_radio(change.user, change.to);
-      }
-      break;
-    case SingleChange::Kind::kPark:
-      if (cache) {
-        cache->remove_radio(strategies, change.user, change.from);
-      } else {
-        strategies.remove_radio(change.user, change.from);
-      }
-      break;
-  }
-}
-
-}  // namespace
 
 DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
                                        const GameModel& model,
@@ -77,14 +35,9 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
   const std::size_t users = model.num_users();
   DynamicsResult result{false, 0, 0, start, {}, 0, 0};
   StrategyMatrix& state = result.final_state;
-  std::optional<UtilityCache> cache;
-  if (options.use_incremental_cache) cache.emplace(model, state);
-  UtilityCache* cache_ptr = cache ? &*cache : nullptr;
-  const auto current_welfare = [&] {
-    return cache_ptr ? cache_ptr->welfare() : model.raw_welfare(state);
-  };
+  UtilityCache cache(model, state);
   if (options.record_welfare_trace) {
-    result.welfare_trace.push_back(current_welfare());
+    result.welfare_trace.push_back(cache.welfare());
   }
 
   const std::size_t budget = activation_budget(options, users);
@@ -96,13 +49,9 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
   std::vector<SingleChange> candidates;
   std::vector<double> weights;
   UserId user = 0;
-  const auto load_at = [&](ChannelId c) {
-    // The cache's tracked loads equal the model's perceived loads (the
-    // pairing is validated at construction), so both paths see identical
-    // candidates under any topology.
-    return cache_ptr ? cache_ptr->load_seen(user, c)
-                     : model.perceived_load(state, user, c);
-  };
+  // The cache's tracked loads equal the model's perceived loads under any
+  // topology (the pairing is validated at construction).
+  const auto load_at = [&](ChannelId c) { return cache.load_seen(user, c); };
   while (result.activations < budget) {
     if (result.activations % users == 0 &&
         is_single_move_stable(model, state, options.tolerance)) {
@@ -151,14 +100,14 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
         break;
       }
     }
-    apply_change(state, candidates[chosen], cache_ptr);
+    cache.apply(state, candidates[chosen]);
     ++result.improving_steps;
     if (options.record_welfare_trace) {
-      result.welfare_trace.push_back(current_welfare());
+      result.welfare_trace.push_back(cache.welfare());
     }
   }
-  if (cache_ptr) result.reprice_touches = cache_ptr->reprice_touches();
-  result.final_welfare = current_welfare();
+  result.reprice_touches = cache.reprice_touches();
+  result.final_welfare = cache.welfare();
   return result;
 }
 

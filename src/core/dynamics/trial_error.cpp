@@ -12,8 +12,6 @@
 // stability check below (which draws no randomness) turns that into an
 // honest `converged` verdict.
 
-#include <limits>
-#include <optional>
 #include <vector>
 
 #include "core/alloc/utility_cache.h"
@@ -23,43 +21,6 @@
 
 namespace mrca {
 namespace {
-
-/// Same budget rule as the best-response driver: max_passes (units of full
-/// passes over the users) wins over max_activations when set, saturating.
-std::size_t activation_budget(const DynamicsOptions& options,
-                              std::size_t users) {
-  if (options.max_passes == 0) return options.max_activations;
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  if (options.max_passes > kMax / users) return kMax;
-  return options.max_passes * users;
-}
-
-void apply_change(StrategyMatrix& strategies, const SingleChange& change,
-                  UtilityCache* cache) {
-  switch (change.kind) {
-    case SingleChange::Kind::kMove:
-      if (cache) {
-        cache->move_radio(strategies, change.user, change.from, change.to);
-      } else {
-        strategies.move_radio(change.user, change.from, change.to);
-      }
-      break;
-    case SingleChange::Kind::kDeploy:
-      if (cache) {
-        cache->add_radio(strategies, change.user, change.to);
-      } else {
-        strategies.add_radio(change.user, change.to);
-      }
-      break;
-    case SingleChange::Kind::kPark:
-      if (cache) {
-        cache->remove_radio(strategies, change.user, change.from);
-      } else {
-        strategies.remove_radio(change.user, change.from);
-      }
-      break;
-  }
-}
 
 /// The exact undo of a change just applied: experiments that did not pay
 /// off are physically reverted, not rolled back through saved state.
@@ -94,18 +55,9 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
   const std::size_t channels = model.config().num_channels;
   DynamicsResult result{false, 0, 0, start, {}, 0, 0};
   StrategyMatrix& state = result.final_state;
-  std::optional<UtilityCache> cache;
-  if (options.use_incremental_cache) cache.emplace(model, state);
-  UtilityCache* cache_ptr = cache ? &*cache : nullptr;
-  const auto current_welfare = [&] {
-    return cache_ptr ? cache_ptr->welfare() : model.raw_welfare(state);
-  };
-  const auto own_utility = [&](UserId user) {
-    return cache_ptr ? cache_ptr->utility(user)
-                     : model.raw_utility(state, user);
-  };
+  UtilityCache cache(model, state);
   if (options.record_welfare_trace) {
-    result.welfare_trace.push_back(current_welfare());
+    result.welfare_trace.push_back(cache.welfare());
   }
 
   const std::size_t budget = activation_budget(options, users);
@@ -153,19 +105,19 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
       }
     }
 
-    const double before = own_utility(user);
-    apply_change(state, change, cache_ptr);
-    if (own_utility(user) > before + options.tolerance) {
+    const double before = cache.utility(user);
+    cache.apply(state, change);
+    if (cache.utility(user) > before + options.tolerance) {
       ++result.improving_steps;
       if (options.record_welfare_trace) {
-        result.welfare_trace.push_back(current_welfare());
+        result.welfare_trace.push_back(cache.welfare());
       }
     } else {
-      apply_change(state, inverse_of(change), cache_ptr);
+      cache.apply(state, inverse_of(change));
     }
   }
-  if (cache_ptr) result.reprice_touches = cache_ptr->reprice_touches();
-  result.final_welfare = current_welfare();
+  result.reprice_touches = cache.reprice_touches();
+  result.final_welfare = cache.welfare();
   return result;
 }
 

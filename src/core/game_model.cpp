@@ -23,6 +23,11 @@ struct ModelRate {
   }
 };
 
+/// The single collision domain's LoadAt: every user sees the column sum.
+auto global_load(const StrategyMatrix& strategies) {
+  return [&strategies](ChannelId c) { return strategies.channel_load(c); };
+}
+
 GameConfig config_from_budgets(std::size_t num_channels,
                                const std::vector<RadioCount>& budgets) {
   if (budgets.empty()) {
@@ -48,9 +53,6 @@ GameConfig config_from_budgets(std::size_t num_channels,
 
 }  // namespace
 
-GameModel::GameModel(const Game& game)
-    : GameModel(game.config(), game.rate_function_ptr(), 0.0) {}
-
 GameModel::GameModel(GameConfig config,
                      std::shared_ptr<const RateFunction> rate,
                      double radio_cost)
@@ -73,8 +75,8 @@ GameModel::GameModel(std::size_t num_channels,
     throw std::invalid_argument(
         "GameModel: need one shared rate function or one per channel");
   }
-  if (cost_ < 0.0) {
-    throw std::invalid_argument("GameModel: cost must be >= 0");
+  if (!std::isfinite(cost_) || cost_ < 0.0) {
+    throw std::invalid_argument("GameModel: cost must be finite and >= 0");
   }
   if (!weights_.empty()) {
     if (weights_.size() != budgets_.size()) {
@@ -379,8 +381,8 @@ double GameModel::coloring_bound() const {
 
 // Under a topology the same shared scanners run with the mover's perceived
 // load substituted for the global column sum — deviation_detail.h's LoadAt
-// seam. The no-topology arms stay on the original overloads so existing
-// trajectories are bit-identical by construction.
+// seam. The topology branch is taken once per call, outside the kernels,
+// so the single-domain arms read the column sums directly.
 
 BestResponse GameModel::best_response(const StrategyMatrix& strategies,
                                       UserId user) const {
@@ -395,7 +397,8 @@ BestResponse GameModel::best_response(const StrategyMatrix& strategies,
   }
   return detail::best_response(strategies, user,
                                static_cast<std::size_t>(budgets_[user]),
-                               ModelRate{this}, cost_);
+                               ModelRate{this}, cost_,
+                               global_load(strategies));
 }
 
 std::optional<SingleChange> GameModel::best_single_change(
@@ -411,7 +414,7 @@ std::optional<SingleChange> GameModel::best_single_change(
   }
   return detail::best_single_change(
       strategies, user, tolerance, ModelRate{this}, cost_,
-      strategies.user_total(user) < budgets_[user]);
+      strategies.user_total(user) < budgets_[user], global_load(strategies));
 }
 
 std::vector<SingleChange> GameModel::improving_changes_for_user(
@@ -427,7 +430,7 @@ std::vector<SingleChange> GameModel::improving_changes_for_user(
   }
   return detail::improving_changes(
       strategies, user, tolerance, ModelRate{this}, cost_,
-      strategies.user_total(user) < budgets_[user]);
+      strategies.user_total(user) < budgets_[user], global_load(strategies));
 }
 
 bool GameModel::is_nash_equilibrium(const StrategyMatrix& strategies,

@@ -21,9 +21,10 @@
 //
 // Everything the response-dynamics hot path needs lives here once: exact
 // DP best response, single-radio deviation scans, welfare and the system
-// optimum — so `Game`, `HeterogeneousGame`, `VariableRadioGame` and
-// `EnergyAwareGame` are thin views over one engine instead of four silos,
-// and a new scenario is a constructor call, not a class.
+// optimum. It is the library's only game type: the paper's game is
+// GameModel(config, rate); heterogeneous bands, mixed radio budgets, energy
+// prices, priority weights and interference graphs are constructor
+// arguments, so a new scenario is a constructor call, not a class.
 #pragma once
 
 #include <memory>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "core/analysis/deviation.h"
-#include "core/game.h"
 #include "core/rate_table.h"
 #include "core/strategy.h"
 #include "core/topology.h"
@@ -41,18 +41,16 @@ namespace mrca {
 
 class GameModel {
  public:
-  /// The paper's homogeneous game: uniform budgets, one rate, no cost.
-  /// Shares the game's rate function (cheap; tabulation is the only work).
-  explicit GameModel(const Game& game);
-
-  /// Uniform budgets and a single shared rate function, with an optional
-  /// energy price per deployed radio (the EnergyAwareGame axis).
+  /// Uniform budgets and a single shared rate function — the paper's game,
+  /// U_i(S) = sum_c (k_{i,c}/k_c) * R(k_c) — with an optional energy price
+  /// per deployed radio.
   GameModel(GameConfig config, std::shared_ptr<const RateFunction> rate,
             double radio_cost = 0.0);
 
   /// Fully general model. `rates` holds either ONE function (shared by all
   /// channels) or one per channel; `radio_budgets[i]` is user i's radio
   /// count, each in [0, num_channels] with at least one positive.
+  /// `radio_cost` must be finite and >= 0.
   /// `utility_weights` is empty (all users weigh 1) or one weight per
   /// user, each finite and in [1e-4, 1e4] (bounded so weighted benefit
   /// comparisons keep noise headroom against kUtilityTolerance); an

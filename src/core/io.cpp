@@ -72,17 +72,17 @@ std::string render_loads(const StrategyMatrix& strategies) {
   return out.str();
 }
 
-std::string render_utilities(const Game& game,
+std::string render_utilities(const GameModel& model,
                              const StrategyMatrix& strategies) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(4);
   double total = 0.0;
   for (UserId i = 0; i < strategies.num_users(); ++i) {
-    const double u = game.utility(strategies, i);
+    const double u = model.utility(strategies, i);
     total += u;
     out << "  U(u" << (i + 1) << ") = " << u << '\n';
   }
-  out << "  welfare = " << total << " (optimum " << game.optimal_welfare()
+  out << "  welfare = " << total << " (optimum " << model.optimal_welfare()
       << ")\n";
   return out.str();
 }

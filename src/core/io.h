@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "core/game.h"
+#include "core/game_model.h"
 #include "core/strategy.h"
 
 namespace mrca {
@@ -21,8 +21,8 @@ std::string render_occupancy(const StrategyMatrix& strategies);
 /// Channel loads on one line, e.g. "loads: [4, 3, 3, 3] (delta = 1)".
 std::string render_loads(const StrategyMatrix& strategies);
 
-/// Per-user utilities and totals under the game's rate function.
-std::string render_utilities(const Game& game,
+/// Per-user utilities and totals under the model's rates.
+std::string render_utilities(const GameModel& model,
                              const StrategyMatrix& strategies);
 
 /// Parses the canonical key format produced by StrategyMatrix::key():

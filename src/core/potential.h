@@ -15,21 +15,26 @@
 // target, and the convergence bench measures how dynamics behave anyway.
 #pragma once
 
-#include "core/game.h"
+#include "core/game_model.h"
 #include "core/strategy.h"
 
 namespace mrca {
 
-/// Phi(S) as above. O(|C| * max_load).
-double potential(const Game& game, const StrategyMatrix& strategies);
+/// Phi(S) = sum_c sum_{j=1}^{k_c} R_c(j)/j (per-channel rates summed on
+/// their own channel). O(|C| * max_load). Throws std::invalid_argument on
+/// a topology model: neighborhood-local loads have no per-channel
+/// congestion count to sum over.
+double potential(const GameModel& model, const StrategyMatrix& strategies);
 
 /// Change of Phi caused by the move (computed incrementally, O(1)).
-double potential_delta(const Game& game, const StrategyMatrix& strategies,
+double potential_delta(const GameModel& model,
+                       const StrategyMatrix& strategies,
                        const RadioMove& move);
 
 /// (user's benefit of change) - (potential delta) for a move: zero for
 /// unit-weight movers, nonzero in general for multi-radio users.
-double move_potential_gap(const Game& game, const StrategyMatrix& strategies,
+double move_potential_gap(const GameModel& model,
+                          const StrategyMatrix& strategies,
                           const RadioMove& move);
 
 }  // namespace mrca

@@ -6,7 +6,7 @@
 //   #include "mrca.h"
 //
 //   auto rate = mrca::make_tdma_rate(1.0);           // constant R, Mbit/s
-//   mrca::Game game({/*users=*/4, /*channels=*/6, /*radios=*/4}, rate);
+//   mrca::GameModel game({/*users=*/4, /*channels=*/6, /*radios=*/4}, rate);
 //   auto ne = mrca::sequential_allocation(game);     // paper's Algorithm 1
 //   assert(mrca::is_nash_equilibrium(game, ne));
 #pragma once
@@ -27,10 +27,6 @@
 #include "core/analysis/nash.h"         // IWYU pragma: export
 #include "core/analysis/pareto.h"       // IWYU pragma: export
 #include "core/dynamics/engine.h"       // IWYU pragma: export
-#include "core/ext/energy.h"            // IWYU pragma: export
-#include "core/ext/heterogeneous.h"     // IWYU pragma: export
-#include "core/ext/variable_radios.h"   // IWYU pragma: export
-#include "core/game.h"           // IWYU pragma: export
 #include "core/game_model.h"     // IWYU pragma: export
 #include "core/io.h"             // IWYU pragma: export
 #include "core/potential.h"      // IWYU pragma: export

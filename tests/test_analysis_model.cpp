@@ -1,8 +1,7 @@
-// The ported analysis layer (PR 4): every GameModel entry point of nash.h /
-// efficiency.h / pareto.h / lemmas.h / distributed.h must agree with the
-// pre-port homogeneous Game path BIT-FOR-BIT on homogeneous inputs (the
-// memoized tables are exact, the DP/scanner is shared), and the
-// model-generic enumeration must respect per-user budgets exactly so it can
+// The model-generic analysis layer: nash.h / efficiency.h / pareto.h /
+// lemmas.h entry points audited against independent oracles (brute-force
+// Definition 1, the printed Theorem 1 predicate, a re-implemented greedy
+// loop), and the enumeration respecting per-user budgets exactly so it can
 // serve as ground truth for energy / heterogeneous / budget models.
 #include <gtest/gtest.h>
 
@@ -19,8 +18,9 @@ std::shared_ptr<const RateFunction> decaying_rate() {
   return std::make_shared<PowerLawRate>(1.0, 1.0);
 }
 
-Game make_game(std::size_t users, std::size_t channels, RadioCount radios) {
-  return Game(GameConfig(users, channels, radios), decaying_rate());
+GameModel make_game(std::size_t users, std::size_t channels,
+                    RadioCount radios) {
+  return GameModel(GameConfig(users, channels, radios), decaying_rate());
 }
 
 GameModel energy_model(std::size_t users, std::size_t channels,
@@ -62,101 +62,8 @@ bool oracle_is_nash(const GameModel& model, const StrategyMatrix& strategies,
   return true;
 }
 
-TEST(AnalysisParity, NashCheckersAgreeOnEveryTinyMatrix) {
-  const Game game = make_game(3, 3, 2);
-  const GameModel model(game);
-  std::size_t disagreement_budget = 0;
-  for_each_strategy_matrix(game.config(), [&](const StrategyMatrix& s) {
-    EXPECT_EQ(is_nash_equilibrium(game, s), is_nash_equilibrium(model, s))
-        << s.key();
-    EXPECT_EQ(is_single_move_stable(game, s), is_single_move_stable(model, s))
-        << s.key();
-    const auto game_violation = find_nash_violation(game, s);
-    const auto model_violation = find_nash_violation(model, s);
-    EXPECT_EQ(game_violation.has_value(), model_violation.has_value())
-        << s.key();
-    if (game_violation && model_violation) {
-      EXPECT_EQ(game_violation->user, model_violation->user);
-      // Bit-parity: the shared DP fed bit-identical rate values must make
-      // bit-identical choices and values.
-      EXPECT_EQ(game_violation->better_strategy,
-                model_violation->better_strategy);
-      EXPECT_EQ(game_violation->current_utility,
-                model_violation->current_utility);
-      EXPECT_EQ(game_violation->better_utility,
-                model_violation->better_utility);
-      ++disagreement_budget;
-    }
-    return true;
-  });
-  EXPECT_GT(disagreement_budget, 0u);  // the walk saw non-equilibria too
-}
-
-TEST(AnalysisParity, EfficiencyFunctionsAreBitIdentical) {
-  for (const auto& [users, channels, radios] :
-       {std::tuple<std::size_t, std::size_t, RadioCount>{4, 3, 2},
-        {5, 4, 1},
-        {6, 5, 3}}) {
-    const Game game = make_game(users, channels, radios);
-    const GameModel model(game);
-    EXPECT_EQ(nash_welfare(game), nash_welfare(model));
-    EXPECT_EQ(price_of_anarchy(game), price_of_anarchy(model));
-    Rng rng(7);
-    const StrategyMatrix s = random_full_allocation(game, rng);
-    EXPECT_EQ(utility_fairness(game, s), utility_fairness(model, s));
-    EXPECT_EQ(welfare_efficiency(game, s), welfare_efficiency(model, s));
-    EXPECT_EQ(load_imbalance(s), load_imbalance(model, s));
-  }
-}
-
-TEST(AnalysisParity, ParetoCheckersAgreeOnEveryTinyMatrix) {
-  const Game game = make_game(2, 3, 2);
-  const GameModel model(game);
-  for_each_strategy_matrix(game.config(), [&](const StrategyMatrix& s) {
-    EXPECT_EQ(is_pareto_optimal(game, s), is_pareto_optimal(model, s))
-        << s.key();
-    EXPECT_EQ(welfare_certifies_pareto(game, s),
-              welfare_certifies_pareto(model, s))
-        << s.key();
-    return true;
-  });
-}
-
-TEST(AnalysisParity, NashEnumerationsMatch) {
-  const Game game = make_game(3, 3, 1);
-  const GameModel model(game);
-  const auto from_game = enumerate_nash_equilibria(game);
-  const auto from_model = enumerate_nash_equilibria(model);
-  ASSERT_EQ(from_game.size(), from_model.size());
-  for (std::size_t i = 0; i < from_game.size(); ++i) {
-    EXPECT_EQ(from_game[i].key(), from_model[i].key());
-  }
-  EXPECT_GT(from_game.size(), 0u);
-}
-
-TEST(AnalysisParity, DistributedProtocolWalksTheSameTrajectory) {
-  // The Game overload is a view over the model path; same seed, same
-  // rounds, same moves, same final matrix — bit for bit.
-  const Game game = make_game(6, 4, 2);
-  const GameModel model(game);
-  Rng game_rng(123);
-  Rng model_rng(123);
-  DistributedOptions options;
-  options.activation_probability = 0.5;
-  Rng start_rng(9);
-  const StrategyMatrix start = random_full_allocation(game, start_rng);
-  const DistributedResult via_game =
-      run_distributed_allocation(game, start, options, game_rng);
-  const DistributedResult via_model =
-      run_distributed_allocation(model, start, options, model_rng);
-  EXPECT_EQ(via_game.converged, via_model.converged);
-  EXPECT_EQ(via_game.rounds, via_model.rounds);
-  EXPECT_EQ(via_game.total_moves, via_model.total_moves);
-  EXPECT_EQ(via_game.final_state.key(), via_model.final_state.key());
-}
-
 TEST(AnalysisParity, GreedyAllocationMatchesTheRetiredBespokeLoop) {
-  // The bespoke HeterogeneousGame allocator was folded into the shared
+  // The bespoke heterogeneous-band allocator was folded into the shared
   // sequential driver (PlacementRule::kBestMarginal); this re-implements
   // the retired loop as the oracle and demands identical matrices.
   std::vector<std::shared_ptr<const RateFunction>> rates = {
@@ -165,8 +72,10 @@ TEST(AnalysisParity, GreedyAllocationMatchesTheRetiredBespokeLoop) {
       std::make_shared<PowerLawRate>(2.0, 0.5),
       std::make_shared<GeometricDecayRate>(1.5, 0.8)};
   const GameConfig config(5, 4, 2);
-  const HeterogeneousGame game(config, rates);
-  const GameModel& model = game.model();
+  const GameModel model(config.num_channels,
+                        std::vector<RadioCount>(config.num_users,
+                                                config.radios_per_user),
+                        rates);
 
   StrategyMatrix expected(config);
   for (UserId user = 0; user < config.num_users; ++user) {
@@ -192,7 +101,10 @@ TEST(AnalysisParity, GreedyAllocationMatchesTheRetiredBespokeLoop) {
       expected.add_radio(user, best_channel);
     }
   }
-  EXPECT_EQ(game.greedy_allocation().key(), expected.key());
+  EXPECT_EQ(sequential_allocation(
+                model, {.placement = PlacementRule::kBestMarginal})
+                .key(),
+            expected.key());
 }
 
 TEST(ModelSequential, PlaceOneRadioEnforcesTheUsersOwnBudget) {
@@ -226,9 +138,8 @@ TEST(ModelOracle, DpNashCheckerMatchesEnumerationOnEveryScenarioKind) {
   // The acceptance criterion's oracle leg: on tiny cells of all four
   // scenario kinds, the DP-based checker must agree with brute-force
   // Definition 1 on EVERY feasible matrix.
-  const Game base = make_game(2, 2, 1);
   const std::vector<GameModel> models = {
-      GameModel(base),                 // base
+      make_game(2, 2, 1),              // base
       energy_model(2, 2, 1, 0.35),     // energy-priced
       het_model(2, 3, 1),              // heterogeneous band
       budget_model(2, {1, 2}),         // mixed budgets
@@ -264,9 +175,8 @@ TEST(ModelOracle, ParetoEnumerationConsistentWithWelfareCertificate) {
 }
 
 TEST(ModelTheorem1, HomogeneousModelsMatchThePrintedPredicate) {
-  const Game game = make_game(3, 3, 2);
-  const GameModel model(game);
-  for_each_strategy_matrix(game.config(), [&](const StrategyMatrix& s) {
+  const GameModel model = make_game(3, 3, 2);
+  for_each_strategy_matrix(model.config(), [&](const StrategyMatrix& s) {
     const Theorem1Result printed = check_theorem1(s);
     const Theorem1Result via_model = check_theorem1(model, s);
     EXPECT_EQ(printed.applicable, via_model.applicable);
@@ -289,7 +199,7 @@ TEST(ModelTheorem1, BrokenPreconditionsAreNamedNotGuessed) {
     EXPECT_NE(result.violations.front().detail.find("homogeneous"),
               std::string::npos);
   }
-  EXPECT_TRUE(theorem1_preconditions_hold(GameModel(make_game(3, 3, 1))));
+  EXPECT_TRUE(theorem1_preconditions_hold(make_game(3, 3, 1)));
 }
 
 TEST(ModelLemma1, MeasuresEachUserAgainstTheirOwnBudget) {

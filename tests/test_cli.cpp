@@ -1,9 +1,11 @@
 // End-to-end tests of the mrca CLI binary: checked numeric-flag parsing
 // (malformed values must name the flag and exit non-zero), the unified
-// rate-spec language, and golden strict-JSON output of `mrca sweep`.
+// rate-spec language, golden strict-JSON output of `mrca sweep`, and
+// byte-exact goldens of the single-game commands.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "cli_harness.h"
@@ -78,6 +80,47 @@ TEST(CliRateSpecs, SingleGameCommandsAcceptTheSweepLanguage) {
   // geom=/linear= used to be sweep-only; both parsers are now one.
   EXPECT_EQ(run_cli("solve 4 4 1 --rate geom=0.9").exit_code, 0);
   EXPECT_EQ(run_cli("solve 4 4 1 --rate linear=0.1").exit_code, 0);
+}
+
+// The single-game commands (solve / verify / dynamics / simulate) print
+// reports a user reads directly; their stdout and exit codes are pinned
+// byte for byte against tests/golden/cli/<name>.txt.
+struct CliGolden {
+  const char* name;
+  const char* args;
+  int exit_code;
+};
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(MRCA_CLI_GOLDEN_DIR) + "/" + name + ".txt",
+                   std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(CliGoldenReports, SingleGameCommandsMatchByteForByte) {
+  const CliGolden goldens[] = {
+      {"solve_tdma", "solve 4 6 4", 0},
+      {"solve_powerlaw", "solve 5 4 2 --rate powerlaw=1", 0},
+      {"solve_dcf", "solve 6 3 2 --rate dcf", 0},
+      {"verify_not_nash",
+       "verify 4 3 2 \"2,0,0|1,1,0|0,1,1|0,0,2\" --rate powerlaw=1", 1},
+      {"verify_nash", "verify 2 3 2 \"1,1,0|0,1,1\" --rate powerlaw=1", 0},
+      {"dynamics_tdma", "dynamics 4 3 2 --seed 7", 0},
+      {"dynamics_powerlaw", "dynamics 5 4 2 --rate powerlaw=1 --seed 3", 0},
+      {"dynamics_dcf", "dynamics 6 4 2 --rate dcf --seed 2", 0},
+      {"simulate_tdma", "simulate 3 2 1 --rate tdma --seconds 0.5 --seed 4",
+       0},
+      {"simulate_dcf", "simulate 4 3 1 --rate dcf --seconds 0.5 --seed 4", 0},
+  };
+  for (const CliGolden& golden : goldens) {
+    const std::string expected = read_golden(golden.name);
+    ASSERT_FALSE(expected.empty()) << "missing golden " << golden.name;
+    const CliResult result = run_cli(golden.args);
+    EXPECT_EQ(result.exit_code, golden.exit_code) << golden.args;
+    EXPECT_EQ(result.output, expected) << golden.args;
+  }
 }
 
 TEST(CliRateSpecs, SweepAcceptsTheBianchiTables) {

@@ -19,13 +19,13 @@ using testing::matrix_of;
 using testing::power_law_game;
 
 TEST(MoveBenefit, RequiresRadioOnSource) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   const StrategyMatrix matrix = game.empty_strategy();
   EXPECT_THROW(move_benefit(game, matrix, {0, 0, 1}), std::logic_error);
 }
 
 TEST(MoveBenefit, SelfMoveIsZero) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 1);
   EXPECT_DOUBLE_EQ(move_benefit(game, matrix, {0, 1, 1}), 0.0);
@@ -37,7 +37,7 @@ class BenefitFormulaProperty
     : public ::testing::TestWithParam<std::shared_ptr<const RateFunction>> {};
 
 TEST_P(BenefitFormulaProperty, MoveMatchesRecomputation) {
-  const Game game(GameConfig(4, 5, 3), GetParam());
+  const GameModel game(GameConfig(4, 5, 3), GetParam());
   Rng rng(99);
   for (int trial = 0; trial < 300; ++trial) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
@@ -61,7 +61,7 @@ TEST_P(BenefitFormulaProperty, MoveMatchesRecomputation) {
 }
 
 TEST_P(BenefitFormulaProperty, DeployAndParkMatchRecomputation) {
-  const Game game(GameConfig(4, 5, 3), GetParam());
+  const GameModel game(GameConfig(4, 5, 3), GetParam());
   Rng rng(77);
   for (int trial = 0; trial < 300; ++trial) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
@@ -102,7 +102,7 @@ TEST(DeployBenefit, PositiveExactlyWhenChannelNotMonopolized) {
   // only splits the user's own share). Deploying on a channel with any
   // opponent radio — in particular any channel in C \ C_i, the move behind
   // Lemma 1 — is strictly profitable.
-  const Game game = constant_game(3, 4, 3);
+  const GameModel game = constant_game(3, 4, 3);
   Rng rng(5);
   for (int trial = 0; trial < 200; ++trial) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
@@ -125,7 +125,7 @@ TEST(DeployBenefit, PositiveExactlyWhenChannelNotMonopolized) {
 TEST(ParkBenefit, NeverPositiveForConstantRate) {
   // With constant R a radio's share never hurts its owner, so parking can't
   // strictly help.
-  const Game game = constant_game(3, 4, 3);
+  const GameModel game = constant_game(3, 4, 3);
   Rng rng(6);
   for (int trial = 0; trial < 200; ++trial) {
     StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -141,7 +141,7 @@ TEST(ParkBenefit, NeverPositiveForConstantRate) {
 TEST(ParkBenefit, CanBePositiveForSteepRate) {
   // R(k) = 1/k^2: a user with both radios of a 2-radio channel gains by
   // withdrawing one (R(1) = 1 > R(2) = 0.25).
-  const Game game = power_law_game(2, 3, 2, 2.0);
+  const GameModel game = power_law_game(2, 3, 2, 2.0);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(0, 0);
@@ -150,9 +150,9 @@ TEST(ParkBenefit, CanBePositiveForSteepRate) {
 
 TEST(BestSingleChange, FindsTheObviousMove) {
   // User 0's radio shares a crowded channel; an empty channel beckons.
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   const auto matrix = matrix_of(game, {{1, 0, 0}, {1, 0, 0}, {1, 0, 0}});
-  const auto change = best_single_change(game, matrix, 0);
+  const auto change = game.best_single_change(matrix, 0);
   ASSERT_TRUE(change.has_value());
   EXPECT_EQ(change->kind, SingleChange::Kind::kMove);
   EXPECT_EQ(change->from, 0u);
@@ -161,24 +161,24 @@ TEST(BestSingleChange, FindsTheObviousMove) {
 }
 
 TEST(BestSingleChange, NoneAtStableState) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   const auto matrix = matrix_of(game, {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}});
-  EXPECT_FALSE(best_single_change(game, matrix, 0).has_value());
-  EXPECT_FALSE(best_single_change(game, matrix, 1).has_value());
+  EXPECT_FALSE(game.best_single_change(matrix, 0).has_value());
+  EXPECT_FALSE(game.best_single_change(matrix, 1).has_value());
 }
 
 TEST(BestSingleChange, PrefersDeployWhenSparesExist) {
-  const Game game = constant_game(2, 4, 2);
+  const GameModel game = constant_game(2, 4, 2);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);  // user 0 has one spare
-  const auto change = best_single_change(game, matrix, 0);
+  const auto change = game.best_single_change(matrix, 0);
   ASSERT_TRUE(change.has_value());
   EXPECT_EQ(change->kind, SingleChange::Kind::kDeploy);
   EXPECT_NEAR(change->benefit, 1.0, 1e-12);  // an empty channel's full rate
 }
 
 TEST(ImprovingSingleChanges, EnumeratesFigure1Deviations) {
-  const Game game = constant_game(4, 5, 4);
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
   const auto changes = improving_single_changes(game, matrix);
   EXPECT_FALSE(changes.empty());
@@ -196,7 +196,7 @@ TEST(ImprovingSingleChanges, EnumeratesFigure1Deviations) {
 }
 
 TEST(UtilityIfPlayed, MatchesSetRow) {
-  const Game game = power_law_game(3, 4, 3, 1.0);
+  const GameModel game = power_law_game(3, 4, 3, 1.0);
   Rng rng(11);
   for (int trial = 0; trial < 100; ++trial) {
     StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -209,7 +209,7 @@ TEST(UtilityIfPlayed, MatchesSetRow) {
 }
 
 TEST(UtilityIfPlayed, RejectsWrongWidth) {
-  const Game game = constant_game(2, 3, 1);
+  const GameModel game = constant_game(2, 3, 1);
   const StrategyMatrix matrix = game.empty_strategy();
   const std::vector<RadioCount> row = {1, 0};
   EXPECT_THROW(utility_if_played(game, matrix, 0, row),
@@ -225,13 +225,13 @@ class BestResponseOracle
 
 TEST_P(BestResponseOracle, DpEqualsEnumeration) {
   const auto& [rate, seed] = GetParam();
-  const Game game(GameConfig(3, 4, 3), rate);
+  const GameModel game(GameConfig(3, 4, 3), rate);
   Rng rng(seed);
   const auto all_rows = enumerate_strategy_rows(game.config());
   for (int trial = 0; trial < 60; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
     for (UserId i = 0; i < 3; ++i) {
-      const BestResponse dp = best_response(game, matrix, i);
+      const BestResponse dp = game.best_response(matrix, i);
       double best_enumerated = 0.0;
       for (const auto& row : all_rows) {
         best_enumerated = std::max(
@@ -257,12 +257,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BestResponse, UsesAllRadiosForConstantRate) {
   // Lemma 1's engine: with R > 0 constant, the best response never parks.
-  const Game game = constant_game(3, 4, 3);
+  const GameModel game = constant_game(3, 4, 3);
   Rng rng(13);
   for (int trial = 0; trial < 100; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
     for (UserId i = 0; i < 3; ++i) {
-      const BestResponse response = best_response(game, matrix, i);
+      const BestResponse response = game.best_response(matrix, i);
       RadioCount total = 0;
       for (const RadioCount x : response.strategy) total += x;
       EXPECT_EQ(total, 3) << matrix.key();

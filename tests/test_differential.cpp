@@ -31,20 +31,20 @@ std::shared_ptr<const RateFunction> random_rate(Rng& rng, int max_k) {
 TEST(Differential, BestResponseOracleOnRandomRates) {
   Rng rng(424242);
   const GameConfig config(3, 3, 2);
-  const Game scratch(config, std::make_shared<ConstantRate>(1.0));
+  const GameModel scratch(config, std::make_shared<ConstantRate>(1.0));
   const auto all_rows = enumerate_strategy_rows(config);
   for (int game_trial = 0; game_trial < 25; ++game_trial) {
-    const Game game(config, random_rate(rng, config.total_radios()));
+    const GameModel game(config, random_rate(rng, config.total_radios()));
     for (int state_trial = 0; state_trial < 10; ++state_trial) {
       const StrategyMatrix matrix = random_partial_allocation(scratch, rng);
       for (UserId i = 0; i < config.num_users; ++i) {
-        const BestResponse dp = best_response(game, matrix, i);
+        const BestResponse dp = game.best_response(matrix, i);
         double best = 0.0;
         for (const auto& row : all_rows) {
           best = std::max(best, utility_if_played(game, matrix, i, row));
         }
         ASSERT_NEAR(dp.utility, best, 1e-10)
-            << game.rate_function().name() << " " << matrix.key();
+            << game.rate_function(0).name() << " " << matrix.key();
       }
     }
   }
@@ -55,7 +55,7 @@ TEST(Differential, TheoremNecessityOnRandomRates) {
   Rng rng(515151);
   const GameConfig config(3, 3, 2);
   for (int game_trial = 0; game_trial < 10; ++game_trial) {
-    const Game game(config, random_rate(rng, config.total_radios()));
+    const GameModel game(config, random_rate(rng, config.total_radios()));
     std::size_t nash_found = 0;
     for_each_strategy_matrix(
         config,
@@ -63,7 +63,7 @@ TEST(Differential, TheoremNecessityOnRandomRates) {
           if (is_nash_equilibrium(game, matrix)) {
             ++nash_found;
             EXPECT_TRUE(check_theorem1(matrix).predicts_nash())
-                << game.rate_function().name() << " " << matrix.key();
+                << game.rate_function(0).name() << " " << matrix.key();
           }
           return true;
         },
@@ -86,7 +86,7 @@ TEST(Differential, Algorithm1StabilityOnRandomRates) {
     const auto radios = static_cast<RadioCount>(
         1 + rng.index(std::min<std::size_t>(3, channels)));
     const GameConfig config(users, channels, radios);
-    const Game game(config, random_rate(rng, config.total_radios()));
+    const GameModel game(config, random_rate(rng, config.total_radios()));
     const StrategyMatrix ne = sequential_allocation(game);
     EXPECT_LE(ne.max_load() - ne.min_load(), 1);
     EXPECT_TRUE(is_nash_equilibrium(game, ne))
@@ -98,7 +98,7 @@ TEST(Differential, DynamicsConvergeOnRandomRates) {
   Rng rng(717171);
   for (int trial = 0; trial < 15; ++trial) {
     const GameConfig config(4, 4, 2);
-    const Game game(config, random_rate(rng, config.total_radios()));
+    const GameModel game(config, random_rate(rng, config.total_radios()));
     const StrategyMatrix start = random_full_allocation(game, rng);
     const DynamicsResult result = run_response_dynamics(game, start);
     ASSERT_TRUE(result.converged);
@@ -112,7 +112,7 @@ TEST(Differential, WelfareIdentityOnRandomRates) {
   Rng rng(818181);
   for (int trial = 0; trial < 50; ++trial) {
     const GameConfig config(4, 5, 3);
-    const Game game(config, random_rate(rng, config.total_radios()));
+    const GameModel game(config, random_rate(rng, config.total_radios()));
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
     const auto utilities = game.utilities(matrix);
     double total = 0.0;

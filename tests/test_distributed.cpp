@@ -17,7 +17,7 @@ using testing::constant_game;
 using testing::power_law_game;
 
 TEST(Distributed, RejectsBadActivationProbability) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   Rng rng(1);
   DistributedOptions options;
   options.activation_probability = 0.0;
@@ -31,7 +31,7 @@ TEST(Distributed, RejectsBadActivationProbability) {
 }
 
 TEST(Distributed, StableStartTerminatesInOneRound) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   const auto stable = StrategyMatrix::from_rows(
       game.config(), {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}});
   Rng rng(2);
@@ -44,7 +44,7 @@ TEST(Distributed, StableStartTerminatesInOneRound) {
 }
 
 TEST(Distributed, ConvergedStateIsSingleMoveStable) {
-  const Game game = constant_game(5, 4, 2);
+  const GameModel game = constant_game(5, 4, 2);
   Rng master(3);
   for (int trial = 0; trial < 20; ++trial) {
     Rng rng = master.split();
@@ -60,7 +60,7 @@ TEST(Distributed, ConvergedStateIsSingleMoveStable) {
 }
 
 TEST(Distributed, SeedDeterminism) {
-  const Game game = constant_game(4, 4, 2);
+  const GameModel game = constant_game(4, 4, 2);
   Rng start_rng(44);
   const StrategyMatrix start = random_full_allocation(game, start_rng);
   DistributedOptions options;
@@ -75,7 +75,7 @@ TEST(Distributed, SeedDeterminism) {
 }
 
 TEST(Distributed, DeploysSparesFromEmptyStart) {
-  const Game game = constant_game(4, 5, 3);
+  const GameModel game = constant_game(4, 5, 3);
   Rng rng(8);
   DistributedOptions options;
   options.activation_probability = 0.4;
@@ -90,7 +90,7 @@ TEST(Distributed, LockstepActivationCanOscillateButIsBounded) {
   // p = 1: all users move simultaneously on stale information — classic
   // herding. The run must respect max_rounds and report honestly whether
   // the final state happens to be stable.
-  const Game game = constant_game(4, 4, 2);
+  const GameModel game = constant_game(4, 4, 2);
   Rng rng(9);
   const StrategyMatrix start = random_full_allocation(game, rng);
   DistributedOptions options;
@@ -113,7 +113,7 @@ class DistributedSweep : public ::testing::TestWithParam<DistParam> {};
 
 TEST_P(DistributedSweep, Converges) {
   const auto& [rate, probability, seed] = GetParam();
-  const Game game(GameConfig(6, 5, 3), rate);
+  const GameModel game(GameConfig(6, 5, 3), rate);
   Rng rng(seed);
   const StrategyMatrix start = random_full_allocation(game, rng);
   DistributedOptions options;

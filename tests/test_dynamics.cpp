@@ -18,7 +18,7 @@ using testing::constant_game;
 using testing::power_law_game;
 
 TEST(Dynamics, AlreadyStableStateConvergesImmediately) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   const auto matrix = StrategyMatrix::from_rows(
       game.config(), {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}});
   const DynamicsResult result = run_response_dynamics(game, matrix);
@@ -29,7 +29,7 @@ TEST(Dynamics, AlreadyStableStateConvergesImmediately) {
 }
 
 TEST(Dynamics, RandomOrderRequiresRng) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   DynamicsOptions options;
   options.order = ActivationOrder::kUniformRandom;
   EXPECT_THROW(run_response_dynamics(game, game.empty_strategy(), options),
@@ -37,7 +37,7 @@ TEST(Dynamics, RandomOrderRequiresRng) {
 }
 
 TEST(Dynamics, ConvergedBestResponseStateIsNash) {
-  const Game game = constant_game(5, 4, 2);
+  const GameModel game = constant_game(5, 4, 2);
   Rng rng(808);
   for (int trial = 0; trial < 30; ++trial) {
     const StrategyMatrix start = random_full_allocation(game, rng);
@@ -49,7 +49,7 @@ TEST(Dynamics, ConvergedBestResponseStateIsNash) {
 }
 
 TEST(Dynamics, ConvergedSingleMoveStateIsStable) {
-  const Game game = constant_game(5, 4, 2);
+  const GameModel game = constant_game(5, 4, 2);
   DynamicsOptions options;
   options.granularity = ResponseGranularity::kBestSingleMove;
   Rng rng(809);
@@ -65,7 +65,7 @@ TEST(Dynamics, ConvergedSingleMoveStateIsStable) {
 TEST(Dynamics, DeploysParkedRadiosEnRouteToEquilibrium) {
   // Start from the all-parked state: Lemma 1 in action — dynamics deploy
   // every radio on the way to equilibrium.
-  const Game game = constant_game(4, 5, 3);
+  const GameModel game = constant_game(4, 5, 3);
   const DynamicsResult result =
       run_response_dynamics(game, game.empty_strategy());
   ASSERT_TRUE(result.converged);
@@ -74,7 +74,7 @@ TEST(Dynamics, DeploysParkedRadiosEnRouteToEquilibrium) {
 }
 
 TEST(Dynamics, WelfareTraceIsRecordedWhenRequested) {
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   DynamicsOptions options;
   options.record_welfare_trace = true;
   Rng rng(810);
@@ -88,14 +88,14 @@ TEST(Dynamics, WelfareTraceIsRecordedWhenRequested) {
 }
 
 TEST(Dynamics, NoTraceByDefault) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const DynamicsResult result =
       run_response_dynamics(game, game.empty_strategy());
   EXPECT_TRUE(result.welfare_trace.empty());
 }
 
 TEST(Dynamics, ActivationBudgetIsHonored) {
-  const Game game = constant_game(6, 6, 3);
+  const GameModel game = constant_game(6, 6, 3);
   DynamicsOptions options;
   options.max_activations = 2;  // far too few to converge from empty
   const DynamicsResult result =
@@ -105,7 +105,7 @@ TEST(Dynamics, ActivationBudgetIsHonored) {
 }
 
 TEST(Dynamics, RandomActivationSeedDeterminism) {
-  const Game game = constant_game(4, 4, 2);
+  const GameModel game = constant_game(4, 4, 2);
   DynamicsOptions options;
   options.order = ActivationOrder::kUniformRandom;
   Rng start_rng(55);
@@ -131,7 +131,7 @@ class DynamicsSweep : public ::testing::TestWithParam<DynamicsParam> {};
 
 TEST_P(DynamicsSweep, ConvergesFromRandomStarts) {
   const auto& [rate, granularity, order, seed] = GetParam();
-  const Game game(GameConfig(6, 5, 3), rate);
+  const GameModel game(GameConfig(6, 5, 3), rate);
   DynamicsOptions options;
   options.granularity = granularity;
   options.order = order;
@@ -155,7 +155,7 @@ TEST_P(DynamicsSweep, ConvergesFromRandomStarts) {
 TEST(Dynamics, MaxPassesBudgetsActivationsInPassUnits) {
   // The absolute max_activations default is smaller than ONE round-robin
   // pass at large N; max_passes scales the budget with the cell instead.
-  const Game game = testing::power_law_game(6, 5, 3);
+  const GameModel game = testing::power_law_game(6, 5, 3);
   DynamicsOptions options;
   options.granularity = ResponseGranularity::kBestSingleMove;
   options.max_passes = 1;

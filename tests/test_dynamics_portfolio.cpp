@@ -126,8 +126,7 @@ TEST(LogLinearEngine, TinyFixedTemperatureReachesSingleMoveStableSets) {
   // At T -> 0 the Gibbs step degenerates to argmax over single-radio
   // changes, so any state the engine declares converged must survive the
   // exact single-move stability predicate.
-  const Game game = mrca::testing::power_law_game(5, 3, 2, /*alpha=*/1.0);
-  const GameModel model(game);
+  const GameModel model = mrca::testing::power_law_game(5, 3, 2, /*alpha=*/1.0);
   const DynamicsSpec spec = DynamicsSpec::parse("log_linear:0.001");
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng start_rng(seed);
@@ -166,8 +165,7 @@ TEST(TrialErrorEngine, ReachesNashOfTheFourRingBruteForceOracle) {
 }
 
 TEST(LearnerEngines, DrawOnlyFromTheHandedRngAndRequireOne) {
-  const Game game = mrca::testing::power_law_game(4, 3, 1, /*alpha=*/1.0);
-  const GameModel model(game);
+  const GameModel model = mrca::testing::power_law_game(4, 3, 1, /*alpha=*/1.0);
   Rng start_rng(5u);
   const StrategyMatrix start = random_full_allocation(model, start_rng);
   for (const std::string name :

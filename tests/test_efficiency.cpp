@@ -44,7 +44,7 @@ TEST(NashLoadProfile, NoConflictRegime) {
 TEST(NashWelfare, MatchesAlgorithm1Outcome) {
   // The closed-form NE welfare must equal the welfare of an actual NE
   // produced by Algorithm 1 — for both constant and decreasing R.
-  for (const Game& game :
+  for (const GameModel& game :
        {constant_game(5, 4, 3), power_law_game(5, 4, 3, 0.8),
         power_law_game(3, 6, 4, 1.5)}) {
     const StrategyMatrix ne = sequential_allocation(game);
@@ -59,7 +59,7 @@ TEST(PriceOfAnarchy, OneForConstantRateConflictRegime) {
 }
 
 TEST(PriceOfAnarchy, ExceedsOneForDecreasingRate) {
-  const Game game = power_law_game(4, 6, 4, 1.0);  // R(k)=1/k
+  const GameModel game = power_law_game(4, 6, 4, 1.0);  // R(k)=1/k
   // NE loads (3,3,3,3,2,2): welfare 4/3 + 1 = 7/3; optimum 6.
   EXPECT_NEAR(price_of_anarchy(game), 6.0 / (7.0 / 3.0), 1e-12);
   EXPECT_GT(price_of_anarchy(game), 1.0);
@@ -72,7 +72,7 @@ TEST(PriceOfAnarchy, GrowsWithCongestion) {
 }
 
 TEST(LoadImbalance, MeasuresDelta) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   // loads (2,0,0) -> delta 2; (2,2,0) -> 2; (2,1,1) -> 1; (1,1,2) -> 1.
   EXPECT_EQ(load_imbalance(matrix_of(game, {{2, 0, 0}, {0, 0, 0}})), 2);
   EXPECT_EQ(load_imbalance(matrix_of(game, {{1, 1, 0}, {1, 1, 0}})), 2);
@@ -81,20 +81,20 @@ TEST(LoadImbalance, MeasuresDelta) {
 }
 
 TEST(UtilityFairness, PerfectAtSymmetricNash) {
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   // Every user spreads over 2 channels of load 2: identical utilities.
   const auto matrix = matrix_of(game, {{1, 1, 0}, {0, 1, 1}, {1, 0, 1}});
   EXPECT_NEAR(utility_fairness(game, matrix), 1.0, 1e-12);
 }
 
 TEST(UtilityFairness, DropsForSkewedAllocation) {
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto skewed = matrix_of(game, {{1, 1}, {0, 0}});  // u2 silent
   EXPECT_NEAR(utility_fairness(game, skewed), 0.5, 1e-12);
 }
 
 TEST(WelfareEfficiency, FractionOfOptimum) {
-  const Game game = constant_game(3, 2, 2);
+  const GameModel game = constant_game(3, 2, 2);
   const auto balanced = matrix_of(game, {{1, 1}, {1, 1}, {1, 1}});
   EXPECT_NEAR(welfare_efficiency(game, balanced), 1.0, 1e-12);
   const auto wasteful = matrix_of(game, {{2, 0}, {2, 0}, {2, 0}});

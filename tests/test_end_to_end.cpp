@@ -17,7 +17,8 @@ namespace {
 TEST(EndToEnd, BianchiPracticalRateGameReachesNash) {
   const BianchiDcfModel model(DcfParameters::bianchi_fhss());
   const GameConfig config(4, 3, 2);
-  const Game game(config, model.make_practical_rate(config.total_radios()));
+  const GameModel game(config,
+                       model.make_practical_rate(config.total_radios()));
   const StrategyMatrix ne = sequential_allocation(game);
   EXPECT_TRUE(is_nash_equilibrium(game, ne));
   EXPECT_LE(ne.max_load() - ne.min_load(), 1);
@@ -29,7 +30,7 @@ TEST(EndToEnd, BianchiPracticalRateGameReachesNash) {
 TEST(EndToEnd, TdmaGameNashIsSystemOptimal) {
   const TdmaModel tdma{TdmaParameters{}};
   const GameConfig config(5, 4, 3);
-  const Game game(config, tdma.make_rate());
+  const GameModel game(config, tdma.make_rate());
   const StrategyMatrix ne = sequential_allocation(game);
   EXPECT_TRUE(is_nash_equilibrium(game, ne));
   EXPECT_NEAR(price_of_anarchy(game), 1.0, 1e-12);
@@ -42,7 +43,8 @@ TEST(EndToEnd, SimulatedThroughputMatchesGameUtilitiesDcf) {
   const DcfParameters params = DcfParameters::bianchi_fhss();
   const BianchiDcfModel model(params);
   const GameConfig config(3, 2, 2);
-  const Game game(config, model.make_practical_rate(config.total_radios()));
+  const GameModel game(config,
+                       model.make_practical_rate(config.total_radios()));
   const StrategyMatrix ne = sequential_allocation(game);
 
   sim::NetworkOptions options;
@@ -63,7 +65,7 @@ TEST(EndToEnd, SimulatedThroughputMatchesGameUtilitiesDcf) {
 TEST(EndToEnd, SimulatedThroughputMatchesGameUtilitiesTdma) {
   const TdmaModel tdma{TdmaParameters{}};
   const GameConfig config(4, 3, 2);
-  const Game game(config, tdma.make_rate());
+  const GameModel game(config, tdma.make_rate());
   const StrategyMatrix ne = sequential_allocation(game);
 
   sim::NetworkOptions options;
@@ -87,7 +89,7 @@ TEST(EndToEnd, MeasuredRateTableDrivesTheSameEquilibriumStructure) {
   const GameConfig config(4, 3, 2);
   const auto measured_rate =
       sim::measured_dcf_rate(params, config.total_radios(), 10.0, 21);
-  const Game game(config, measured_rate);
+  const GameModel game(config, measured_rate);
   const StrategyMatrix ne = sequential_allocation(game);
   EXPECT_TRUE(is_nash_equilibrium(game, ne));
   EXPECT_LE(ne.max_load() - ne.min_load(), 1);
@@ -97,7 +99,8 @@ TEST(EndToEnd, WelfarePredictionMatchesSimulatedTotal) {
   const DcfParameters params = DcfParameters::bianchi_fhss();
   const BianchiDcfModel model(params);
   const GameConfig config(4, 3, 2);
-  const Game game(config, model.make_practical_rate(config.total_radios()));
+  const GameModel game(config,
+                       model.make_practical_rate(config.total_radios()));
   const StrategyMatrix ne = sequential_allocation(game);
 
   sim::NetworkOptions options;

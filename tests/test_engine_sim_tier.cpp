@@ -137,7 +137,7 @@ TEST(SimTier, DcfMeasurementTracksBianchiPrediction) {
 }
 
 TEST(AnalyticPerUserBps, MatchesHandComputedShares) {
-  const Game game = testing::constant_game(2, 2, 1);
+  const GameModel game = testing::constant_game(2, 2, 1);
   StrategyMatrix strategies = game.empty_strategy();
   strategies.add_radio(0, 0);
   strategies.add_radio(1, 0);  // both users share channel 0; channel 1 idle
@@ -153,7 +153,7 @@ TEST(AnalyticPerUserBps, MatchesHandComputedShares) {
 }
 
 TEST(ReplayStrategy, TdmaMeasurementMatchesAnalyticOnDedicatedChannels) {
-  const Game game = testing::constant_game(2, 2, 1);
+  const GameModel game = testing::constant_game(2, 2, 1);
   StrategyMatrix strategies = game.empty_strategy();
   strategies.add_radio(0, 0);
   strategies.add_radio(1, 1);  // one user per channel
@@ -169,7 +169,7 @@ TEST(ReplayStrategy, TdmaMeasurementMatchesAnalyticOnDedicatedChannels) {
 }
 
 TEST(ReplayStrategy, RejectsNonPositiveDuration) {
-  const Game game = testing::constant_game(2, 2, 1);
+  const GameModel game = testing::constant_game(2, 2, 1);
   StrategyMatrix strategies = game.empty_strategy();
   strategies.add_radio(0, 0);
   SimTierSpec tier;

@@ -158,7 +158,7 @@ TEST(Sweep, SequentialNeStartIsAlreadyStable) {
     EXPECT_EQ(cell.improving_steps.mean(), 0.0);
     const GameConfig config(cell.cell.users, cell.cell.channels,
                             cell.cell.radios);
-    const Game game(config, cell.cell.rate.make(config.total_radios()));
+    const GameModel game(config, cell.cell.rate.make(config.total_radios()));
     EXPECT_NEAR(cell.welfare.mean(), nash_welfare(game), 1e-12);
   }
 }

@@ -1,4 +1,6 @@
-#include "core/game.h"
+// The paper's game, U_i(S) = sum_c (k_{i,c}/k_c) * R(k_c), as the
+// uniform-budget GameModel(config, rate).
+#include "core/game_model.h"
 
 #include <gtest/gtest.h>
 
@@ -15,20 +17,21 @@ using testing::figure1_rows;
 using testing::matrix_of;
 using testing::power_law_game;
 
-TEST(Game, RejectsNullRateFunction) {
-  EXPECT_THROW(Game(GameConfig(2, 3, 1), nullptr), std::invalid_argument);
+TEST(PaperGame, RejectsNullRateFunction) {
+  EXPECT_THROW(GameModel(GameConfig(2, 3, 1), nullptr),
+               std::invalid_argument);
 }
 
-TEST(Game, RejectsIncompatibleMatrix) {
-  const Game game = constant_game(2, 3, 1);
-  const Game other = constant_game(2, 4, 1);
+TEST(PaperGame, RejectsIncompatibleMatrix) {
+  const GameModel game = constant_game(2, 3, 1);
+  const GameModel other = constant_game(2, 4, 1);
   const StrategyMatrix matrix = other.empty_strategy();
   EXPECT_THROW(game.utility(matrix, 0), std::invalid_argument);
   EXPECT_THROW(game.welfare(matrix), std::invalid_argument);
 }
 
-TEST(Game, UtilityOfEmptyStrategyIsZero) {
-  const Game game = constant_game(3, 4, 2);
+TEST(PaperGame, UtilityOfEmptyStrategyIsZero) {
+  const GameModel game = constant_game(3, 4, 2);
   const StrategyMatrix matrix = game.empty_strategy();
   for (UserId i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(game.utility(matrix, i), 0.0);
@@ -36,18 +39,17 @@ TEST(Game, UtilityOfEmptyStrategyIsZero) {
   EXPECT_DOUBLE_EQ(game.welfare(matrix), 0.0);
 }
 
-TEST(Game, SingleUserAloneGetsFullChannelRate) {
-  const Game game = constant_game(2, 3, 2, 4.0);
+TEST(PaperGame, SingleUserAloneGetsFullChannelRate) {
+  const GameModel game = constant_game(2, 3, 2, 4.0);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 1);
   EXPECT_DOUBLE_EQ(game.utility(matrix, 0), 4.0);
   EXPECT_DOUBLE_EQ(game.utility(matrix, 1), 0.0);
-  EXPECT_DOUBLE_EQ(game.channel_rate(matrix, 1), 4.0);
-  EXPECT_DOUBLE_EQ(game.channel_rate(matrix, 0), 0.0);
+  EXPECT_DOUBLE_EQ(game.welfare(matrix), 4.0);
 }
 
-TEST(Game, EqualSharingOnSharedChannel) {
-  const Game game = constant_game(2, 3, 2, 6.0);
+TEST(PaperGame, EqualSharingOnSharedChannel) {
+  const GameModel game = constant_game(2, 3, 2, 6.0);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(1, 0);
@@ -60,24 +62,11 @@ TEST(Game, EqualSharingOnSharedChannel) {
   EXPECT_DOUBLE_EQ(game.utility(matrix, 1), 2.0);
 }
 
-TEST(Game, UserRateOnChannelDecomposesUtility) {
-  const Game game = power_law_game(3, 4, 3, 1.0);
-  const auto matrix = matrix_of(
-      game, {{1, 1, 1, 0}, {2, 0, 1, 0}, {0, 1, 1, 1}});
-  for (UserId i = 0; i < 3; ++i) {
-    double sum = 0.0;
-    for (ChannelId c = 0; c < 4; ++c) {
-      sum += game.user_rate_on_channel(matrix, i, c);
-    }
-    EXPECT_NEAR(sum, game.utility(matrix, i), 1e-12);
-  }
-}
-
 /// The paper's Figure 1/2 worked example under constant R = 1:
 /// loads (4,3,2,3,1); U(u1) = 1/4+1/3+1/2+1/3, U(u2) = 1/4+1/3+1,
 /// U(u3) = 1/4+2/3+1/3, U(u4) = 1/4+1/2.
-TEST(Game, Figure1UtilitiesMatchHandComputation) {
-  const Game game = constant_game(4, 5, 4);
+TEST(PaperGame, Figure1UtilitiesMatchHandComputation) {
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
   EXPECT_EQ(matrix.channel_load(0), 4);
   EXPECT_EQ(matrix.channel_load(1), 3);
@@ -91,8 +80,8 @@ TEST(Game, Figure1UtilitiesMatchHandComputation) {
 }
 
 /// Identity: sum of user utilities == sum of R(k_c) over occupied channels.
-TEST(Game, WelfareEqualsSumOfChannelRates) {
-  const Game game = power_law_game(4, 5, 4, 0.7);
+TEST(PaperGame, WelfareEqualsSumOfChannelRates) {
+  const GameModel game = power_law_game(4, 5, 4, 0.7);
   const auto matrix = matrix_of(game, figure1_rows());
   const auto utilities = game.utilities(matrix);
   const double total = std::accumulate(utilities.begin(), utilities.end(), 0.0);
@@ -100,23 +89,23 @@ TEST(Game, WelfareEqualsSumOfChannelRates) {
 
   double channel_sum = 0.0;
   for (ChannelId c = 0; c < 5; ++c) {
-    channel_sum += game.channel_rate(matrix, c);
+    channel_sum += game.rate(c, matrix.channel_load(c));
   }
   EXPECT_NEAR(total, channel_sum, 1e-12);
 }
 
-TEST(Game, OptimalWelfareFormula) {
+TEST(PaperGame, OptimalWelfareFormula) {
   // Conflict regime: every channel can hold one radio.
   EXPECT_DOUBLE_EQ(constant_game(4, 5, 4, 2.0).optimal_welfare(), 10.0);
   // No-conflict regime: only N*k radios exist.
   EXPECT_DOUBLE_EQ(constant_game(1, 5, 3, 2.0).optimal_welfare(), 6.0);
   // Decreasing R: optimum still spreads to one radio per channel.
-  const Game decreasing = power_law_game(3, 4, 2, 1.0);
+  const GameModel decreasing = power_law_game(3, 4, 2, 1.0);
   EXPECT_DOUBLE_EQ(decreasing.optimal_welfare(), 4.0);
 }
 
-TEST(Game, UtilitiesVectorMatchesPerUser) {
-  const Game game = constant_game(4, 5, 4);
+TEST(PaperGame, UtilitiesVectorMatchesPerUser) {
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
   const auto utilities = game.utilities(matrix);
   ASSERT_EQ(utilities.size(), 4u);
@@ -125,11 +114,13 @@ TEST(Game, UtilitiesVectorMatchesPerUser) {
   }
 }
 
-TEST(Game, RateFunctionAccessors) {
+TEST(PaperGame, RateFunctionAccessors) {
   const auto rate = std::make_shared<ConstantRate>(3.0);
-  const Game game(GameConfig(2, 3, 1), rate);
-  EXPECT_EQ(&game.rate_function(), rate.get());
-  EXPECT_EQ(game.rate_function_ptr(), rate);
+  const GameModel game(GameConfig(2, 3, 1), rate);
+  for (ChannelId c = 0; c < 3; ++c) {
+    EXPECT_EQ(&game.rate_function(c), rate.get());
+  }
+  EXPECT_TRUE(game.uniform_rates());
 }
 
 }  // namespace

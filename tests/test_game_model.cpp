@@ -1,30 +1,22 @@
-// The unified GameModel: equivalence with the four concrete game classes,
-// oracle-grade best responses under every scenario axis, the shared
-// cache-accelerated dynamics driver on extension games, and the
-// incremental-vs-recomputed utility agreement the tentpole demands.
+// The unified GameModel: construction checks, oracle-grade best responses
+// under every scenario axis, the shared cache-accelerated dynamics driver
+// on scenario models, and incremental-vs-recomputed utility agreement.
 #include "core/game_model.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/alloc/best_response.h"
-#include "core/alloc/random_alloc.h"
 #include "core/alloc/sequential.h"
 #include "core/alloc/utility_cache.h"
 #include "core/analysis/nash.h"
-#include "core/ext/energy.h"
-#include "core/ext/heterogeneous.h"
-#include "core/ext/variable_radios.h"
-#include "test_util.h"
 
 namespace mrca {
 namespace {
-
-using testing::constant_game;
-using testing::power_law_game;
 
 std::shared_ptr<const RateFunction> unit_rate() {
   return std::make_shared<ConstantRate>(1.0);
@@ -57,62 +49,21 @@ TEST(GameModel, ValidatesConstruction) {
   EXPECT_THROW(GameModel(3, {1, 2}, {nullptr}), std::invalid_argument);
   EXPECT_THROW(GameModel(GameConfig(2, 3, 1), unit_rate(), -0.5),
                std::invalid_argument);
+  // Non-finite prices pass a bare `cost < 0` test; the constructor is the
+  // only gate, so it must reject them too.
+  for (const double cost : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(GameModel(GameConfig(2, 3, 1), unit_rate(), cost),
+                 std::invalid_argument);
+    EXPECT_THROW(GameModel(3, {1, 2}, {unit_rate()}, cost),
+                 std::invalid_argument);
+  }
   EXPECT_NO_THROW(GameModel(3, {0, 2, 3}, {unit_rate()}));
-}
-
-TEST(GameModel, MatchesHomogeneousGameExactly) {
-  const Game game = power_law_game(5, 4, 2);
-  const GameModel model(game);
-  EXPECT_TRUE(model.uniform_rates());
-  EXPECT_TRUE(model.uniform_budgets());
-  EXPECT_EQ(model.total_radios(), game.config().total_radios());
-  Rng rng(11);
-  for (int trial = 0; trial < 100; ++trial) {
-    const StrategyMatrix matrix = random_partial_allocation(game, rng);
-    for (UserId i = 0; i < 5; ++i) {
-      ASSERT_DOUBLE_EQ(model.utility(matrix, i), game.utility(matrix, i));
-      const BestResponse a = model.best_response(matrix, i);
-      const BestResponse b = best_response(game, matrix, i);
-      ASSERT_EQ(a.utility, b.utility);
-      ASSERT_EQ(a.strategy, b.strategy);
-    }
-    ASSERT_DOUBLE_EQ(model.welfare(matrix), game.welfare(matrix));
-    ASSERT_EQ(model.is_nash_equilibrium(matrix),
-              is_nash_equilibrium(game, matrix));
-  }
-  EXPECT_DOUBLE_EQ(model.optimal_welfare(), game.optimal_welfare());
-}
-
-TEST(GameModel, SingleChangeScansMatchHomogeneousScanner) {
-  const Game game = power_law_game(5, 4, 2);
-  const GameModel model(game);
-  Rng rng(17);
-  for (int trial = 0; trial < 50; ++trial) {
-    const StrategyMatrix matrix = random_partial_allocation(game, rng);
-    for (UserId i = 0; i < 5; ++i) {
-      const auto a = model.best_single_change(matrix, i);
-      const auto b = best_single_change(game, matrix, i);
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) {
-        EXPECT_EQ(a->benefit, b->benefit);
-        EXPECT_EQ(a->kind, b->kind);
-        EXPECT_EQ(a->from, b->from);
-        EXPECT_EQ(a->to, b->to);
-      }
-      const auto list_a = model.improving_changes_for_user(matrix, i);
-      const auto list_b = improving_changes_for_user(game, matrix, i);
-      ASSERT_EQ(list_a.size(), list_b.size());
-      for (std::size_t j = 0; j < list_a.size(); ++j) {
-        EXPECT_EQ(list_a[j].benefit, list_b[j].benefit);
-        EXPECT_EQ(list_a[j].kind, list_b[j].kind);
-      }
-    }
-  }
 }
 
 TEST(GameModel, BestResponseIsAnOracleUnderAllAxesCombined) {
   // Heterogeneous rates AND mixed budgets AND an energy price in one model
-  // — a configuration none of the pre-unification classes could express.
+  // — all three scenario axes composed in one model.
   const std::vector<RadioCount> budgets = {1, 3, 2};
   const GameModel model(4, budgets, mixed_rates(), 0.15);
   Rng rng(23);
@@ -249,75 +200,21 @@ TEST(GameModelCache, BudgetChecksUseTheModelNotTheMatrixCap) {
   EXPECT_EQ(cache.max_drift(matrix), 0.0);
 }
 
-// --- The shared driver on extension games ---------------------------------
+// --- The shared driver on scenario models ---------------------------------
 
-TEST(UnifiedDynamics, ExtensionGamesConvergeThroughTheSharedDriver) {
-  // The three extension classes now delegate to run_response_dynamics;
-  // their fixed points must still be verified equilibria of their models.
-  const HeterogeneousGame het(GameConfig(5, 4, 2), mixed_rates());
-  const auto het_outcome = het.run_best_response_dynamics(het.empty_strategy());
-  ASSERT_TRUE(het_outcome.converged);
-  EXPECT_TRUE(het.is_nash_equilibrium(het_outcome.final_state));
-
-  const VariableRadioGame var(4, {1, 2, 3, 4}, unit_rate());
-  const auto var_outcome = var.run_best_response_dynamics(var.empty_strategy());
-  ASSERT_TRUE(var_outcome.converged);
-  EXPECT_TRUE(var.is_nash_equilibrium(var_outcome.final_state));
-
-  const EnergyAwareGame energy(constant_game(4, 4, 3), 0.3);
-  const auto energy_outcome =
-      energy.run_best_response_dynamics(energy.base().empty_strategy());
-  ASSERT_TRUE(energy_outcome.converged);
-  EXPECT_TRUE(energy.is_nash_equilibrium(energy_outcome.final_state));
-}
-
-TEST(UnifiedDynamics, ResultTypesAreTheSharedAliases) {
-  // Satellite of the unification: the per-class result structs are gone;
-  // the aliases must BE the shared DynamicsResult.
-  static_assert(
-      std::is_same_v<HeterogeneousGame::DynamicsOutcome, DynamicsResult>);
-  static_assert(std::is_same_v<VariableRadioGame::Outcome, DynamicsResult>);
-  static_assert(std::is_same_v<EnergyAwareGame::Outcome, DynamicsResult>);
-  static_assert(std::is_same_v<BestResponseHet, BestResponse>);
-}
-
-TEST(UnifiedDynamics, IncrementalAndRecomputedPathsAgreeOnExtensions) {
-  // The cache-accelerated path and the full-recompute path must walk the
-  // same trajectory on every scenario axis, not just the base game.
+TEST(UnifiedDynamics, ScenarioModelsConvergeThroughTheSharedDriver) {
+  // Heterogeneous bands, mixed budgets and an energy price each run on
+  // run_response_dynamics; their fixed points must be verified equilibria.
   const GameModel models[] = {
       GameModel(4, std::vector<RadioCount>(5, 2), mixed_rates()),
-      GameModel(5, {1, 4, 2, 5, 3}, {unit_rate()}),
-      GameModel(GameConfig(5, 4, 2),
-                std::make_shared<PowerLawRate>(1.0, 0.5), 0.2),
+      GameModel(4, {1, 2, 3, 4}, {unit_rate()}),
+      GameModel(GameConfig(4, 4, 3), unit_rate(), 0.3),
   };
   for (const GameModel& model : models) {
-    for (const auto granularity : {ResponseGranularity::kBestResponse,
-                                   ResponseGranularity::kBestSingleMove,
-                                   ResponseGranularity::kRandomImprovingMove}) {
-      Rng start_rng(404);
-      for (int trial = 0; trial < 4; ++trial) {
-        const StrategyMatrix start = random_full_allocation(model, start_rng);
-        DynamicsOptions incremental;
-        incremental.granularity = granularity;
-        incremental.record_welfare_trace = true;
-        DynamicsOptions full = incremental;
-        full.use_incremental_cache = false;
-        Rng rng_a(1234);
-        Rng rng_b(1234);
-        const DynamicsResult a =
-            run_response_dynamics(model, start, incremental, &rng_a);
-        const DynamicsResult b =
-            run_response_dynamics(model, start, full, &rng_b);
-        EXPECT_TRUE(a.final_state == b.final_state);
-        EXPECT_EQ(a.activations, b.activations);
-        EXPECT_EQ(a.improving_steps, b.improving_steps);
-        EXPECT_EQ(a.converged, b.converged);
-        ASSERT_EQ(a.welfare_trace.size(), b.welfare_trace.size());
-        for (std::size_t i = 0; i < a.welfare_trace.size(); ++i) {
-          EXPECT_NEAR(a.welfare_trace[i], b.welfare_trace[i], 1e-10);
-        }
-      }
-    }
+    const DynamicsResult outcome =
+        run_response_dynamics(model, model.empty_strategy());
+    ASSERT_TRUE(outcome.converged);
+    EXPECT_TRUE(model.is_nash_equilibrium(outcome.final_state));
   }
 }
 

@@ -11,7 +11,7 @@ using testing::constant_game;
 using testing::matrix_of;
 
 TEST(ParseMatrix, RoundTripsCanonicalKey) {
-  const Game game = constant_game(3, 4, 2);
+  const GameModel game = constant_game(3, 4, 2);
   const auto original = matrix_of(
       game, {{1, 1, 0, 0}, {0, 2, 0, 0}, {0, 0, 1, 1}});
   const StrategyMatrix parsed =
@@ -48,7 +48,7 @@ TEST(ParseMatrix, FigureOneExampleParses) {
 }
 
 TEST(RenderMatrix, ContainsEveryCell) {
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto matrix = matrix_of(game, {{2, 0}, {1, 1}});
   const std::string rendered = render_matrix(matrix);
   EXPECT_NE(rendered.find('2'), std::string::npos);
@@ -57,7 +57,7 @@ TEST(RenderMatrix, ContainsEveryCell) {
 }
 
 TEST(RenderOccupancy, StackHeightMatchesLoad) {
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto matrix = matrix_of(game, {{2, 0}, {1, 0}});
   const std::string rendered = render_occupancy(matrix);
   // Channel 1 has 3 stacked radios; count bracket pairs.
@@ -69,7 +69,7 @@ TEST(RenderOccupancy, StackHeightMatchesLoad) {
 }
 
 TEST(RenderUtilities, IncludesWelfareLine) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto matrix = matrix_of(game, {{1, 0}, {0, 1}});
   const std::string rendered = render_utilities(game, matrix);
   EXPECT_NE(rendered.find("welfare"), std::string::npos);

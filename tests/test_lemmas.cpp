@@ -19,7 +19,7 @@ class Figure1Test : public ::testing::Test {
   Figure1Test()
       : game_(constant_game(4, 5, 4)),
         matrix_(matrix_of(game_, figure1_rows())) {}
-  Game game_;
+  GameModel game_;
   StrategyMatrix matrix_;
 };
 
@@ -92,14 +92,14 @@ TEST_F(Figure1Test, EveryLemmaWitnessIsAProfitableMove) {
 
 TEST(Lemma4, FiresOnEqualLoadStacking) {
   // User 0 stacks 2 radios on c0 while c2 (equal load) is empty for them.
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   const auto matrix = matrix_of(game, {{2, 0, 0}, {0, 1, 1}});
   // loads (2,1,1): delta(c0,c1)=1 -> Lemma 3 territory, not Lemma 4.
   EXPECT_TRUE(lemma4_violations(matrix).empty());
   const auto l3 = lemma3_violations(matrix);
   EXPECT_FALSE(l3.empty());
 
-  const Game game2 = constant_game(3, 3, 2);
+  const GameModel game2 = constant_game(3, 3, 2);
   const auto matrix2 = matrix_of(game2, {{2, 0, 0}, {0, 1, 1}, {0, 1, 1}});
   // loads (2,2,2): user 0 has gamma=2 vs both empty channels, delta=0.
   const auto l4 = lemma4_violations(matrix2);
@@ -108,7 +108,7 @@ TEST(Lemma4, FiresOnEqualLoadStacking) {
 }
 
 TEST(Lemma2, NoFalsePositivesOnBalancedAllocation) {
-  const Game game = constant_game(2, 4, 2);
+  const GameModel game = constant_game(2, 4, 2);
   const auto matrix = matrix_of(game, {{1, 1, 0, 0}, {0, 0, 1, 1}});
   EXPECT_TRUE(lemma2_violations(matrix).empty());
   EXPECT_TRUE(lemma3_violations(matrix).empty());
@@ -123,7 +123,7 @@ TEST(Fact1, RegimeDetection) {
 }
 
 TEST(Fact1, FlatAllocationDetection) {
-  const Game game = constant_game(2, 4, 2);
+  const GameModel game = constant_game(2, 4, 2);
   EXPECT_TRUE(is_flat_allocation(
       matrix_of(game, {{1, 1, 0, 0}, {0, 0, 1, 1}})));
   EXPECT_FALSE(is_flat_allocation(
@@ -133,13 +133,13 @@ TEST(Fact1, FlatAllocationDetection) {
 
 TEST(Fact1, FlatAllocationIsNashInNoConflictRegime) {
   // |N|*k = 4 <= |C| = 5: one radio per occupied channel is a NE.
-  const Game game = constant_game(2, 5, 2);
+  const GameModel game = constant_game(2, 5, 2);
   const auto matrix = matrix_of(game, {{1, 1, 0, 0, 0}, {0, 0, 1, 1, 0}});
   EXPECT_TRUE(is_nash_equilibrium(game, matrix));
 }
 
 TEST(Theorem1, NotApplicableWithoutConflict) {
-  const Game game = constant_game(2, 5, 2);
+  const GameModel game = constant_game(2, 5, 2);
   const auto matrix = matrix_of(game, {{1, 1, 0, 0, 0}, {0, 0, 1, 1, 0}});
   const auto result = check_theorem1(matrix);
   EXPECT_FALSE(result.applicable);
@@ -148,7 +148,7 @@ TEST(Theorem1, NotApplicableWithoutConflict) {
 
 TEST(Theorem1, AcceptsSpreadBalancedAllocation) {
   // N=4, k=2, C=3 -> loads must be (3,3,2); all users spread.
-  const Game game = constant_game(4, 3, 2);
+  const GameModel game = constant_game(4, 3, 2);
   const auto matrix =
       matrix_of(game, {{1, 1, 0}, {1, 1, 0}, {1, 0, 1}, {0, 1, 1}});
   const auto result = check_theorem1(matrix);
@@ -162,7 +162,7 @@ TEST(Theorem1, AcceptsSpreadBalancedAllocation) {
 
 TEST(Theorem1, RejectsNonExceptionStacking) {
   // User 0 stacks on a channel but misses a min-loaded channel.
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   const auto matrix = matrix_of(game, {{2, 0, 0}, {0, 1, 1}, {0, 1, 1}});
   const auto result = check_theorem1(matrix);
   EXPECT_TRUE(result.condition1);  // loads (2,2,2)
@@ -175,7 +175,7 @@ TEST(Theorem1, ExceptionClauseAdmitsDocumentedCounterexample) {
   // The PRINTED theorem accepts it (user 0 covers the only min channel,
   // gamma within bounds, nothing stacked on a max channel), yet it is not
   // actually a Nash equilibrium — the audit tests pin this divergence.
-  const Game game = constant_game(4, 3, 2);
+  const GameModel game = constant_game(4, 3, 2);
   const auto matrix =
       matrix_of(game, {{2, 0, 0}, {0, 1, 1}, {0, 1, 1}, {0, 1, 1}});
   const auto result = check_theorem1(matrix);
@@ -183,7 +183,7 @@ TEST(Theorem1, ExceptionClauseAdmitsDocumentedCounterexample) {
   EXPECT_FALSE(is_nash_equilibrium(game, matrix));
   // The profitable deviation moves a radio from the user's own min-loaded
   // monopoly onto a busier channel — the direction the lemmas never check.
-  const auto change = best_single_change(game, matrix, 0);
+  const auto change = game.best_single_change(matrix, 0);
   ASSERT_TRUE(change.has_value());
   EXPECT_EQ(change->kind, SingleChange::Kind::kMove);
   EXPECT_EQ(change->from, 0u);
@@ -192,7 +192,7 @@ TEST(Theorem1, ExceptionClauseAdmitsDocumentedCounterexample) {
 
 TEST(Theorem1, AllLoadsEqualDegenerateCase) {
   // Every channel both min- and max-loaded: spread users, no exceptions.
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   const auto matrix = matrix_of(game, {{1, 1, 0}, {0, 1, 1}, {1, 0, 1}});
   const auto result = check_theorem1(matrix);
   EXPECT_TRUE(result.predicts_nash());

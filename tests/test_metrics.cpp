@@ -96,7 +96,7 @@ TEST(MetricSet, CustomMetricPlugsInLikeABuiltin) {
                        context.dynamics.final_state.occupied_channels()
                            .size())};
                  }});
-  const GameModel model(Game(GameConfig(3, 3, 1), decaying_rate()));
+  const GameModel model(GameConfig(3, 3, 1), decaying_rate());
   const FinishedRun run(model);
   const auto values = set.compute(run.context(model));
   ASSERT_EQ(values.size(), 2u);
@@ -109,7 +109,7 @@ TEST(MetricSet, ComputeChecksArity) {
   set.add(Metric{"broken", {"a", "b"}, [](const MetricContext&) {
                    return std::vector<double>{1.0};
                  }});
-  const GameModel model(Game(GameConfig(2, 2, 1), decaying_rate()));
+  const GameModel model(GameConfig(2, 2, 1), decaying_rate());
   const FinishedRun run(model);
   EXPECT_THROW(set.compute(run.context(model)), std::logic_error);
 }
@@ -119,7 +119,7 @@ TEST(MetricSet, ComputeChecksArity) {
 /// Theorem 1 predicate is applicable there.
 std::vector<GameModel> tiny_models_of_every_kind() {
   std::vector<GameModel> models;
-  models.push_back(GameModel(Game(GameConfig(4, 3, 1), decaying_rate())));
+  models.push_back(GameModel(GameConfig(4, 3, 1), decaying_rate()));
   models.push_back(
       GameModel(GameConfig(3, 3, 1), decaying_rate(), /*cost=*/0.3));
   models.push_back(ScenarioSpec::parse("het=2:1").make_model(
@@ -158,13 +158,12 @@ TEST(BuiltinMetrics, NashAndTheorem1MatchTheEnumerationOracle) {
 }
 
 TEST(BuiltinMetrics, PoaIsClosedFormWhenHomogeneousAndExactOtherwise) {
-  const Game game(GameConfig(4, 3, 2), decaying_rate());
-  const GameModel homogeneous(game);
+  const GameModel homogeneous(GameConfig(4, 3, 2), decaying_rate());
   const FinishedRun run(homogeneous);
   const auto values =
       MetricSet::parse_list("poa").compute(run.context(homogeneous));
-  EXPECT_EQ(values[0], nash_welfare(game));
-  EXPECT_EQ(values[1], price_of_anarchy(game));
+  EXPECT_EQ(values[0], nash_welfare(homogeneous));
+  EXPECT_EQ(values[1], price_of_anarchy(homogeneous));
 
   // Energy model: the fallback equilibrium's welfare, not the closed form.
   const GameModel energy(GameConfig(3, 3, 2), decaying_rate(), 0.6);
@@ -172,8 +171,8 @@ TEST(BuiltinMetrics, PoaIsClosedFormWhenHomogeneousAndExactOtherwise) {
   const auto energy_values =
       MetricSet::parse_list("poa").compute(energy_run.context(energy));
   EXPECT_EQ(energy_values[0], nash_welfare(energy));
-  EXPECT_NE(energy_values[0], nash_welfare(Game(energy.config(),
-                                                decaying_rate())));
+  EXPECT_NE(energy_values[0],
+            nash_welfare(GameModel(energy.config(), decaying_rate())));
 }
 
 TEST(BuiltinMetrics, UndefinedValuesAreNaNNotFabricated) {
@@ -202,7 +201,7 @@ TEST(BuiltinMetrics, ParetoFallsBackToCertificateBeyondEnumerationScale) {
 }
 
 TEST(BuiltinMetrics, DistributedIsAPureFunctionOfTheSeed) {
-  const GameModel model(Game(GameConfig(5, 4, 2), decaying_rate()));
+  const GameModel model(GameConfig(5, 4, 2), decaying_rate());
   const FinishedRun run(model);
   const MetricSet set = MetricSet::parse_list("distributed");
   const auto first = set.compute(run.context(model, 77));
@@ -214,7 +213,7 @@ TEST(BuiltinMetrics, DistributedIsAPureFunctionOfTheSeed) {
 }
 
 TEST(BuiltinMetrics, RegretIsTheAreaBelowFinalWelfareOrNaNWithoutATrace) {
-  const GameModel model(Game(GameConfig(4, 3, 2), decaying_rate()));
+  const GameModel model(GameConfig(4, 3, 2), decaying_rate());
   FinishedRun run(model);
   const MetricSet set = MetricSet::parse_list("regret");
   EXPECT_TRUE(set.needs_welfare_trace());
@@ -234,7 +233,7 @@ TEST(BuiltinMetrics, RegretIsTheAreaBelowFinalWelfareOrNaNWithoutATrace) {
 }
 
 TEST(BuiltinMetrics, OccupancyEntropyMatchesClosedFormDistributions) {
-  const GameModel model(Game(GameConfig(4, 4, 1), decaying_rate()));
+  const GameModel model(GameConfig(4, 4, 1), decaying_rate());
   FinishedRun run(model);
   const MetricSet set = MetricSet::parse_list("occupancy_entropy");
   EXPECT_FALSE(set.needs_welfare_trace());

@@ -75,7 +75,7 @@ TEST(ForEachStrategyMatrix, EarlyStop) {
 }
 
 TEST(IsNash, Figure1IsNotANash) {
-  const Game game = constant_game(4, 5, 4);
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
   EXPECT_FALSE(is_nash_equilibrium(game, matrix));
   EXPECT_FALSE(is_single_move_stable(game, matrix));
@@ -85,7 +85,7 @@ TEST(IsNash, Figure1IsNotANash) {
 }
 
 TEST(IsNash, SpreadBalancedIsNash) {
-  const Game game = constant_game(4, 3, 2);
+  const GameModel game = constant_game(4, 3, 2);
   const auto matrix =
       matrix_of(game, {{1, 1, 0}, {1, 1, 0}, {1, 0, 1}, {0, 1, 1}});
   EXPECT_TRUE(is_nash_equilibrium(game, matrix));
@@ -96,7 +96,7 @@ TEST(IsNash, SpreadBalancedIsNash) {
 TEST(IsNash, NashImpliesSingleMoveStable) {
   // Full-deviation stability is strictly stronger than single-move
   // stability; verify the implication over random states.
-  const Game game = power_law_game(3, 4, 2, 1.0);
+  const GameModel game = power_law_game(3, 4, 2, 1.0);
   Rng rng(314);
   int nash_count = 0;
   for (int trial = 0; trial < 400; ++trial) {
@@ -117,7 +117,7 @@ TEST(IsNash, StabilityLayersAgreeOrNestOnEnumeration) {
   // whole small game and (a) asserts the provable inclusion, (b) records
   // how often the checkers disagree — the theorem-audit bench reports the
   // same quantity at larger sizes.
-  const Game game = power_law_game(2, 3, 2, 2.0);
+  const GameModel game = power_law_game(2, 3, 2, 2.0);
   std::size_t stable_not_nash = 0;
   for_each_strategy_matrix(game.config(), [&](const StrategyMatrix& matrix) {
     const bool nash = is_nash_equilibrium(game, matrix);
@@ -135,7 +135,7 @@ TEST(IsNash, StabilityLayersAgreeOrNestOnEnumeration) {
 TEST(EnumerateNash, FlatAllocationsInNoConflictRegime) {
   // N*k = 2 <= C = 2 (Fact 1): the NE are exactly the allocations with one
   // radio per channel... plus nothing else deploys both users fully.
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto equilibria = enumerate_nash_equilibria(game);
   // u1 on c1 & u2 on c2, or u1 on c2 & u2 on c1.
   ASSERT_EQ(equilibria.size(), 2u);
@@ -148,7 +148,7 @@ TEST(EnumerateNash, FlatAllocationsInNoConflictRegime) {
 TEST(EnumerateNash, ConflictRegimeLoadsAreBalanced) {
   // Every brute-force NE must satisfy Proposition 1 (loads differ <= 1)
   // and Lemma 1 (full deployment) — here validated with no shortcuts.
-  const Game game = constant_game(3, 2, 2);  // T=6 over C=2: loads (3,3)
+  const GameModel game = constant_game(3, 2, 2);  // T=6 over C=2: loads (3,3)
   const auto equilibria = enumerate_nash_equilibria(game);
   ASSERT_FALSE(equilibria.empty());
   for (const auto& ne : equilibria) {
@@ -161,7 +161,7 @@ TEST(EnumerateNash, FullDeploymentFilterMatchesLemma1) {
   // With constant R the NE sets with and without the parked-radio strategy
   // space coincide (parking is never strictly profitable, and any NE must
   // deploy fully by Lemma 1).
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   const auto all = enumerate_nash_equilibria(game);
   const auto full_only =
       enumerate_nash_equilibria(game, kUtilityTolerance, true);
@@ -172,7 +172,7 @@ TEST(EnumerateNash, FullDeploymentFilterMatchesLemma1) {
 }
 
 TEST(Tolerance, LooseToleranceAcceptsNearEquilibria) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   // Two users share c0; moving to c2 gains 0.5. A tolerance above 0.5
   // declares the state "stable enough".
   const auto matrix = matrix_of(game, {{1, 0, 0}, {1, 0, 0}, {0, 1, 0}});

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/game.h"
+#include "core/game_model.h"
 #include "mac/bianchi.h"
 #include "test_util.h"
 
@@ -10,7 +10,7 @@ namespace mrca::sim {
 namespace {
 
 using mrca::ChannelId;
-using mrca::Game;
+using mrca::GameModel;
 using mrca::GameConfig;
 using mrca::StrategyMatrix;
 using mrca::UserId;
@@ -24,7 +24,7 @@ NetworkOptions quick_dcf(double seconds = 10.0) {
 }
 
 TEST(NetworkSim, RejectsNonPositiveDuration) {
-  const Game game = mrca::testing::constant_game(2, 2, 1);
+  const GameModel game = mrca::testing::constant_game(2, 2, 1);
   NetworkOptions options;
   options.duration_s = 0.0;
   EXPECT_THROW(simulate_network(game.empty_strategy(), options),
@@ -32,7 +32,7 @@ TEST(NetworkSim, RejectsNonPositiveDuration) {
 }
 
 TEST(NetworkSim, EmptyChannelsCarryNothing) {
-  const Game game = mrca::testing::constant_game(2, 3, 1);
+  const GameModel game = mrca::testing::constant_game(2, 3, 1);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(1, 0);
@@ -43,7 +43,7 @@ TEST(NetworkSim, EmptyChannelsCarryNothing) {
 }
 
 TEST(NetworkSim, PerUserSumsEqualPerChannelSums) {
-  const Game game = mrca::testing::constant_game(3, 4, 2);
+  const GameModel game = mrca::testing::constant_game(3, 4, 2);
   const auto matrix = StrategyMatrix::from_rows(
       game.config(), {{1, 1, 0, 0}, {0, 1, 1, 0}, {1, 0, 0, 1}});
   const NetworkResult result = simulate_network(matrix, quick_dcf());

@@ -41,7 +41,7 @@ std::vector<std::vector<RadioCount>> figure5_rows() {
 }
 
 TEST(Figure1, IsNotANashAndEveryStatedLemmaFires) {
-  const Game game = constant_game(4, 5, 4);
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
 
   // Set structure quoted in the text: Cmax={c1}, Cmin={c5}, Crem=rest.
@@ -55,7 +55,7 @@ TEST(Figure1, IsNotANashAndEveryStatedLemmaFires) {
 }
 
 TEST(Figure1, RenderersProduceTheExample) {
-  const Game game = constant_game(4, 5, 4);
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
   const std::string rendered = render_matrix(matrix);
   // Row u3 of Figure 2: "1 2 0 1 0".
@@ -68,7 +68,7 @@ TEST(Figure1, RenderersProduceTheExample) {
 }
 
 TEST(Figure4, LoadsMatchThePaper) {
-  const Game game = constant_game(7, 6, 4);
+  const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_TRUE(matrix.all_radios_deployed());
   const auto loads = matrix.channel_loads();
@@ -77,14 +77,14 @@ TEST(Figure4, LoadsMatchThePaper) {
 }
 
 TEST(Figure4, IsANashEquilibriumUnderConstantRate) {
-  const Game game = constant_game(7, 6, 4);
+  const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_TRUE(is_single_move_stable(game, matrix));
   EXPECT_TRUE(is_nash_equilibrium(game, matrix));
 }
 
 TEST(Figure4, SatisfiesTheorem1WithExceptionClause) {
-  const Game game = constant_game(7, 6, 4);
+  const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   const Theorem1Result result = check_theorem1(matrix);
   EXPECT_TRUE(result.predicts_nash()) << [&] {
@@ -103,13 +103,13 @@ TEST(Figure4, ExceptionNeutralityIsExactlyTheM4Boundary) {
   // u1 moving one of its two radios from a min channel (load 4) to a max
   // channel (load 5) is exactly utility-neutral under constant R — the
   // m = 4 boundary case of the reproduction audit (DESIGN.md §2).
-  const Game game = constant_game(7, 6, 4);
+  const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_NEAR(move_benefit(game, matrix, {0, 4, 0}), 0.0, 1e-12);
 }
 
 TEST(Figure4, WelfareIsSystemOptimal) {
-  const Game game = constant_game(7, 6, 4);
+  const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_NEAR(game.welfare(matrix), game.optimal_welfare(), 1e-12);
   EXPECT_TRUE(welfare_certifies_pareto(game, matrix));
@@ -119,17 +119,17 @@ TEST(Figure5, IsANashEquilibriumForConstantAndDecreasingRate) {
   // All users spread: Theorem 1's sufficiency holds for ANY non-increasing
   // R here, so Figure 5 must be a NE under every rate family.
   const auto rows = figure5_rows();
-  for (const Game& game :
+  for (const GameModel& game :
        {constant_game(4, 6, 4), power_law_game(4, 6, 4, 1.0),
         power_law_game(4, 6, 4, 2.0)}) {
     const auto matrix = matrix_of(game, rows);
     EXPECT_TRUE(is_nash_equilibrium(game, matrix))
-        << game.rate_function().name();
+        << game.rate_function(0).name();
   }
 }
 
 TEST(Figure5, NoUserNeedsTheExceptionClause) {
-  const Game game = constant_game(4, 6, 4);
+  const GameModel game = constant_game(4, 6, 4);
   const auto matrix = matrix_of(game, figure5_rows());
   for (UserId i = 0; i < 4; ++i) {
     for (ChannelId c = 0; c < 6; ++c) {
@@ -140,7 +140,7 @@ TEST(Figure5, NoUserNeedsTheExceptionClause) {
 }
 
 TEST(Figure5, LoadsMatchThePaper) {
-  const Game game = constant_game(4, 6, 4);
+  const GameModel game = constant_game(4, 6, 4);
   const auto matrix = matrix_of(game, figure5_rows());
   const auto loads = matrix.channel_loads();
   EXPECT_EQ(std::vector<RadioCount>(loads.begin(), loads.end()),
@@ -151,7 +151,7 @@ TEST(Figure4Variant, DecreasingRateBreaksTheExceptionEquilibrium) {
   // Reproduction audit: under strictly decreasing R the same Figure 4
   // allocation is NOT an equilibrium — the exception user's neutral move
   // becomes strictly profitable (R(3)/3 + R(6)/6 > R(4)/2 for R = 1/k).
-  const Game game = power_law_game(7, 6, 4, 1.0);
+  const GameModel game = power_law_game(7, 6, 4, 1.0);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_GT(move_benefit(game, matrix, {0, 4, 0}), 0.0);
   EXPECT_FALSE(is_nash_equilibrium(game, matrix));

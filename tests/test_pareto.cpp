@@ -14,7 +14,7 @@ using testing::matrix_of;
 using testing::power_law_game;
 
 TEST(ParetoDominates, StrictImprovementForAll) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto crowded = matrix_of(game, {{1, 0}, {1, 0}});  // both on c0
   const auto spread = matrix_of(game, {{1, 0}, {0, 1}});   // one each
   EXPECT_TRUE(pareto_dominates(game, spread, crowded));
@@ -23,7 +23,7 @@ TEST(ParetoDominates, StrictImprovementForAll) {
 
 TEST(ParetoDominates, NoDominanceOnPureTransfer) {
   // Swapping who owns the good channel reverses winners: no dominance.
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto a = matrix_of(game, {{1, 0}, {1, 0}});
   const auto b = matrix_of(game, {{0, 1}, {0, 1}});
   EXPECT_FALSE(pareto_dominates(game, a, b));
@@ -31,18 +31,18 @@ TEST(ParetoDominates, NoDominanceOnPureTransfer) {
 }
 
 TEST(ParetoDominates, SelfIsNotDominating) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto a = matrix_of(game, {{1, 0}, {0, 1}});
   EXPECT_FALSE(pareto_dominates(game, a, a));
 }
 
 TEST(IsParetoOptimal, SpreadAllocationIsOptimal) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   EXPECT_TRUE(is_pareto_optimal(game, matrix_of(game, {{1, 0}, {0, 1}})));
 }
 
 TEST(IsParetoOptimal, CrowdedAllocationIsNot) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto crowded = matrix_of(game, {{1, 0}, {1, 0}});
   EXPECT_FALSE(is_pareto_optimal(game, crowded));
   const auto dominator = find_pareto_dominator(game, crowded);
@@ -51,7 +51,7 @@ TEST(IsParetoOptimal, CrowdedAllocationIsNot) {
 }
 
 TEST(WelfareCertificate, CertifiesMaximalWelfare) {
-  const Game game = constant_game(3, 2, 2);  // conflict regime
+  const GameModel game = constant_game(3, 2, 2);  // conflict regime
   // Loads (3,3): welfare = 2 = |C| * R(1) = optimal.
   const auto balanced =
       matrix_of(game, {{1, 1}, {1, 1}, {1, 1}});
@@ -61,7 +61,7 @@ TEST(WelfareCertificate, CertifiesMaximalWelfare) {
 }
 
 TEST(WelfareCertificate, RejectsWastefulAllocation) {
-  const Game game = constant_game(3, 2, 2);
+  const GameModel game = constant_game(3, 2, 2);
   const auto wasteful = matrix_of(game, {{2, 0}, {2, 0}, {2, 0}});
   EXPECT_FALSE(welfare_certifies_pareto(game, wasteful));
 }
@@ -74,7 +74,7 @@ TEST(Theorem2, EveryNashIsParetoOptimalConstantRate) {
         {3, 2, 1},
         {2, 3, 2},
         {3, 3, 1}}) {
-    const Game game = constant_game(users, channels, radios);
+    const GameModel game = constant_game(users, channels, radios);
     const auto equilibria = enumerate_nash_equilibria(game);
     ASSERT_FALSE(equilibria.empty()) << game.config().describe();
     for (const auto& ne : equilibria) {
@@ -87,7 +87,7 @@ TEST(Theorem2, EveryNashIsParetoOptimalConstantRate) {
 /// Theorem 2's *system*-optimality claim holds for constant R: NE welfare
 /// equals the global optimum.
 TEST(Theorem2, NashWelfareIsSystemOptimalConstantRate) {
-  const Game game = constant_game(3, 2, 2);
+  const GameModel game = constant_game(3, 2, 2);
   for (const auto& ne : enumerate_nash_equilibria(game)) {
     EXPECT_NEAR(game.welfare(ne), game.optimal_welfare(), 1e-12);
   }
@@ -97,7 +97,7 @@ TEST(Theorem2, NashWelfareIsSystemOptimalConstantRate) {
 /// system-optimal (welfare strictly below |C|*R(1)), quantifying the
 /// paper's implicit constant-R assumption in Theorem 2.
 TEST(Theorem2, DecreasingRateBreaksSystemOptimality) {
-  const Game game = power_law_game(3, 2, 2, 1.0);  // R(k)=1/k
+  const GameModel game = power_law_game(3, 2, 2, 1.0);  // R(k)=1/k
   const auto equilibria = enumerate_nash_equilibria(game);
   ASSERT_FALSE(equilibria.empty());
   for (const auto& ne : equilibria) {
@@ -110,7 +110,7 @@ TEST(Theorem2, DecreasingRateBreaksSystemOptimality) {
 /// small instance (they need not be in general — a coordinated "everyone
 /// parks their surplus" can dominate; record what actually happens here).
 TEST(Theorem2, DecreasingRateParetoAudit) {
-  const Game game = power_law_game(2, 2, 2, 1.0);
+  const GameModel game = power_law_game(2, 2, 2, 1.0);
   const auto equilibria = enumerate_nash_equilibria(game);
   ASSERT_FALSE(equilibria.empty());
   std::size_t pareto_optimal = 0;
@@ -127,7 +127,7 @@ TEST(Theorem2, DecreasingRateParetoAudit) {
 }
 
 TEST(Pareto, ToleranceAbsorbsTies) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto a = matrix_of(game, {{1, 0}, {0, 1}});
   const auto b = matrix_of(game, {{0, 1}, {1, 0}});
   // Identical utility profiles: no dominance at any tolerance.

@@ -15,20 +15,20 @@ using testing::matrix_of;
 using testing::power_law_game;
 
 TEST(Potential, EmptyAllocationIsZero) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   EXPECT_DOUBLE_EQ(potential(game, game.empty_strategy()), 0.0);
 }
 
 TEST(Potential, HandComputedValue) {
   // R = 1: Phi = sum_c H(k_c) (harmonic numbers).
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto matrix = matrix_of(game, {{2, 0}, {1, 1}});
   // loads (3,1): H(3) + H(1) = 1 + 1/2 + 1/3 + 1.
   EXPECT_NEAR(potential(game, matrix), 1.0 + 0.5 + 1.0 / 3.0 + 1.0, 1e-12);
 }
 
 TEST(PotentialDelta, MatchesRecomputation) {
-  const Game game = power_law_game(4, 5, 3, 0.7);
+  const GameModel game = power_law_game(4, 5, 3, 0.7);
   Rng rng(404);
   for (int trial = 0; trial < 200; ++trial) {
     const StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -53,7 +53,7 @@ TEST(PotentialGap, ZeroForUnitMovers) {
   // When the mover has exactly one radio on the source and none on the
   // target, its benefit of change equals the potential delta exactly — the
   // singleton congestion-game case.
-  const Game game = power_law_game(4, 5, 3, 1.0);
+  const GameModel game = power_law_game(4, 5, 3, 1.0);
   Rng rng(505);
   int checked = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -75,7 +75,7 @@ TEST(PotentialGap, ZeroForUnitMovers) {
 TEST(PotentialGap, NonZeroForMultiRadioMovers) {
   // A user holding several radios on the source channel perturbs its own
   // remaining radios: Phi is no longer exact.
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto matrix = matrix_of(game, {{2, 0}, {1, 1}});
   const double gap = move_potential_gap(game, matrix, {0, 0, 1});
   EXPECT_GT(std::abs(gap), 1e-6);
@@ -84,7 +84,7 @@ TEST(PotentialGap, NonZeroForMultiRadioMovers) {
 TEST(PotentialGap, ExactForSingleRadioGames) {
   // k = 1: the user game IS the singleton congestion game; every move's
   // benefit equals the potential delta.
-  const Game game = power_law_game(5, 4, 1, 0.5);
+  const GameModel game = power_law_game(5, 4, 1, 0.5);
   Rng rng(606);
   for (int trial = 0; trial < 300; ++trial) {
     const StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -101,7 +101,7 @@ TEST(PotentialGap, ExactForSingleRadioGames) {
 }
 
 TEST(Potential, SelfMoveDeltaIsZero) {
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto matrix = matrix_of(game, {{2, 0}, {1, 1}});
   EXPECT_DOUBLE_EQ(potential_delta(game, matrix, {0, 0, 0}), 0.0);
 }

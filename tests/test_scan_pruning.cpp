@@ -23,6 +23,7 @@
 #include "core/game_model.h"
 #include "core/topology.h"
 #include "engine/scenario.h"
+#include "reference_dynamics.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -136,13 +137,14 @@ TEST(ScanPruningWitness, ResultCountersTrackTheWork) {
   EXPECT_GT(pruned.scan_skips, 0u);
   EXPECT_GT(pruned.reprice_touches, 0u);
 
-  DynamicsOptions uncached;
-  uncached.granularity = ResponseGranularity::kBestSingleMove;
-  uncached.use_incremental_cache = false;
-  const DynamicsResult raw = run_response_dynamics(model, start, uncached);
+  DynamicsOptions reference;
+  reference.granularity = ResponseGranularity::kBestSingleMove;
+  const DynamicsResult raw =
+      testing::reference_response_dynamics(model, start, reference, nullptr);
   EXPECT_EQ(raw.scan_skips, 0u);
   EXPECT_EQ(raw.reprice_touches, 0u);
   EXPECT_TRUE(raw.final_state == pruned.final_state);
+  EXPECT_EQ(raw.activations, pruned.activations);
 }
 
 TEST(ScanPruningWitness, SkipsGrowSuperlinearlyOnSparseGraphs) {
@@ -169,8 +171,7 @@ TEST(ScanPruningWitness, SkipsGrowSuperlinearlyOnSparseGraphs) {
 }
 
 TEST(ScanPruningPlan, GlobalDomainEpochStateMachine) {
-  const Game game = testing::power_law_game(3, 4, 2);
-  const GameModel model(game);
+  const GameModel model = testing::power_law_game(3, 4, 2);
   StrategyMatrix matrix = model.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(1, 2);

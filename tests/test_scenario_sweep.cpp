@@ -11,6 +11,7 @@
 #include <string>
 
 #include "mrca.h"
+#include "reference_dynamics.h"
 #include "strict_json.h"
 
 namespace mrca {
@@ -311,11 +312,11 @@ TEST(WeightedModel, UtilitiesWelfareAndCacheAgreeWithTheScaledOracle) {
   EXPECT_EQ(result.activations, base_result.activations);
   EXPECT_EQ(result.improving_steps, base_result.improving_steps);
   EXPECT_EQ(result.final_state.key(), base_result.final_state.key());
-  // ... and the incremental and full-recompute drivers agree on the
-  // weighted model (both compare weighted utilities against weighted best
+  // ... and the cached driver agrees with the full-recompute reference on
+  // the weighted model (both compare raw utilities against raw best
   // responses), ending in a verified weighted NE.
-  options.use_incremental_cache = false;
-  const DynamicsResult full = run_response_dynamics(weighted, state, options);
+  const DynamicsResult full =
+      testing::reference_response_dynamics(weighted, state, options, nullptr);
   EXPECT_EQ(result.activations, full.activations);
   EXPECT_EQ(result.final_state.key(), full.final_state.key());
   EXPECT_TRUE(weighted.is_nash_equilibrium(result.final_state));

@@ -20,7 +20,7 @@ using testing::power_law_game;
 
 TEST(Algorithm1, PaperExampleDimensions) {
   // The Figure 5 setting: N=4, k=4, C=6.
-  const Game game = constant_game(4, 6, 4);
+  const GameModel game = constant_game(4, 6, 4);
   const StrategyMatrix result = sequential_allocation(game);
   EXPECT_TRUE(result.all_radios_deployed());
   EXPECT_LE(result.max_load() - result.min_load(), 1);
@@ -32,7 +32,7 @@ TEST(Algorithm1, PaperExampleDimensions) {
 
 TEST(Algorithm1, SpreadsEachUsersRadios) {
   // From an empty start the allocator never stacks a user's radios.
-  const Game game = constant_game(7, 6, 4);
+  const GameModel game = constant_game(7, 6, 4);
   const StrategyMatrix result = sequential_allocation(game);
   for (UserId i = 0; i < 7; ++i) {
     for (ChannelId c = 0; c < 6; ++c) {
@@ -43,14 +43,14 @@ TEST(Algorithm1, SpreadsEachUsersRadios) {
 
 TEST(Algorithm1, NoConflictRegimeGivesFlatAllocation) {
   // N*k <= C: every radio lands on its own channel (Fact 1's NE).
-  const Game game = constant_game(2, 6, 3);
+  const GameModel game = constant_game(2, 6, 3);
   const StrategyMatrix result = sequential_allocation(game);
   EXPECT_EQ(result.max_load(), 1);
   EXPECT_TRUE(is_nash_equilibrium(game, result));
 }
 
 TEST(Algorithm1, RespectsUserOrder) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   SequentialOptions options;
   options.user_order = {2, 0, 1};
   const StrategyMatrix result = sequential_allocation(game, options);
@@ -61,7 +61,7 @@ TEST(Algorithm1, RespectsUserOrder) {
 }
 
 TEST(Algorithm1, RejectsBadOrders) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   SequentialOptions repeated;
   repeated.user_order = {0, 0, 1};
   EXPECT_THROW(sequential_allocation(game, repeated), std::invalid_argument);
@@ -75,7 +75,7 @@ TEST(Algorithm1, RejectsBadOrders) {
 }
 
 TEST(Algorithm1, RandomTieBreakNeedsRng) {
-  const Game game = constant_game(2, 3, 1);
+  const GameModel game = constant_game(2, 3, 1);
   SequentialOptions options;
   options.tie_break = TieBreak::kRandom;
   EXPECT_THROW(sequential_allocation(game, options), std::invalid_argument);
@@ -84,7 +84,7 @@ TEST(Algorithm1, RandomTieBreakNeedsRng) {
 }
 
 TEST(Algorithm1, RandomTieBreakIsSeedDeterministic) {
-  const Game game = constant_game(5, 6, 3);
+  const GameModel game = constant_game(5, 6, 3);
   SequentialOptions options;
   options.tie_break = TieBreak::kRandom;
   Rng rng_a(42);
@@ -102,7 +102,7 @@ TEST(Algorithm1, IncrementalJoinPreservesEquilibrium) {
   // Users arrive one at a time into a live allocation (the cognitive-radio
   // scenario): each join lands on least-loaded channels; after all joins
   // the state is exactly an Algorithm 1 outcome.
-  const Game game = constant_game(4, 5, 3);
+  const GameModel game = constant_game(4, 5, 3);
   StrategyMatrix live = game.empty_strategy();
   for (UserId i = 0; i < 4; ++i) {
     allocate_user_sequentially(game, live, i);
@@ -113,7 +113,7 @@ TEST(Algorithm1, IncrementalJoinPreservesEquilibrium) {
 }
 
 TEST(PlaceOneRadio, PrefersUnusedMinChannels) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   // Loads (1,1,0) with user 0 on c0: min is c2.
   matrix.add_radio(0, 0);
@@ -123,7 +123,7 @@ TEST(PlaceOneRadio, PrefersUnusedMinChannels) {
 }
 
 TEST(PlaceOneRadio, AllEqualRuleAvoidsOwnChannels) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(1, 1);
@@ -146,7 +146,7 @@ class Algorithm1Sweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(Algorithm1Sweep, ProducesNashEquilibrium) {
   const auto& [users, channels, radios, rate] = GetParam();
   if (static_cast<std::size_t>(radios) > channels) GTEST_SKIP();
-  const Game game(GameConfig(users, channels, radios), rate);
+  const GameModel game(GameConfig(users, channels, radios), rate);
   const StrategyMatrix result = sequential_allocation(game);
 
   EXPECT_TRUE(result.all_radios_deployed());
@@ -172,14 +172,14 @@ INSTANTIATE_TEST_SUITE_P(
 /// Larger instances: the Nash check runs the DP oracle, so keep N moderate;
 /// checks load balance and stability only (Pareto enumeration intractable).
 TEST(Algorithm1, LargeInstanceStillEquilibrium) {
-  const Game game = constant_game(40, 11, 7);
+  const GameModel game = constant_game(40, 11, 7);
   const StrategyMatrix result = sequential_allocation(game);
   EXPECT_LE(result.max_load() - result.min_load(), 1);
   EXPECT_TRUE(is_nash_equilibrium(game, result));
 }
 
 TEST(Algorithm1, EveryUserOrderYieldsEquilibrium) {
-  const Game game = power_law_game(4, 4, 2, 1.0);
+  const GameModel game = power_law_game(4, 4, 2, 1.0);
   std::vector<UserId> order = {0, 1, 2, 3};
   std::sort(order.begin(), order.end());
   do {

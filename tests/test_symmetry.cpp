@@ -17,7 +17,7 @@ using testing::constant_game;
 using testing::matrix_of;
 
 TEST(Symmetry, PermuteUsersReordersRows) {
-  const Game game = constant_game(3, 2, 2);
+  const GameModel game = constant_game(3, 2, 2);
   const auto matrix = matrix_of(game, {{2, 0}, {1, 1}, {0, 2}});
   const std::vector<UserId> perm = {2, 0, 1};
   const StrategyMatrix permuted = permute_users(matrix, perm);
@@ -27,7 +27,7 @@ TEST(Symmetry, PermuteUsersReordersRows) {
 }
 
 TEST(Symmetry, PermuteChannelsReordersColumns) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   const auto matrix = matrix_of(game, {{2, 0, 0}, {0, 1, 1}});
   const std::vector<ChannelId> perm = {2, 0, 1};
   const StrategyMatrix permuted = permute_channels(matrix, perm);
@@ -37,7 +37,7 @@ TEST(Symmetry, PermuteChannelsReordersColumns) {
 }
 
 TEST(Symmetry, RejectsNonPermutations) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto matrix = matrix_of(game, {{1, 0}, {0, 1}});
   const std::vector<UserId> repeated = {0, 0};
   EXPECT_THROW(permute_users(matrix, repeated), std::invalid_argument);
@@ -48,7 +48,7 @@ TEST(Symmetry, RejectsNonPermutations) {
 }
 
 TEST(Symmetry, CanonicalKeyInvariantUnderAnyPermutation) {
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   Rng rng(2718);
   for (int trial = 0; trial < 50; ++trial) {
     const StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -65,14 +65,14 @@ TEST(Symmetry, CanonicalKeyInvariantUnderAnyPermutation) {
 }
 
 TEST(Symmetry, CanonicalKeyDistinguishesDifferentStructures) {
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto stacked = matrix_of(game, {{2, 0}, {0, 2}});
   const auto spread = matrix_of(game, {{1, 1}, {1, 1}});
   EXPECT_NE(canonical_key(stacked), canonical_key(spread));
 }
 
 TEST(Symmetry, UsersOnlyKeySortsRows) {
-  const Game game = constant_game(2, 2, 2);
+  const GameModel game = constant_game(2, 2, 2);
   const auto a = matrix_of(game, {{2, 0}, {0, 2}});
   const auto b = matrix_of(game, {{0, 2}, {2, 0}});
   EXPECT_EQ(canonical_key_users(a), canonical_key_users(b));
@@ -81,7 +81,7 @@ TEST(Symmetry, UsersOnlyKeySortsRows) {
 }
 
 TEST(Symmetry, UtilityProfileInvariantUnderUserPermutation) {
-  const Game game = constant_game(4, 3, 2);
+  const GameModel game = constant_game(4, 3, 2);
   Rng rng(999);
   for (int trial = 0; trial < 30; ++trial) {
     const StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -96,7 +96,7 @@ TEST(Symmetry, UtilityProfileInvariantUnderUserPermutation) {
 }
 
 TEST(Symmetry, NashInvariantUnderPermutations) {
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   Rng rng(313);
   int checked_ne = 0;
   for (int trial = 0; trial < 60; ++trial) {
@@ -114,7 +114,7 @@ TEST(Symmetry, NashInvariantUnderPermutations) {
 TEST(Symmetry, ClassSizesPartitionTheInput) {
   // The 36 raw equilibria of N=4, k=2, C=3 collapse into few classes whose
   // sizes sum back to 36; NE-ness is class-invariant by the test above.
-  const Game game = constant_game(4, 3, 2);
+  const GameModel game = constant_game(4, 3, 2);
   const auto equilibria = enumerate_nash_equilibria(game);
   ASSERT_EQ(equilibria.size(), 36u);
   const auto sizes = symmetry_class_sizes(equilibria);
@@ -124,7 +124,7 @@ TEST(Symmetry, ClassSizesPartitionTheInput) {
 }
 
 TEST(Symmetry, SingleMatrixIsOneClass) {
-  const Game game = constant_game(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   const auto matrix = matrix_of(game, {{1, 0}, {0, 1}});
   EXPECT_EQ(count_symmetry_classes({matrix}), 1u);
   EXPECT_EQ(count_symmetry_classes({}), 0u);

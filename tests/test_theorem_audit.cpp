@@ -29,7 +29,7 @@ struct AuditCounts {
   std::size_t false_rejects = 0;   // oracle says NE, theorem says no
 };
 
-AuditCounts audit(const Game& game) {
+AuditCounts audit(const GameModel& game) {
   AuditCounts counts;
   for_each_strategy_matrix(
       game.config(),
@@ -73,7 +73,7 @@ class TheoremAuditConstant
 
 TEST_P(TheoremAuditConstant, NecessityExactSufficiencyDocumented) {
   const auto& [users, channels, radios] = GetParam();
-  const Game game = mrca::testing::constant_game(users, channels, radios);
+  const GameModel game = mrca::testing::constant_game(users, channels, radios);
   if (!game.config().has_conflict()) GTEST_SKIP() << "Fact 1 regime";
   const AuditCounts counts = audit(game);
   ASSERT_GT(counts.matrices, 0u);
@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4u, 4u, 2)));
 
 TEST(TheoremAudit, DocumentedCounterexampleIsAFalseAccept) {
-  const Game game = mrca::testing::constant_game(4, 3, 2);
+  const GameModel game = mrca::testing::constant_game(4, 3, 2);
   const AuditCounts counts = audit(game);
   // The N=4,k=2,C=3 instance contains the user-(2,0,0) family: the printed
   // theorem must over-accept at least once there.
@@ -108,7 +108,7 @@ TEST(TheoremAudit, DocumentedCounterexampleIsAFalseAccept) {
 TEST(TheoremAudit, DecreasingRateNecessityStillHolds) {
   // The lemmas only use non-increasing monotonicity, so necessity must
   // survive a strictly decreasing rate function too.
-  const Game game = mrca::testing::power_law_game(3, 3, 2, 1.0);
+  const GameModel game = mrca::testing::power_law_game(3, 3, 2, 1.0);
   std::size_t nash_seen = 0;
   for_each_strategy_matrix(
       game.config(),
@@ -128,7 +128,7 @@ TEST(TheoremAudit, SpreadMatricesAreAlwaysTrueAccepts) {
   // The no-exception case of Theorem 1 (every k_{i,c} <= 1, loads balanced)
   // is sufficient for ANY non-increasing R: verify across families on all
   // spread matrices of a small game.
-  for (const Game& game :
+  for (const GameModel& game :
        {mrca::testing::constant_game(4, 3, 2),
         mrca::testing::power_law_game(4, 3, 2, 1.0),
         mrca::testing::power_law_game(4, 3, 2, 2.0)}) {
@@ -147,7 +147,7 @@ TEST(TheoremAudit, SpreadMatricesAreAlwaysTrueAccepts) {
           }
           if (!spread) return true;
           EXPECT_TRUE(is_nash_equilibrium(game, matrix))
-              << game.rate_function().name() << " " << matrix.key();
+              << game.rate_function(0).name() << " " << matrix.key();
           return true;
         },
         /*full_deployment_only=*/true);

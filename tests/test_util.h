@@ -4,28 +4,29 @@
 #include <memory>
 #include <vector>
 
-#include "core/game.h"
+#include "core/game_model.h"
 #include "core/rate_function.h"
 #include "core/strategy.h"
 
 namespace mrca::testing {
 
-/// Game with constant rate 1.0 (the paper's TDMA / optimal-CSMA regime).
-inline Game constant_game(std::size_t users, std::size_t channels,
-                          RadioCount radios, double rate = 1.0) {
-  return Game(GameConfig(users, channels, radios),
-              std::make_shared<ConstantRate>(rate));
+/// The paper's game with constant rate 1.0 (the TDMA / optimal-CSMA
+/// regime).
+inline GameModel constant_game(std::size_t users, std::size_t channels,
+                               RadioCount radios, double rate = 1.0) {
+  return GameModel(GameConfig(users, channels, radios),
+                   std::make_shared<ConstantRate>(rate));
 }
 
-/// Game with strictly decreasing R(k) = 1/k^alpha.
-inline Game power_law_game(std::size_t users, std::size_t channels,
-                           RadioCount radios, double alpha = 0.5) {
-  return Game(GameConfig(users, channels, radios),
-              std::make_shared<PowerLawRate>(1.0, alpha));
+/// The paper's game with strictly decreasing R(k) = 1/k^alpha.
+inline GameModel power_law_game(std::size_t users, std::size_t channels,
+                                RadioCount radios, double alpha = 0.5) {
+  return GameModel(GameConfig(users, channels, radios),
+                   std::make_shared<PowerLawRate>(1.0, alpha));
 }
 
 /// Strategy matrix from an initializer-friendly row list.
-inline StrategyMatrix matrix_of(const Game& game,
+inline StrategyMatrix matrix_of(const GameModel& game,
                                 std::vector<std::vector<RadioCount>> rows) {
   return StrategyMatrix::from_rows(game.config(), rows);
 }

@@ -9,8 +9,10 @@
 #include "core/alloc/best_response.h"
 #include "core/alloc/random_alloc.h"
 #include "core/alloc/sequential.h"
-#include "core/analysis/deviation.h"
+#include "core/dynamics/engine.h"
 #include "core/rate_table.h"
+#include "core/topology.h"
+#include "reference_dynamics.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -46,7 +48,7 @@ TEST(RateTable, FallsBackToFunctionBeyondTabulatedRange) {
 }
 
 TEST(UtilityCache, MatchesFullRecomputeOnFigure1) {
-  const Game game = power_law_game(4, 5, 4);
+  const GameModel game = power_law_game(4, 5, 4);
   const StrategyMatrix matrix = matrix_of(game, figure1_rows());
   const UtilityCache cache(game, matrix);
   for (UserId i = 0; i < 4; ++i) {
@@ -60,7 +62,7 @@ TEST(UtilityCache, MatchesFullRecomputeOnFigure1) {
 /// utilities in agreement with the full recompute.
 TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
   for (const auto& rate_fn : rate_families()) {
-    const Game game(GameConfig(8, 6, 3), rate_fn);
+    const GameModel game(GameConfig(8, 6, 3), rate_fn);
     Rng rng(2024);
     StrategyMatrix matrix = random_partial_allocation(game, rng);
     UtilityCache cache(game, matrix);
@@ -96,7 +98,7 @@ TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
 }
 
 TEST(UtilityCache, OccupantListsTrackMembership) {
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   UtilityCache cache(game, matrix);
   EXPECT_TRUE(cache.occupants(0).empty());
@@ -112,7 +114,7 @@ TEST(UtilityCache, OccupantListsTrackMembership) {
 }
 
 TEST(UtilityCache, InvalidMutationsThrowWithoutCorruptingTheCache) {
-  const Game game = power_law_game(3, 3, 2);
+  const GameModel game = power_law_game(3, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   UtilityCache cache(game, matrix);
   cache.add_radio(matrix, 0, 0);
@@ -134,7 +136,7 @@ TEST(UtilityCache, InvalidMutationsThrowWithoutCorruptingTheCache) {
 }
 
 TEST(UtilityCache, RebuildResetsDrift) {
-  const Game game = power_law_game(4, 4, 2);
+  const GameModel game = power_law_game(4, 4, 2);
   Rng rng(7);
   StrategyMatrix matrix = random_full_allocation(game, rng);
   UtilityCache cache(game, matrix);
@@ -147,7 +149,7 @@ TEST(UtilityCache, RebuildResetsDrift) {
 
 TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
   for (const auto& rate_fn : rate_families()) {
-    const Game game(GameConfig(6, 5, 3), rate_fn);
+    const GameModel game(GameConfig(6, 5, 3), rate_fn);
     StrategyMatrix matrix = game.empty_strategy();
     UtilityCache cache(game, matrix);
     for (UserId user = 0; user < 6; ++user) {
@@ -160,65 +162,92 @@ TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
   }
 }
 
-TEST(UtilityCache, TableBackedDeviationScansMatchVirtualDispatch) {
-  const Game game = power_law_game(6, 5, 3);
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const StrategyMatrix matrix = random_partial_allocation(game, rng);
-    const RateTable table(game.rate_function(), game.config().total_radios());
-    for (UserId user = 0; user < 6; ++user) {
-      const auto direct = best_single_change(game, matrix, user);
-      const auto cached =
-          best_single_change(game, matrix, user, kUtilityTolerance, table);
-      ASSERT_EQ(direct.has_value(), cached.has_value());
-      if (direct) {
-        EXPECT_EQ(direct->benefit, cached->benefit);
-        EXPECT_EQ(direct->kind, cached->kind);
-        EXPECT_EQ(direct->from, cached->from);
-        EXPECT_EQ(direct->to, cached->to);
-      }
-      const BestResponse oracle_direct = best_response(game, matrix, user);
-      const BestResponse oracle_cached =
-          best_response(game, matrix, user, table);
-      EXPECT_EQ(oracle_direct.utility, oracle_cached.utility);
-      EXPECT_EQ(oracle_direct.strategy, oracle_cached.strategy);
-    }
+/// End-to-end: every cached engine must walk the exact trajectory of its
+/// full-recompute reference (tests/reference_dynamics.h) — same states,
+/// counts and Rng draws — on the base game of every rate family and on
+/// every scenario axis, interference topology included.
+std::vector<GameModel> reference_models() {
+  std::vector<GameModel> models;
+  for (const auto& rate_fn : rate_families()) {
+    models.emplace_back(GameConfig(7, 5, 3), rate_fn);
+  }
+  const std::vector<std::shared_ptr<const RateFunction>> mixed = {
+      std::make_shared<ConstantRate>(3.0),
+      std::make_shared<PowerLawRate>(1.5, 1.0),
+      std::make_shared<GeometricDecayRate>(1.0, 0.7),
+      std::make_shared<ConstantRate>(0.5)};
+  models.emplace_back(4, std::vector<RadioCount>(5, 2), mixed);
+  models.push_back(GameModel(5, {1, 4, 2, 5, 3}, {rate_families()[0]}));
+  models.emplace_back(GameConfig(5, 4, 2),
+                      std::make_shared<PowerLawRate>(1.0, 0.5), 0.2);
+  models.push_back(GameModel(
+      4, std::vector<RadioCount>(8, 2), {rate_families()[1]}, 0.05, {},
+      std::make_shared<const Topology>(Topology::ring(8, 1))));
+  return models;
+}
+
+void expect_same_run(const DynamicsResult& cached,
+                     const DynamicsResult& reference) {
+  EXPECT_TRUE(cached.final_state == reference.final_state);
+  EXPECT_EQ(cached.activations, reference.activations);
+  EXPECT_EQ(cached.improving_steps, reference.improving_steps);
+  EXPECT_EQ(cached.converged, reference.converged);
+  EXPECT_NEAR(cached.final_welfare, reference.final_welfare, 1e-10);
+  ASSERT_EQ(cached.welfare_trace.size(), reference.welfare_trace.size());
+  for (std::size_t i = 0; i < cached.welfare_trace.size(); ++i) {
+    EXPECT_NEAR(cached.welfare_trace[i], reference.welfare_trace[i], 1e-10);
   }
 }
 
-/// End-to-end: the incremental dynamics must walk the exact trajectory of
-/// the seed's full-recompute path.
 TEST(UtilityCache, IncrementalDynamicsMatchFullRecomputePath) {
-  for (const auto& rate_fn : rate_families()) {
-    const Game game(GameConfig(7, 5, 3), rate_fn);
+  for (const GameModel& model : reference_models()) {
     for (const auto granularity : {ResponseGranularity::kBestResponse,
                                    ResponseGranularity::kBestSingleMove,
                                    ResponseGranularity::kRandomImprovingMove}) {
       Rng start_rng(404);
       for (int trial = 0; trial < 5; ++trial) {
-        const StrategyMatrix start = random_full_allocation(game, start_rng);
-        DynamicsOptions incremental;
-        incremental.granularity = granularity;
-        incremental.record_welfare_trace = true;
-        DynamicsOptions full = incremental;
-        full.use_incremental_cache = false;
+        const StrategyMatrix start = random_full_allocation(model, start_rng);
+        DynamicsOptions options;
+        options.granularity = granularity;
+        options.record_welfare_trace = true;
         Rng rng_a(1234);
         Rng rng_b(1234);
-        const DynamicsResult a =
-            run_response_dynamics(game, start, incremental, &rng_a);
-        const DynamicsResult b =
-            run_response_dynamics(game, start, full, &rng_b);
-        EXPECT_TRUE(a.final_state == b.final_state) << rate_fn->name();
-        EXPECT_EQ(a.activations, b.activations);
-        EXPECT_EQ(a.improving_steps, b.improving_steps);
-        EXPECT_EQ(a.converged, b.converged);
-        ASSERT_EQ(a.welfare_trace.size(), b.welfare_trace.size());
-        for (std::size_t i = 0; i < a.welfare_trace.size(); ++i) {
-          EXPECT_NEAR(a.welfare_trace[i], b.welfare_trace[i], 1e-10);
-        }
+        expect_same_run(
+            run_response_dynamics(model, start, options, &rng_a),
+            testing::reference_response_dynamics(model, start, options,
+                                                 &rng_b));
       }
     }
   }
+}
+
+TEST(UtilityCache, LearnersMatchTheirFullRecomputeReferences) {
+  const DynamicsSpec log_linear = DynamicsSpec::parse("log_linear:0.5:0.01");
+  const DynamicsSpec trial_error = DynamicsSpec::parse("trial_error:0.3");
+  std::size_t accepted_changes = 0;
+  for (const GameModel& model : reference_models()) {
+    Rng start_rng(505);
+    for (int trial = 0; trial < 3; ++trial) {
+      const StrategyMatrix start = random_full_allocation(model, start_rng);
+      DynamicsOptions options;
+      options.max_passes = 40;
+      options.record_welfare_trace = true;
+      Rng rng_a(99);
+      Rng rng_b(99);
+      const DynamicsResult annealed =
+          run_log_linear_dynamics(log_linear, model, start, options, rng_a);
+      expect_same_run(annealed, testing::reference_log_linear_dynamics(
+                                    log_linear, model, start, options, rng_b));
+      Rng rng_c(77);
+      Rng rng_d(77);
+      const DynamicsResult tried =
+          run_trial_error_dynamics(trial_error, model, start, options, rng_c);
+      expect_same_run(tried, testing::reference_trial_error_dynamics(
+                                 trial_error, model, start, options, rng_d));
+      accepted_changes += annealed.improving_steps + tried.improving_steps;
+    }
+  }
+  EXPECT_GT(accepted_changes, 0u);  // the runs actually moved
 }
 
 }  // namespace

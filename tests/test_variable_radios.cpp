@@ -1,14 +1,18 @@
-#include "core/ext/variable_radios.h"
-
+// Users with DIFFERENT radio counts (paper §2 relaxation): a budget vector
+// (k_1, ..., k_N), each k_i <= |C|, on GameModel's per-user budget axis.
+// The load-balancing structure survives: the sequential allocator keeps
+// loads within one radio of each other and its output remains a Nash
+// equilibrium, while utilities scale with the radio budgets.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "common/rng.h"
+#include "core/alloc/best_response.h"
 #include "core/alloc/random_alloc.h"
 #include "core/alloc/sequential.h"
 #include "core/analysis/nash.h"
-#include "test_util.h"
+#include "core/game_model.h"
 
 namespace mrca {
 namespace {
@@ -18,18 +22,18 @@ std::shared_ptr<const RateFunction> unit_rate() {
 }
 
 TEST(VariableRadios, ValidatesConstruction) {
-  EXPECT_THROW(VariableRadioGame(3, {}, unit_rate()), std::invalid_argument);
-  EXPECT_THROW(VariableRadioGame(3, {2, -1}, unit_rate()),
+  EXPECT_THROW(GameModel(3, {}, {unit_rate()}), std::invalid_argument);
+  EXPECT_THROW(GameModel(3, {2, -1}, {unit_rate()}),
                std::invalid_argument);
-  EXPECT_THROW(VariableRadioGame(3, {4, 1}, unit_rate()),
+  EXPECT_THROW(GameModel(3, {4, 1}, {unit_rate()}),
                std::invalid_argument);  // k_i > |C|
-  EXPECT_THROW(VariableRadioGame(3, {0, 0}, unit_rate()),
+  EXPECT_THROW(GameModel(3, {0, 0}, {unit_rate()}),
                std::invalid_argument);  // nobody has radios
-  EXPECT_NO_THROW(VariableRadioGame(3, {0, 2, 3}, unit_rate()));
+  EXPECT_NO_THROW(GameModel(3, {0, 2, 3}, {unit_rate()}));
 }
 
 TEST(VariableRadios, BudgetAccessors) {
-  const VariableRadioGame game(4, {1, 3, 2}, unit_rate());
+  const GameModel game(4, {1, 3, 2}, {unit_rate()});
   EXPECT_EQ(game.num_users(), 3u);
   EXPECT_EQ(game.num_channels(), 4u);
   EXPECT_EQ(game.budget(0), 1);
@@ -39,35 +43,35 @@ TEST(VariableRadios, BudgetAccessors) {
 }
 
 TEST(VariableRadios, ValidateEnforcesPerUserBudgets) {
-  const VariableRadioGame game(3, {1, 2}, unit_rate());
+  const GameModel game(3, {1, 2}, {unit_rate()});
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);
   EXPECT_NO_THROW(game.validate(matrix));
   // User 0's budget is 1, but the base matrix cap is max budget = 2:
-  // the wrapper must catch the overshoot the raw matrix allows.
+  // the model must catch the overshoot the raw matrix allows.
   matrix.add_radio(0, 1);
   EXPECT_THROW(game.validate(matrix), std::invalid_argument);
   EXPECT_THROW(game.utility(matrix, 0), std::invalid_argument);
 }
 
 TEST(VariableRadios, UniformBudgetsReduceToPaperGame) {
-  const VariableRadioGame variable(4, {2, 2, 2}, unit_rate());
-  const Game uniform(GameConfig(3, 4, 2), unit_rate());
+  const GameModel variable(4, {2, 2, 2}, {unit_rate()});
+  const GameModel uniform(GameConfig(3, 4, 2), unit_rate());
   Rng rng(321);
   for (int trial = 0; trial < 100; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(uniform, rng);
     for (UserId i = 0; i < 3; ++i) {
       ASSERT_DOUBLE_EQ(variable.utility(matrix, i), uniform.utility(matrix, i));
       ASSERT_NEAR(variable.best_response(matrix, i).utility,
-                  best_response(uniform, matrix, i).utility, 1e-12);
+                  uniform.best_response(matrix, i).utility, 1e-12);
     }
     ASSERT_EQ(variable.is_nash_equilibrium(matrix),
-              is_nash_equilibrium(uniform, matrix));
+              uniform.is_nash_equilibrium(matrix));
   }
 }
 
 TEST(VariableRadios, BestResponseRespectsOwnBudget) {
-  const VariableRadioGame game(4, {1, 4}, unit_rate());
+  const GameModel game(4, {1, 4}, {unit_rate()});
   const StrategyMatrix empty = game.empty_strategy();
   const BestResponse small = game.best_response(empty, 0);
   RadioCount deployed = 0;
@@ -86,8 +90,8 @@ TEST(VariableRadios, SequentialAllocationIsBalancedAndStable) {
         {2, 2, 1, 3, 4},
         {1, 1, 1, 1, 1, 1, 1},
         {0, 3, 2}}) {
-    const VariableRadioGame game(4, budgets, unit_rate());
-    const StrategyMatrix ne = game.sequential_allocation();
+    const GameModel game(4, budgets, {unit_rate()});
+    const StrategyMatrix ne = sequential_allocation(game);
     // Every user deploys exactly their budget.
     for (UserId i = 0; i < budgets.size(); ++i) {
       EXPECT_EQ(ne.user_total(i), budgets[i]);
@@ -98,9 +102,9 @@ TEST(VariableRadios, SequentialAllocationIsBalancedAndStable) {
 }
 
 TEST(VariableRadios, SequentialStableForDecreasingRates) {
-  const VariableRadioGame game(
-      4, {3, 1, 2, 4}, std::make_shared<PowerLawRate>(1.0, 1.0));
-  const StrategyMatrix ne = game.sequential_allocation();
+  const GameModel game(4, {3, 1, 2, 4},
+                       {std::make_shared<PowerLawRate>(1.0, 1.0)});
+  const StrategyMatrix ne = sequential_allocation(game);
   EXPECT_LE(ne.max_load() - ne.min_load(), 1);
   EXPECT_TRUE(game.is_nash_equilibrium(ne));
 }
@@ -108,8 +112,8 @@ TEST(VariableRadios, SequentialStableForDecreasingRates) {
 TEST(VariableRadios, UtilityScalesWithBudgetAtEquilibrium) {
   // Constant R: each deployed radio on a load-L channel earns R/L; with
   // balanced loads a 4-radio router earns ~4x a 1-radio client.
-  const VariableRadioGame game(4, {1, 4, 1, 4, 1, 4}, unit_rate());
-  const StrategyMatrix ne = game.sequential_allocation();
+  const GameModel game(4, {1, 4, 1, 4, 1, 4}, {unit_rate()});
+  const StrategyMatrix ne = sequential_allocation(game);
   const auto utilities = game.utilities(ne);
   const double client = (utilities[0] + utilities[2] + utilities[4]) / 3.0;
   const double router = (utilities[1] + utilities[3] + utilities[5]) / 3.0;
@@ -117,8 +121,8 @@ TEST(VariableRadios, UtilityScalesWithBudgetAtEquilibrium) {
 }
 
 TEST(VariableRadios, WelfareIdentityAndOptimum) {
-  const VariableRadioGame game(3, {2, 1, 3}, unit_rate());
-  const StrategyMatrix ne = game.sequential_allocation();
+  const GameModel game(3, {2, 1, 3}, {unit_rate()});
+  const StrategyMatrix ne = sequential_allocation(game);
   const auto utilities = game.utilities(ne);
   EXPECT_NEAR(std::accumulate(utilities.begin(), utilities.end(), 0.0),
               game.welfare(ne), 1e-12);
@@ -129,7 +133,7 @@ TEST(VariableRadios, WelfareIdentityAndOptimum) {
 }
 
 TEST(VariableRadios, DynamicsConvergeFromScrambledStarts) {
-  const VariableRadioGame game(4, {1, 2, 3, 4}, unit_rate());
+  const GameModel game(4, {1, 2, 3, 4}, {unit_rate()});
   Rng rng(654);
   for (int trial = 0; trial < 20; ++trial) {
     // Random start respecting budgets: each user scatters their own radios.
@@ -139,7 +143,7 @@ TEST(VariableRadios, DynamicsConvergeFromScrambledStarts) {
         start.add_radio(i, rng.index(game.num_channels()));
       }
     }
-    const auto outcome = game.run_best_response_dynamics(start);
+    const auto outcome = run_response_dynamics(game, start);
     ASSERT_TRUE(outcome.converged);
     EXPECT_TRUE(game.is_nash_equilibrium(outcome.final_state));
     EXPECT_LE(outcome.final_state.max_load() -
@@ -149,8 +153,8 @@ TEST(VariableRadios, DynamicsConvergeFromScrambledStarts) {
 }
 
 TEST(VariableRadios, ZeroBudgetUserStaysSilent) {
-  const VariableRadioGame game(3, {0, 2}, unit_rate());
-  const StrategyMatrix ne = game.sequential_allocation();
+  const GameModel game(3, {0, 2}, {unit_rate()});
+  const StrategyMatrix ne = sequential_allocation(game);
   EXPECT_EQ(ne.user_total(0), 0);
   EXPECT_DOUBLE_EQ(game.utility(ne, 0), 0.0);
   EXPECT_TRUE(game.is_nash_equilibrium(ne));

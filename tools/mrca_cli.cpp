@@ -366,7 +366,7 @@ GameConfig parse_config(const CliOptions& options) {
   return GameConfig(users, channels, static_cast<RadioCount>(radios));
 }
 
-void report_state(const Game& game, const StrategyMatrix& matrix) {
+void report_state(const GameModel& game, const StrategyMatrix& matrix) {
   std::cout << render_matrix(matrix) << render_loads(matrix) << "\n\n"
             << render_utilities(game, matrix) << '\n';
   const Theorem1Result theorem = check_theorem1(matrix);
@@ -390,9 +390,10 @@ void report_state(const Game& game, const StrategyMatrix& matrix) {
 
 int cmd_solve(const CliOptions& options) {
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel game(config,
+                       make_rate(options.rate, config.total_radios()));
   std::cout << "Algorithm 1 on " << config.describe() << " with "
-            << game.rate_function().name() << ":\n\n";
+            << game.rate_function(0).name() << ":\n\n";
   const StrategyMatrix ne = sequential_allocation(game);
   report_state(game, ne);
   std::cout << "price of anarchy:      " << price_of_anarchy(game) << '\n';
@@ -402,7 +403,8 @@ int cmd_solve(const CliOptions& options) {
 int cmd_verify(const CliOptions& options) {
   if (options.positional.size() < 4) usage("verify needs N C k MATRIX");
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel game(config,
+                       make_rate(options.rate, config.total_radios()));
   const StrategyMatrix matrix =
       parse_matrix(config, options.positional[3]);
   report_state(game, matrix);
@@ -411,7 +413,8 @@ int cmd_verify(const CliOptions& options) {
 
 int cmd_dynamics(const CliOptions& options) {
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel game(config,
+                       make_rate(options.rate, config.total_radios()));
   Rng rng(options.seed);
   const StrategyMatrix start = random_full_allocation(game, rng);
   std::cout << "random start:\n" << render_matrix(start) << '\n';
@@ -448,7 +451,8 @@ int cmd_rates(const CliOptions& options) {
 
 int cmd_simulate(const CliOptions& options) {
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel game(config,
+                       make_rate(options.rate, config.total_radios()));
   const StrategyMatrix ne = sequential_allocation(game);
   std::cout << "equilibrium allocation:\n"
             << render_matrix(ne) << render_loads(ne) << "\n\n";
