@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -116,10 +117,22 @@ GameModel::GameModel(std::size_t num_channels,
     // bit-identical to base cells by construction.
     if (topology_->is_complete()) topology_.reset();
   }
-  for (const RadioCount budget : budgets_) total_radios_ += budget;
+  total_radios_ = total_radio_budget(budgets_);
   uniform_budgets_ = std::all_of(
       budgets_.begin(), budgets_.end(),
       [&](RadioCount budget) { return budget == budgets_.front(); });
+  // Under a topology no user perceives more than its closed neighborhood's
+  // radios, at most k_max * (max_degree + 1); loads past the table (the
+  // global column sums per_radio_spread reads) fall back to the live rate
+  // function, bit-identically.
+  RadioCount table_load = total_radios_;
+  if (topology_) {
+    const std::int64_t reachable =
+        std::int64_t{config_.radios_per_user} *
+        static_cast<std::int64_t>(topology_->max_degree() + 1);
+    table_load = static_cast<RadioCount>(
+        std::min<std::int64_t>(total_radios_, reachable));
+  }
   rates_ = std::move(rates);
   tables_.reserve(rates_.size());
   for (const auto& rate : rates_) {
@@ -127,8 +140,19 @@ GameModel::GameModel(std::size_t num_channels,
       throw std::invalid_argument("GameModel: null rate function");
     }
     rate->validate_non_increasing(total_radios_);
-    tables_.emplace_back(*rate, total_radios_);
+    tables_.emplace_back(*rate, table_load);
   }
+}
+
+RadioCount total_radio_budget(std::span<const RadioCount> budgets) {
+  std::int64_t total = 0;
+  for (const RadioCount budget : budgets) total += budget;
+  if (total > std::numeric_limits<RadioCount>::max()) {
+    throw std::invalid_argument(
+        "total radio count " + std::to_string(total) + " exceeds the limit " +
+        std::to_string(std::numeric_limits<RadioCount>::max()));
+  }
+  return static_cast<RadioCount>(total);
 }
 
 void GameModel::check_user(UserId user) const {
@@ -163,6 +187,14 @@ void GameModel::check_user_budget(const StrategyMatrix& strategies,
         "GameModel: user " + std::to_string(user) + " deploys " +
         std::to_string(strategies.user_total(user)) + " > budget " +
         std::to_string(budgets_[user]));
+  }
+}
+
+void GameModel::check_utilities(std::span<const double> utilities) const {
+  if (utilities.size() != config_.num_users) {
+    throw std::invalid_argument(
+        "GameModel: need one utility per user, got " +
+        std::to_string(utilities.size()));
   }
 }
 
@@ -216,12 +248,6 @@ double GameModel::raw_utility_unchecked(const StrategyMatrix& strategies,
   return total - cost_ * static_cast<double>(strategies.user_total(user));
 }
 
-double GameModel::utility_unchecked(const StrategyMatrix& strategies,
-                                    UserId user) const {
-  const double raw = raw_utility_unchecked(strategies, user);
-  return weights_.empty() ? raw : weights_[user] * raw;
-}
-
 double GameModel::raw_utility(const StrategyMatrix& strategies,
                               UserId user) const {
   check_matrix(strategies);
@@ -235,42 +261,78 @@ double GameModel::utility(const StrategyMatrix& strategies,
   check_matrix(strategies);
   check_user(user);
   check_user_budget(strategies, user);
-  return utility_unchecked(strategies, user);
+  return utility_weight(user) * raw_utility_unchecked(strategies, user);
+}
+
+std::vector<double> GameModel::raw_utilities_unchecked(
+    const StrategyMatrix& strategies) const {
+  std::vector<double> result(config_.num_users);
+  if (!topology_) {
+    for (UserId i = 0; i < config_.num_users; ++i) {
+      result[i] = raw_utility_unchecked(strategies, i);
+    }
+    return result;
+  }
+  // Rather than raw_utility_unchecked's point read per (neighbor, channel),
+  // each closed neighborhood's rows are scattered into one reused
+  // per-channel load buffer, zeroed again once the user is priced. Loads
+  // are integer sums, so every perceived load — and every utility — is
+  // exactly raw_utility_unchecked's.
+  std::vector<RadioCount> load(config_.num_channels, 0);
+  for (UserId i = 0; i < config_.num_users; ++i) {
+    const auto for_each_neighborhood_entry = [&](auto&& fn) {
+      strategies.for_each_row_entry(i, fn);
+      for (const UserId j : topology_->neighbors(i)) {
+        strategies.for_each_row_entry(j, fn);
+      }
+    };
+    for_each_neighborhood_entry(
+        [&](ChannelId c, RadioCount count) { load[c] += count; });
+    double total = 0.0;
+    strategies.for_each_row_entry(i, [&](ChannelId c, RadioCount own) {
+      total += static_cast<double>(own) / static_cast<double>(load[c]) *
+               rate(c, load[c]);
+    });
+    for_each_neighborhood_entry([&](ChannelId c, RadioCount) { load[c] = 0; });
+    result[i] = total - cost_ * static_cast<double>(strategies.user_total(i));
+  }
+  return result;
 }
 
 std::vector<double> GameModel::utilities(
     const StrategyMatrix& strategies) const {
   validate(strategies);
-  std::vector<double> result(config_.num_users);
-  for (UserId i = 0; i < config_.num_users; ++i) {
-    result[i] = utility_unchecked(strategies, i);
+  std::vector<double> result = raw_utilities_unchecked(strategies);
+  if (!weights_.empty()) {
+    for (UserId i = 0; i < config_.num_users; ++i) result[i] *= weights_[i];
   }
   return result;
 }
 
+double GameModel::welfare(const StrategyMatrix& strategies,
+                          std::span<const double> utilities) const {
+  check_utilities(utilities);
+  if (weights_.empty() && !topology_) return raw_welfare(strategies);
+  // Weighted welfare is sum_i w_i * U_i; the per-channel shortcut of
+  // raw_welfare only holds when every weight is 1. Under a topology the
+  // shortcut breaks differently: shares are taken of DIFFERENT perceived
+  // loads, so welfare is only expressible as the sum of utilities.
+  double total = 0.0;
+  for (const double utility : utilities) total += utility;
+  return total;
+}
+
 double GameModel::welfare(const StrategyMatrix& strategies) const {
-  validate(strategies);
-  if (!weights_.empty() || topology_) {
-    // Weighted welfare is sum_i w_i * U_i; the per-channel shortcut of
-    // raw_welfare only holds when every weight is 1. Under a topology the
-    // shortcut breaks differently: shares are taken of DIFFERENT perceived
-    // loads, so welfare is only expressible as the sum of utilities.
-    double total = 0.0;
-    for (UserId i = 0; i < config_.num_users; ++i) {
-      total += utility_unchecked(strategies, i);
-    }
-    return total;
-  }
-  return raw_welfare(strategies);
+  // The per-channel shortcut reads no utilities; don't build them for it.
+  if (weights_.empty() && !topology_) return raw_welfare(strategies);
+  return welfare(strategies, utilities(strategies));
 }
 
 double GameModel::raw_welfare(const StrategyMatrix& strategies) const {
   validate(strategies);
   if (topology_) {
     double total = 0.0;
-    for (UserId i = 0; i < config_.num_users; ++i) {
-      total += raw_utility_unchecked(strategies, i);
-    }
+    for (const double raw : raw_utilities_unchecked(strategies)) total += raw;
     return total;
   }
   double total = 0.0;
@@ -467,16 +529,19 @@ double GameModel::per_radio_spread(const StrategyMatrix& strategies) const {
   return hi - lo;
 }
 
-double GameModel::budget_fairness(const StrategyMatrix& strategies) const {
-  validate(strategies);
+double GameModel::budget_fairness(std::span<const double> utilities) const {
+  check_utilities(utilities);
   std::vector<double> normalized;
   normalized.reserve(config_.num_users);
   for (UserId i = 0; i < config_.num_users; ++i) {
     if (budgets_[i] == 0) continue;
-    normalized.push_back(utility_unchecked(strategies, i) /
-                         static_cast<double>(budgets_[i]));
+    normalized.push_back(utilities[i] / static_cast<double>(budgets_[i]));
   }
   return jain_fairness(normalized);
+}
+
+double GameModel::budget_fairness(const StrategyMatrix& strategies) const {
+  return budget_fairness(utilities(strategies));
 }
 
 }  // namespace mrca

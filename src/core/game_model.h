@@ -29,6 +29,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/analysis/deviation.h"
@@ -71,7 +72,7 @@ class GameModel {
   std::size_t num_channels() const noexcept { return config_.num_channels; }
 
   RadioCount budget(UserId user) const;
-  /// Sum of all budgets (the table sizing bound).
+  /// Sum of all budgets: the largest load any channel can carry.
   RadioCount total_radios() const noexcept { return total_radios_; }
   bool uniform_budgets() const noexcept { return uniform_budgets_; }
 
@@ -131,7 +132,9 @@ class GameModel {
   const RateFunction& rate_function(ChannelId channel) const;
 
   /// R_c(load) / per-radio share, memoized — bit-identical to the live
-  /// rate function over every reachable load.
+  /// rate function at every load. The tables cover every load a user can
+  /// perceive (total_radios(), or k_max * (max_degree + 1) under a
+  /// topology); larger loads are evaluated live.
   double rate(ChannelId channel, RadioCount load) const {
     return tables_[table_index(channel)].rate(load);
   }
@@ -146,8 +149,16 @@ class GameModel {
   void validate(const StrategyMatrix& strategies) const;
 
   double utility(const StrategyMatrix& strategies, UserId user) const;
+  /// Every user's utility() in one pass (user-ascending, bit-identical to
+  /// the per-user calls). Under a topology each closed neighborhood's rows
+  /// are summed into one reused per-channel load buffer.
   std::vector<double> utilities(const StrategyMatrix& strategies) const;
-  /// sum_c R_c(k_c) over occupied channels minus cost * total deployed.
+  /// sum_c R_c(k_c) over occupied channels minus cost * total deployed;
+  /// weighted or topology models sum the utilities in user order instead.
+  /// `utilities` must be utilities(strategies): callers that already hold
+  /// the vector pass it rather than have it recomputed.
+  double welfare(const StrategyMatrix& strategies,
+                 std::span<const double> utilities) const;
   double welfare(const StrategyMatrix& strategies) const;
 
   /// The system optimum over all budget-feasible matrices: occupy the
@@ -189,7 +200,9 @@ class GameModel {
 
   /// Jain fairness over budget-normalized utilities U_i / budget_i (users
   /// with zero budget are excluded): 1.0 when the spectrum share each user
-  /// obtains is exactly proportional to the radios they own.
+  /// obtains is exactly proportional to the radios they own. `utilities`
+  /// is utilities() of the allocation being scored.
+  double budget_fairness(std::span<const double> utilities) const;
   double budget_fairness(const StrategyMatrix& strategies) const;
 
  private:
@@ -206,8 +219,11 @@ class GameModel {
                                       UserId user, ChannelId channel) const;
   double raw_utility_unchecked(const StrategyMatrix& strategies,
                                UserId user) const;
-  double utility_unchecked(const StrategyMatrix& strategies,
-                           UserId user) const;
+  /// Every user's raw_utility_unchecked, user-ascending, in one pass.
+  std::vector<double> raw_utilities_unchecked(
+      const StrategyMatrix& strategies) const;
+  /// Throws unless `utilities` has one entry per user.
+  void check_utilities(std::span<const double> utilities) const;
 
   GameConfig config_;
   std::vector<RadioCount> budgets_;
@@ -219,5 +235,11 @@ class GameModel {
   std::vector<RateTable> tables_;                           // parallel to rates_
   std::shared_ptr<const Topology> topology_;  ///< null = single domain
 };
+
+/// Sum of `budgets` (the largest load any channel can carry). Summed in 64
+/// bits; throws std::invalid_argument naming the total when it exceeds
+/// RadioCount's range, which would otherwise wrap and size the rate tables
+/// from a garbage bound.
+RadioCount total_radio_budget(std::span<const RadioCount> budgets);
 
 }  // namespace mrca

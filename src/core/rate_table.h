@@ -1,11 +1,13 @@
-// Memoized rate lookups: R(k) and R(k)/k precomputed for every load a game
-// can reach (k = 0..|N|*k_max), so the dynamics' inner loops pay one array
-// read instead of a virtual call (plus a pow() for the power-law family).
+// Memoized rate lookups: R(k) and R(k)/k precomputed for every load a user
+// can perceive (k = 0..sum of budgets in the single collision domain,
+// k = 0..k_max*(max_degree+1) under an interference graph — see GameModel),
+// so the dynamics' inner loops pay one array read instead of a virtual call
+// (plus a pow() for the power-law family).
 //
 // Values are copied verbatim from the RateFunction, so table-backed results
 // are bit-identical to direct evaluation. Loads beyond the precomputed range
-// (impossible for a matrix compatible with the game the table was sized for)
-// fall back to the live function.
+// (under a topology: the global column sums, which no user perceives) fall
+// back to the live function, with the same bits.
 #pragma once
 
 #include <vector>

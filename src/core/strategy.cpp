@@ -68,21 +68,6 @@ StrategyMatrix StrategyMatrix::from_rows(
   return matrix;
 }
 
-RadioCount StrategyMatrix::get_cell(UserId user, ChannelId channel) const {
-  if (storage_ == Storage::kDense) {
-    return cells_[user * config_.num_channels + channel];
-  }
-  const std::size_t base = user * slot_capacity_;
-  const std::uint32_t used = slot_used_[user];
-  const auto target = static_cast<std::uint32_t>(channel);
-  for (std::uint32_t s = 0; s < used; ++s) {
-    const std::uint32_t ch = slot_channel_[base + s];
-    if (ch == target) return slot_count_[base + s];
-    if (ch > target) break;  // slots are sorted ascending
-  }
-  return 0;
-}
-
 void StrategyMatrix::bump_cell(UserId user, ChannelId channel,
                                RadioCount delta) {
   if (delta == 0) return;
@@ -116,12 +101,6 @@ void StrategyMatrix::bump_cell(UserId user, ChannelId channel,
   slot_channel_[base + s] = target;
   slot_count_[base + s] = delta;
   slot_used_[user] = used + 1;
-}
-
-RadioCount StrategyMatrix::at(UserId user, ChannelId channel) const {
-  check_user(user);
-  check_channel(channel);
-  return get_cell(user, channel);
 }
 
 std::span<const RadioCount> StrategyMatrix::row(UserId user) const {
@@ -332,18 +311,14 @@ bool operator==(const StrategyMatrix& a, const StrategyMatrix& b) {
   return true;
 }
 
-void StrategyMatrix::check_user(UserId user) const {
-  if (user >= config_.num_users) {
-    throw std::out_of_range("StrategyMatrix: user id " + std::to_string(user) +
-                            " out of range");
-  }
+void StrategyMatrix::throw_user_out_of_range(UserId user) {
+  throw std::out_of_range("StrategyMatrix: user id " + std::to_string(user) +
+                          " out of range");
 }
 
-void StrategyMatrix::check_channel(ChannelId channel) const {
-  if (channel >= config_.num_channels) {
-    throw std::out_of_range("StrategyMatrix: channel id " +
-                            std::to_string(channel) + " out of range");
-  }
+void StrategyMatrix::throw_channel_out_of_range(ChannelId channel) {
+  throw std::out_of_range("StrategyMatrix: channel id " +
+                          std::to_string(channel) + " out of range");
 }
 
 }  // namespace mrca

@@ -60,8 +60,14 @@ class StrategyMatrix {
   std::size_t num_channels() const noexcept { return config_.num_channels; }
   Storage storage() const noexcept { return storage_; }
 
-  /// k_{i,c}: radios user i operates on channel c.
-  RadioCount at(UserId user, ChannelId channel) const;
+  /// k_{i,c}: radios user i operates on channel c. Inline because the
+  /// dynamics read cells tens of millions of times per large cell; both
+  /// range checks stay, only their throws live out of line.
+  RadioCount at(UserId user, ChannelId channel) const {
+    check_user(user);
+    check_channel(channel);
+    return get_cell(user, channel);
+  }
 
   /// Row view of user i's strategy vector. Dense storage only — there is
   /// no contiguous row to point at in the sparse layout; use copy_row()
@@ -154,11 +160,30 @@ class StrategyMatrix {
   friend bool operator==(const StrategyMatrix& a, const StrategyMatrix& b);
 
  private:
-  void check_user(UserId user) const;
-  void check_channel(ChannelId channel) const;
+  void check_user(UserId user) const {
+    if (user >= config_.num_users) throw_user_out_of_range(user);
+  }
+  void check_channel(ChannelId channel) const {
+    if (channel >= config_.num_channels) throw_channel_out_of_range(channel);
+  }
+  [[noreturn]] static void throw_user_out_of_range(UserId user);
+  [[noreturn]] static void throw_channel_out_of_range(ChannelId channel);
 
   /// k_{i,c} without bounds checks (both representations).
-  RadioCount get_cell(UserId user, ChannelId channel) const;
+  RadioCount get_cell(UserId user, ChannelId channel) const {
+    if (storage_ == Storage::kDense) {
+      return cells_[user * config_.num_channels + channel];
+    }
+    const std::size_t base = user * slot_capacity_;
+    const std::uint32_t used = slot_used_[user];
+    const auto target = static_cast<std::uint32_t>(channel);
+    for (std::uint32_t s = 0; s < used; ++s) {
+      const std::uint32_t ch = slot_channel_[base + s];
+      if (ch == target) return slot_count_[base + s];
+      if (ch > target) break;  // slots are sorted ascending
+    }
+    return 0;
+  }
 
   /// Adjusts k_{i,c} by delta in the backing storage only (loads/totals
   /// are the caller's responsibility). Sparse rows keep slots sorted.

@@ -211,11 +211,7 @@ std::vector<RadioCount> ScenarioSpec::budgets(std::size_t users,
 
 RadioCount ScenarioSpec::total_radios(std::size_t users, std::size_t channels,
                                       RadioCount radios) const {
-  RadioCount total = 0;
-  for (const RadioCount budget : budgets(users, channels, radios)) {
-    total += budget;
-  }
-  return total;
+  return total_radio_budget(budgets(users, channels, radios));
 }
 
 GameModel ScenarioSpec::make_model(

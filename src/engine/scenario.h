@@ -94,7 +94,8 @@ struct ScenarioSpec {
   std::vector<RadioCount> budgets(std::size_t users, std::size_t channels,
                                   RadioCount radios) const;
 
-  /// Total radios of the cell (the rate-table sizing bound).
+  /// Total radios of the cell (the rate-table sizing bound); throws
+  /// std::invalid_argument when it exceeds RadioCount's range.
   RadioCount total_radios(std::size_t users, std::size_t channels,
                           RadioCount radios) const;
 

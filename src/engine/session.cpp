@@ -83,7 +83,9 @@ RunRecord run_one(const SweepSpec& spec, const SweepSpec::Cell& cell,
   record.improving_steps = static_cast<double>(result.improving_steps);
   record.scan_skips = static_cast<double>(result.scan_skips);
   record.reprice_touches = static_cast<double>(result.reprice_touches);
-  record.welfare = model.welfare(result.final_state);
+  // One utility pass feeds every utility-derived statistic below.
+  const std::vector<double> utilities = model.utilities(result.final_state);
+  record.welfare = model.welfare(result.final_state, utilities);
   const double optimal = model.optimal_welfare();
   // NaN marks "undefined for this run" (the aggregation layer skips the
   // sample): an unknown optimum leaves efficiency and the anarchy ratio
@@ -93,13 +95,13 @@ RunRecord run_one(const SweepSpec& spec, const SweepSpec::Cell& cell,
                                     : (std::isnan(optimal) ? kNaN : 0.0);
   record.anarchy_ratio =
       record.welfare > 0.0 ? optimal / record.welfare : kNaN;
-  record.fairness = jain_fairness(model.utilities(result.final_state));
+  record.fairness = jain_fairness(utilities);
   record.load_imbalance =
       static_cast<double>(load_imbalance(result.final_state));
   record.deployed =
       static_cast<double>(result.final_state.total_deployed());
   record.per_radio_spread = model.per_radio_spread(result.final_state);
-  record.budget_fairness = model.budget_fairness(result.final_state);
+  record.budget_fairness = model.budget_fairness(utilities);
   // Topology columns: coloring_bound() is NaN for global-load models, so
   // every column below is an honest "undefined" outside topology cells.
   const double coloring = model.coloring_bound();

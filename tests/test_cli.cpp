@@ -76,6 +76,17 @@ TEST(CliNumericParsing, RejectsNonPositiveSimSeconds) {
   EXPECT_NE(result.output.find("--sim-seconds"), std::string::npos);
 }
 
+TEST(CliNumericParsing, RejectsRadioTotalsPastTheRadioCountRange) {
+  // 10^6 users x 3000 radios = 3e9 radios: each flag is within its limit,
+  // but the total must be named (it used to wrap negative and surface as a
+  // rate-table error). Rejected before any game state is built.
+  const CliResult result = run_cli(
+      "sweep --users 1000000 --channels 3000 --radios 3000 --format csv");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("3000000000"), std::string::npos)
+      << result.output;
+}
+
 TEST(CliRateSpecs, SingleGameCommandsAcceptTheSweepLanguage) {
   // geom=/linear= used to be sweep-only; both parsers are now one.
   EXPECT_EQ(run_cli("solve 4 4 1 --rate geom=0.9").exit_code, 0);
@@ -121,6 +132,24 @@ TEST(CliGoldenReports, SingleGameCommandsMatchByteForByte) {
     EXPECT_EQ(result.exit_code, golden.exit_code) << golden.args;
     EXPECT_EQ(result.output, expected) << golden.args;
   }
+}
+
+// The sweep's per-run record statistics (welfare, fairness,
+// budget_fairness, per_radio_spread, coloring_bound, graph_efficiency)
+// reach the CSV as cell means; pinning one small sweep over topology,
+// weighted, energy and budget cells holds every record column to the
+// bytes it had, not merely to itself across thread counts.
+TEST(CliGoldenReports, SweepRecordColumnsMatchByteForByte) {
+  const std::string expected = read_golden("sweep_records");
+  ASSERT_FALSE(expected.empty()) << "missing golden sweep_records";
+  const CliResult result = run_cli(
+      "sweep --users 4,9 --channels 4 --radios 1,2 "
+      "--rates powerlaw=1,geom=0.9 "
+      "--scenario \"base;topology=ring:1;topology=grid:3x3:1;weights=2:1;"
+      "energy=0.2;budgets=1:3\" "
+      "--metrics nash,poa --replicates 2 --seed 7 --format csv");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, expected);
 }
 
 TEST(CliRateSpecs, SweepAcceptsTheBianchiTables) {

@@ -7,13 +7,16 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "core/alloc/best_response.h"
 #include "core/alloc/sequential.h"
 #include "core/alloc/utility_cache.h"
 #include "core/analysis/nash.h"
+#include "core/topology.h"
 
 namespace mrca {
 namespace {
@@ -59,6 +62,27 @@ TEST(GameModel, ValidatesConstruction) {
                  std::invalid_argument);
   }
   EXPECT_NO_THROW(GameModel(3, {0, 2, 3}, {unit_rate()}));
+}
+
+TEST(GameModel, RadioTotalsPastTheRadioCountRangeAreRejected) {
+  // 2.2M users x 1000 radios overflows a 32-bit sum; the total must be
+  // named instead of wrapping into a negative (or huge) table size.
+  try {
+    const GameModel model(1000, std::vector<RadioCount>(2200000, 1000),
+                          {unit_rate()});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("2200000000"),
+              std::string::npos)
+        << error.what();
+  }
+  const std::vector<RadioCount> at_limit = {
+      std::numeric_limits<RadioCount>::max() - 1, 1};
+  EXPECT_EQ(total_radio_budget(at_limit),
+            std::numeric_limits<RadioCount>::max());
+  const std::vector<RadioCount> past_limit = {
+      std::numeric_limits<RadioCount>::max(), 1};
+  EXPECT_THROW(total_radio_budget(past_limit), std::invalid_argument);
 }
 
 TEST(GameModel, BestResponseIsAnOracleUnderAllAxesCombined) {
@@ -226,6 +250,124 @@ TEST(UnifiedSequential, GeneralizedAlgorithm1BalancesAndStabilizes) {
   }
   EXPECT_LE(ne.max_load() - ne.min_load(), 1);
   EXPECT_TRUE(model.is_nash_equilibrium(ne));
+}
+
+// --- one utility pass per run record ----------------------------------
+// utilities(), welfare() and budget_fairness() are evaluated once per run
+// record from one utility vector; every value must be bit-identical (not
+// merely close) to the per-user utility() definitions, on every scenario
+// axis and both strategy storages.
+
+std::vector<std::shared_ptr<const Topology>> record_topologies() {
+  return {nullptr,
+          std::make_shared<const Topology>(Topology::ring(9, 1)),
+          std::make_shared<const Topology>(Topology::ring(9, 2)),
+          std::make_shared<const Topology>(Topology::grid(3, 3, 1)),
+          std::make_shared<const Topology>(Topology::from_edges(
+              9, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {5, 8}, {6, 8}, {7, 8}}))};
+}
+
+/// A random budget-feasible allocation (some radios parked).
+StrategyMatrix random_allocation(const GameModel& model,
+                                 StrategyMatrix::Storage storage, Rng& rng) {
+  StrategyMatrix matrix(model.config(), storage);
+  for (UserId i = 0; i < model.num_users(); ++i) {
+    const auto deployed =
+        static_cast<RadioCount>(rng.uniform_int(0, model.budget(i)));
+    for (RadioCount r = 0; r < deployed; ++r) {
+      matrix.add_radio(i, rng.index(model.num_channels()));
+    }
+  }
+  return matrix;
+}
+
+TEST(GameModelRecordPass, UtilityWelfareAndBudgetFairnessAreBitIdentical) {
+  const std::vector<RadioCount> budgets = {2, 1, 3, 0, 2, 4, 1, 3, 2};
+  const std::vector<double> weights = {2.0, 1.0, 0.5, 1.0, 3.0,
+                                       1.0, 0.25, 1.5, 1.0};
+  Rng rng(41);
+  for (const auto& topology : record_topologies()) {
+    for (const bool weighted : {false, true}) {
+      for (const double cost : {0.0, 0.15}) {
+        const GameModel model(4, budgets, mixed_rates(), cost,
+                              weighted ? weights : std::vector<double>{},
+                              topology);
+        for (const auto storage : {StrategyMatrix::Storage::kDense,
+                                   StrategyMatrix::Storage::kSparse}) {
+          for (int trial = 0; trial < 20; ++trial) {
+            const StrategyMatrix matrix =
+                random_allocation(model, storage, rng);
+            const std::vector<double> utilities = model.utilities(matrix);
+            ASSERT_EQ(utilities.size(), budgets.size());
+            double sum = 0.0;
+            double raw_sum = 0.0;
+            std::vector<double> normalized;
+            for (UserId i = 0; i < budgets.size(); ++i) {
+              const double utility = model.utility(matrix, i);
+              EXPECT_EQ(utilities[i], utility) << matrix.key();
+              sum += utility;
+              raw_sum += model.raw_utility(matrix, i);
+              if (budgets[i] > 0) {
+                normalized.push_back(utility /
+                                     static_cast<double>(budgets[i]));
+              }
+            }
+            // Unweighted single-domain welfare keeps its per-channel
+            // shortcut; everywhere else welfare IS the user-order sum.
+            const double welfare = model.weighted() || model.topology()
+                                       ? sum
+                                       : model.raw_welfare(matrix);
+            EXPECT_EQ(model.welfare(matrix), welfare) << matrix.key();
+            EXPECT_EQ(model.welfare(matrix, utilities), welfare);
+            if (model.topology()) {
+              EXPECT_EQ(model.raw_welfare(matrix), raw_sum) << matrix.key();
+            }
+            const double fairness = jain_fairness(normalized);
+            EXPECT_EQ(model.budget_fairness(matrix), fairness);
+            EXPECT_EQ(model.budget_fairness(utilities), fairness);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GameModelRecordPass, UtilityVectorsOfTheWrongSizeAreRejected) {
+  const GameModel model(3, {1, 2}, {unit_rate()});
+  const StrategyMatrix matrix = model.empty_strategy();
+  const std::vector<double> short_vector = {0.0};
+  EXPECT_THROW(model.welfare(matrix, short_vector), std::invalid_argument);
+  EXPECT_THROW(model.budget_fairness(short_vector), std::invalid_argument);
+}
+
+TEST(GameModelRecordPass, TopologyRatesPastThePerceivedBoundAreLive) {
+  // Ring:2 with k = 3: no user perceives more than 3 * (4 + 1) = 15
+  // radios, so the tables stop there; every larger load (up to the global
+  // total 60, and beyond) must still equal the live rate function exactly.
+  const auto topology = std::make_shared<const Topology>(Topology::ring(20, 2));
+  const GameModel model(4, std::vector<RadioCount>(20, 3), mixed_rates(),
+                        0.0, {}, topology);
+  for (ChannelId c = 0; c < 4; ++c) {
+    const RateFunction& live = model.rate_function(c);
+    for (RadioCount load = 1; load <= 70; ++load) {
+      EXPECT_EQ(model.rate(c, load), live.rate(load)) << c << ' ' << load;
+      EXPECT_EQ(model.per_radio(c, load),
+                live.rate(load) / static_cast<double>(load))
+          << c << ' ' << load;
+    }
+  }
+  // per_radio_spread reads the global column sums, past the table: it must
+  // agree with the single-domain model, whose tables cover every load.
+  const GameModel global(4, std::vector<RadioCount>(20, 3), mixed_rates());
+  Rng rng(5);
+  for (int trial = 0; trial < 10; ++trial) {
+    StrategyMatrix matrix = model.empty_strategy();
+    for (UserId i = 0; i < 20; ++i) {
+      for (RadioCount r = 0; r < 3; ++r) matrix.add_radio(i, rng.index(2));
+    }
+    ASSERT_GT(matrix.max_load(), 15);
+    EXPECT_EQ(model.per_radio_spread(matrix), global.per_radio_spread(matrix));
+  }
 }
 
 TEST(GameModel, BudgetFairnessIsPerfectAtProportionalShares) {

@@ -129,6 +129,19 @@ TEST(ScenarioSpec, BudgetsClampToChannelCountAndCycle) {
   EXPECT_EQ(ScenarioSpec{}.total_radios(5, 4, 2), 10);
 }
 
+TEST(ScenarioSpec, TotalRadiosPastTheRadioCountRangeIsRejected) {
+  // 2.2M users x k = 1000 is 2.2e9 radios: summed in int it wrapped to
+  // -2,094,967,296 and surfaced as a RateTable error.
+  try {
+    (void)ScenarioSpec{}.total_radios(2200000, 1000, 1000);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("2200000000"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(ScenarioExpansion, CrossesTheScenarioAxisAndCollapsesKForBudgets) {
   SweepSpec spec;
   spec.users = {4};

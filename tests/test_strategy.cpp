@@ -163,13 +163,19 @@ TEST(StrategyMatrix, EqualityComparesCells) {
 }
 
 TEST(StrategyMatrix, BoundsChecking) {
-  StrategyMatrix matrix(small_config());
-  EXPECT_THROW(matrix.at(3, 0), std::out_of_range);
-  EXPECT_THROW(matrix.at(0, 4), std::out_of_range);
-  EXPECT_THROW(matrix.channel_load(4), std::out_of_range);
-  EXPECT_THROW(matrix.user_total(3), std::out_of_range);
-  EXPECT_THROW(matrix.add_radio(3, 0), std::out_of_range);
-  EXPECT_THROW(matrix.add_radio(0, 7), std::out_of_range);
+  for (const auto storage : {StrategyMatrix::Storage::kDense,
+                             StrategyMatrix::Storage::kSparse}) {
+    StrategyMatrix matrix(small_config(), storage);
+    matrix.add_radio(2, 3);
+    EXPECT_EQ(matrix.at(2, 3), 1);
+    EXPECT_THROW(matrix.at(3, 0), std::out_of_range);
+    EXPECT_THROW(matrix.at(0, 4), std::out_of_range);
+    EXPECT_THROW(matrix.at(3, 4), std::out_of_range);
+    EXPECT_THROW(matrix.channel_load(4), std::out_of_range);
+    EXPECT_THROW(matrix.user_total(3), std::out_of_range);
+    EXPECT_THROW(matrix.add_radio(3, 0), std::out_of_range);
+    EXPECT_THROW(matrix.add_radio(0, 7), std::out_of_range);
+  }
 }
 
 /// Property: after any random sequence of valid mutations the cached loads
