@@ -1,7 +1,5 @@
-// E7 — Algorithm 1: correctness sweep, order-fairness report, and
-// google-benchmark scaling in N, k and |C|.
-#include <benchmark/benchmark.h>
-
+// E7 — Algorithm 1: correctness sweep and order-fairness report. Exits
+// nonzero if any sweep cell fails a verification column.
 #include <iostream>
 
 #include "mrca.h"
@@ -10,13 +8,15 @@ namespace {
 
 using namespace mrca;
 
-void correctness_and_order_report() {
+/// Prints both reports; false if any sweep cell failed verification.
+bool correctness_and_order_report() {
   std::cout << "==============================================================\n"
             << " E7: Algorithm 1 — correctness sweep and order fairness\n"
             << "==============================================================\n\n";
 
   // Correctness: every (N, C, k) cell yields a verified NE.
   Table sweep({"N", "C", "k", "loads balanced", "NE", "welfare=opt (const R)"});
+  bool verified = true;
   for (const std::size_t users : {2u, 5u, 10u, 25u}) {
     for (const std::size_t channels : {3u, 8u, 12u}) {
       for (const RadioCount radios : {1, 3, 8}) {
@@ -24,13 +24,14 @@ void correctness_and_order_report() {
         const GameModel game(GameConfig(users, channels, radios),
                         std::make_shared<ConstantRate>(1.0));
         const StrategyMatrix ne = sequential_allocation(game);
-        sweep.add_row(
-            {Table::fmt(users), Table::fmt(channels), Table::fmt(radios),
-             (ne.max_load() - ne.min_load() <= 1) ? "yes" : "NO",
-             is_nash_equilibrium(game, ne) ? "yes" : "NO",
-             (std::abs(game.welfare(ne) - game.optimal_welfare()) < 1e-9)
-                 ? "yes"
-                 : "NO"});
+        const bool balanced = ne.max_load() - ne.min_load() <= 1;
+        const bool nash = is_nash_equilibrium(game, ne);
+        const bool optimal =
+            std::abs(game.welfare(ne) - game.optimal_welfare()) < 1e-9;
+        verified = verified && balanced && nash && optimal;
+        sweep.add_row({Table::fmt(users), Table::fmt(channels),
+                       Table::fmt(radios), balanced ? "yes" : "NO",
+                       nash ? "yes" : "NO", optimal ? "yes" : "NO"});
       }
     }
   }
@@ -65,58 +66,9 @@ void correctness_and_order_report() {
   }
   order_table.print(std::cout);
   std::cout << '\n';
+  return verified;
 }
-
-void BM_Algorithm1_Users(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  const GameModel game(GameConfig(users, 12, 4),
-                  std::make_shared<ConstantRate>(1.0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sequential_allocation(game));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_Algorithm1_Users)->RangeMultiplier(4)->Range(4, 1024)->Complexity();
-
-void BM_Algorithm1_Channels(benchmark::State& state) {
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  const GameModel game(GameConfig(32, channels, 4),
-                  std::make_shared<ConstantRate>(1.0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sequential_allocation(game));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_Algorithm1_Channels)->RangeMultiplier(2)->Range(8, 256)->Complexity();
-
-void BM_NashCheck(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  const GameModel game(GameConfig(users, 12, 4),
-                  std::make_shared<ConstantRate>(1.0));
-  const StrategyMatrix ne = sequential_allocation(game);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(is_nash_equilibrium(game, ne));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_NashCheck)->RangeMultiplier(4)->Range(4, 256)->Complexity();
-
-void BM_SingleMoveStability(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  const GameModel game(GameConfig(users, 12, 4),
-                  std::make_shared<ConstantRate>(1.0));
-  const StrategyMatrix ne = sequential_allocation(game);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(is_single_move_stable(game, ne));
-  }
-}
-BENCHMARK(BM_SingleMoveStability)->RangeMultiplier(4)->Range(4, 256);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  correctness_and_order_report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return correctness_and_order_report() ? 0 : 1; }

@@ -6,12 +6,14 @@
 //   (c) RTS/CTS vs basic access: how the MAC choice reshapes R(k) and the
 //       resulting price of anarchy;
 //   (d) Algorithm 1 tie-break ablation: outcome quality is invariant.
+// Exits nonzero if any allocation reported as an NE fails verification.
 #include <iostream>
 
 #include "mrca.h"
 
 int main() {
   using namespace mrca;
+  bool all_ne = true;
 
   std::cout << "==============================================================\n"
             << " E11: extension ablations (paper future-work axes)\n"
@@ -34,6 +36,8 @@ int main() {
         game, sequential_allocation(
                   game, {.placement = PlacementRule::kBestMarginal}));
     const auto& ne = outcome.final_state;
+    const bool nash = game.is_nash_equilibrium(ne);
+    all_ne = all_ne && nash;
     std::string loads;
     for (ChannelId c = 0; c < 4; ++c) {
       if (c) loads += ',';
@@ -42,8 +46,7 @@ int main() {
     het_table.add_row({Table::fmt(users), loads,
                        Table::fmt(ne.max_load() - ne.min_load()),
                        Table::fmt(game.per_radio_spread(ne), 4),
-                       game.is_nash_equilibrium(ne) ? "yes" : "NO",
-                       Table::fmt(game.welfare(ne), 3),
+                       nash ? "yes" : "NO", Table::fmt(game.welfare(ne), 3),
                        Table::fmt(game.optimal_welfare(), 3)});
   }
   het_table.print(std::cout);
@@ -62,10 +65,12 @@ int main() {
                          cost);
     const auto outcome = run_response_dynamics(game, game.empty_strategy());
     const auto& ne = outcome.final_state;
+    const bool nash = game.is_nash_equilibrium(ne);
+    all_ne = all_ne && nash;
     energy_table.add_row({Table::fmt(cost, 2),
                           Table::fmt(static_cast<int>(ne.total_deployed())),
                           Table::fmt(game.welfare(ne), 3),
-                          game.is_nash_equilibrium(ne) ? "yes" : "NO"});
+                          nash ? "yes" : "NO"});
   }
   energy_table.print(std::cout);
   std::cout << "\n    Lemma 1 (full deployment) is the cost=0 limit; radios\n"
@@ -103,6 +108,7 @@ int main() {
   const GameModel game(GameConfig(9, 6, 3),
                        std::make_shared<ConstantRate>(1.0));
   const StrategyMatrix lowest = sequential_allocation(game);
+  const bool lowest_ne = is_nash_equilibrium(game, lowest);
   std::size_t random_ne = 0;
   RunningStats welfare_stats;
   Rng rng(31337);
@@ -114,11 +120,11 @@ int main() {
     welfare_stats.add(game.welfare(ne));
   }
   std::cout << "    lowest-index policy: NE="
-            << (is_nash_equilibrium(game, lowest) ? "yes" : "NO")
+            << (lowest_ne ? "yes" : "NO")
             << ", welfare " << game.welfare(lowest) << '\n'
             << "    random policy:       NE=" << random_ne << "/50, welfare "
             << welfare_stats.mean() << " +- " << welfare_stats.stddev()
             << "\n    Tie-breaking is outcome-irrelevant: every policy lands\n"
             << "    in the same (welfare-equivalent) equilibrium class.\n";
-  return 0;
+  return all_ne && lowest_ne && random_ne == 50 ? 0 : 1;
 }

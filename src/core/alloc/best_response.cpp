@@ -1,6 +1,5 @@
 #include "core/alloc/best_response.h"
 
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -99,14 +98,6 @@ bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
 
 }  // namespace
 
-std::size_t activation_budget(const DynamicsOptions& options,
-                              std::size_t users) {
-  if (options.max_passes == 0) return options.max_activations;
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  if (options.max_passes > kMax / users) return kMax;
-  return options.max_passes * users;
-}
-
 DynamicsResult run_response_dynamics(const GameModel& model,
                                      const StrategyMatrix& start,
                                      const DynamicsOptions& options,
@@ -133,7 +124,7 @@ DynamicsResult run_response_dynamics(const GameModel& model,
   // A streak of `users` quiet activations triggers an exact verification
   // pass over every user; convergence is declared only when that pass finds
   // no improvement, so `converged` is a proof for both activation orders.
-  const std::size_t budget = activation_budget(options, users);
+  const std::size_t budget = options.max_activations;
   std::size_t quiet_streak = 0;
   UserId next_user = 0;
   while (result.activations < budget) {

@@ -39,13 +39,6 @@ struct DynamicsOptions {
   ActivationOrder order = ActivationOrder::kRoundRobin;
   /// Give up after this many user activations without convergence.
   std::size_t max_activations = 100000;
-  /// When nonzero, the activation budget becomes max_passes * |N| instead
-  /// of max_activations (saturating at SIZE_MAX, so a huge pass count
-  /// cannot overflow into a tiny budget). This is the scale-safe knob: the
-  /// default max_activations is smaller than ONE round-robin pass at 10^6
-  /// users, so absolute budgets stop meaning "rounds of play" long before
-  /// million-user cells.
-  std::size_t max_passes = 0;
   double tolerance = kUtilityTolerance;
   /// Record welfare after every improving step (for convergence plots).
   bool record_welfare_trace = false;
@@ -53,8 +46,8 @@ struct DynamicsOptions {
   /// each activation and skip — or narrow to the changed channels — every
   /// deviation scan the cache's memo proves redundant. Trajectories are
   /// bit-identical to the unpruned run (regression-tested per scenario
-  /// kind); off scans every candidate, the reference the pruning tests and
-  /// benches compare against.
+  /// kind); off scans every candidate, the reference the pruning tests
+  /// compare against.
   /// DynamicsResult::scan_skips is the operation-count witness.
   bool use_dirty_channel_pruning = true;
 };
@@ -86,11 +79,5 @@ DynamicsResult run_response_dynamics(const GameModel& model,
                                      const StrategyMatrix& start,
                                      const DynamicsOptions& options = {},
                                      Rng* rng = nullptr);
-
-/// A run's activation budget, shared by every engine: max_passes (in
-/// units of full passes over the users) wins over the absolute
-/// max_activations when set, saturating instead of overflowing.
-std::size_t activation_budget(const DynamicsOptions& options,
-                              std::size_t users);
 
 }  // namespace mrca

@@ -199,7 +199,8 @@ Theorem1Result check_theorem1(const StrategyMatrix& s) {
       // admit when loads are globally equal: a user may exceed one radio on
       // an equal-load channel only while the counts stay within the gamma
       // bound, which the pair above already enforces. Nothing further is
-      // printed in the paper; see DESIGN.md §2 for the audit of this clause.
+      // printed in the paper; see README "Reproduction findings" for the
+      // audit of this clause.
       (void)max_load;
     }
   }

@@ -80,9 +80,10 @@ struct Theorem1Result {
 ///     with k_{j,c} = 0). For such users: k_{j,c} <= 1 on every max-loaded
 ///     channel, and gamma_{j,a,c} <= 1 for channels a, c in C_min.
 ///
-/// See DESIGN.md §2: the printed condition 2 admits rare non-equilibria at
-/// small loads; `is_single_move_stable` / `is_nash_equilibrium` (nash.h) are
-/// the exact checkers this predicate is audited against.
+/// See README "Reproduction findings": the printed condition 2 admits rare
+/// non-equilibria at small loads; `is_single_move_stable` /
+/// `is_nash_equilibrium` (nash.h) are the exact checkers this predicate is
+/// audited against.
 Theorem1Result check_theorem1(const StrategyMatrix& s);
 
 /// Model-aware Theorem 1. When the model satisfies the theorem's

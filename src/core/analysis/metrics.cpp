@@ -75,7 +75,7 @@ std::vector<Metric> make_builtins() {
   // homogeneous, deterministic exact equilibrium otherwise (efficiency.h).
   // The fallback is a function of the MODEL only, so it goes through the
   // cell-scoped memo: a cell with R replicates computes the equilibrium
-  // once, not R times (bench_metrics quantifies the win). Standalone
+  // once, not R times (perfbench's metrics.* layer times it). Standalone
   // contexts (no cache attached) still compute inline.
   metrics.push_back(Metric{
       "poa",

@@ -75,10 +75,8 @@ DynamicsResult run_distributed_engine(const DynamicsSpec& spec,
   DistributedOptions dist;
   dist.activation_probability = spec.activation_probability;
   // One protocol round is one "activation" in the portfolio's accounting
-  // (each round gives every user a chance to act), so max_passes — the
-  // rounds-of-play budget — wins over the absolute activation cap when set.
-  dist.max_rounds = options.max_passes != 0 ? options.max_passes
-                                            : options.max_activations;
+  // (each round gives every user a chance to act).
+  dist.max_rounds = options.max_activations;
   dist.tolerance = options.tolerance;
   DistributedResult outcome =
       run_distributed_allocation(model, start, dist, rng);

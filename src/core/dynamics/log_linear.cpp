@@ -40,7 +40,7 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
     result.welfare_trace.push_back(cache.welfare());
   }
 
-  const std::size_t budget = activation_budget(options, users);
+  const std::size_t budget = options.max_activations;
   const double ratio = spec.temp_end / spec.temp_start;
   const auto rate_at = [&](ChannelId c, RadioCount load) {
     return model.rate(c, load);

@@ -60,7 +60,7 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
     result.welfare_trace.push_back(cache.welfare());
   }
 
-  const std::size_t budget = activation_budget(options, users);
+  const std::size_t budget = options.max_activations;
   std::vector<ChannelId> occupied;
   while (result.activations < budget) {
     if (result.activations % users == 0 &&

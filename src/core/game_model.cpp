@@ -147,12 +147,7 @@ GameModel::GameModel(std::size_t num_channels,
 RadioCount total_radio_budget(std::span<const RadioCount> budgets) {
   std::int64_t total = 0;
   for (const RadioCount budget : budgets) total += budget;
-  if (total > std::numeric_limits<RadioCount>::max()) {
-    throw std::invalid_argument(
-        "total radio count " + std::to_string(total) + " exceeds the limit " +
-        std::to_string(std::numeric_limits<RadioCount>::max()));
-  }
-  return static_cast<RadioCount>(total);
+  return checked_radio_total(total);
 }
 
 void GameModel::check_user(UserId user) const {

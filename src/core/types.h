@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -22,11 +24,26 @@ using ChannelId = std::size_t;
 /// A count of radios (per user per channel, per channel, or per user).
 using RadioCount = int;
 
+/// Narrows a radio total summed in 64 bits to RadioCount; throws
+/// std::invalid_argument naming the total when it exceeds RadioCount's
+/// range, which would otherwise wrap and size rate tables from a garbage
+/// bound.
+inline RadioCount checked_radio_total(std::int64_t total) {
+  constexpr RadioCount kLimit = std::numeric_limits<RadioCount>::max();
+  if (total > kLimit) {
+    throw std::invalid_argument("total radio count " + std::to_string(total) +
+                                " exceeds the limit " +
+                                std::to_string(kLimit));
+  }
+  return static_cast<RadioCount>(total);
+}
+
 /// Static parameters of one game instance.
 ///
 /// Invariants enforced on construction:
 ///   - num_users >= 1, num_channels >= 1,
-///   - 1 <= radios_per_user <= num_channels (the paper's k <= |C|).
+///   - 1 <= radios_per_user <= num_channels (the paper's k <= |C|),
+///   - |N| * k fits in RadioCount.
 struct GameConfig {
   std::size_t num_users = 0;
   std::size_t num_channels = 0;
@@ -45,9 +62,16 @@ struct GameConfig {
       throw std::invalid_argument(
           "GameConfig: model requires k <= |C| (radios_per_user <= channels)");
     }
+    // Saturates instead of wrapping when |N| * k exceeds even 64 bits.
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t total =
+        users > static_cast<std::uint64_t>(kMax / radios)
+            ? kMax
+            : static_cast<std::int64_t>(users) * radios;
+    checked_radio_total(total);
   }
 
-  /// Total radios in the system, |N| * k.
+  /// Total radios in the system, |N| * k (in range by construction).
   RadioCount total_radios() const noexcept {
     return static_cast<RadioCount>(num_users) * radios_per_user;
   }

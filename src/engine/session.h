@@ -180,7 +180,7 @@ struct SessionStats {
   /// bounded by the reorder window (max(32, 4·workers); backpressure
   /// keeps any worker from running further ahead of the delivery
   /// frontier), so it is independent of cell and replicate counts under
-  /// any scheduling (bench_sweep tracks it).
+  /// any scheduling (perfbench records it as session.max_buffered).
   std::size_t max_buffered = 0;
 };
 

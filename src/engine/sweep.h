@@ -164,9 +164,9 @@ struct CellResult {
   std::size_t converged = 0;
   RunningStats activations;
   RunningStats improving_steps;
-  // Dirty-channel pruning witnesses (PR 8), surfaced per cell so pruning
-  // efficacy shows up in farm output, not just bench_scale. Always-defined
-  // counters: 0 for engines/paths that run no cache.
+  // Dirty-channel pruning witnesses, surfaced per cell so pruning efficacy
+  // shows up in sweep and farm output. Always-defined counters: 0 for
+  // engines/paths that run no cache.
   /// Activations resolved as proven O(1) no-ops per run.
   RunningStats scan_skips;
   /// Per-user utility updates performed by cache repricing per run.

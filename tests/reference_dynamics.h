@@ -81,7 +81,7 @@ inline DynamicsResult reference_response_dynamics(
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(model.raw_welfare(state));
   }
-  const std::size_t budget = activation_budget(options, users);
+  const std::size_t budget = options.max_activations;
   std::size_t quiet_streak = 0;
   UserId next_user = 0;
   const auto improved = [&](UserId user) {
@@ -131,7 +131,7 @@ inline DynamicsResult reference_log_linear_dynamics(
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(model.raw_welfare(state));
   }
-  const std::size_t budget = activation_budget(options, users);
+  const std::size_t budget = options.max_activations;
   const double ratio = spec.temp_end / spec.temp_start;
   while (result.activations < budget) {
     if (result.activations % users == 0 &&
@@ -193,7 +193,7 @@ inline DynamicsResult reference_trial_error_dynamics(
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(model.raw_welfare(state));
   }
-  const std::size_t budget = activation_budget(options, users);
+  const std::size_t budget = options.max_activations;
   while (result.activations < budget) {
     if (result.activations % users == 0 &&
         is_single_move_stable(model, state, options.tolerance)) {

@@ -80,11 +80,15 @@ TEST(CliNumericParsing, RejectsRadioTotalsPastTheRadioCountRange) {
   // 10^6 users x 3000 radios = 3e9 radios: each flag is within its limit,
   // but the total must be named (it used to wrap negative and surface as a
   // rate-table error). Rejected before any game state is built.
-  const CliResult result = run_cli(
-      "sweep --users 1000000 --channels 3000 --radios 3000 --format csv");
-  EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("3000000000"), std::string::npos)
-      << result.output;
+  for (const std::string command :
+       {"sweep --users 1000000 --channels 3000 --radios 3000 --format csv",
+        "solve 1000000 3000 3000"}) {
+    const CliResult result = run_cli(command);
+    EXPECT_EQ(result.exit_code, 2) << command;
+    EXPECT_NE(result.output.find("total radio count 3000000000"),
+              std::string::npos)
+        << command << ": " << result.output;
+  }
 }
 
 TEST(CliRateSpecs, SingleGameCommandsAcceptTheSweepLanguage) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <tuple>
 
@@ -150,34 +149,6 @@ TEST_P(DynamicsSweep, ConvergesFromRandomStarts) {
       EXPECT_TRUE(is_single_move_stable(game, result.final_state));
     }
   }
-}
-
-TEST(Dynamics, MaxPassesBudgetsActivationsInPassUnits) {
-  // The absolute max_activations default is smaller than ONE round-robin
-  // pass at large N; max_passes scales the budget with the cell instead.
-  const GameModel game = testing::power_law_game(6, 5, 3);
-  DynamicsOptions options;
-  options.granularity = ResponseGranularity::kBestSingleMove;
-  options.max_passes = 1;
-  const DynamicsResult one_pass =
-      run_response_dynamics(game, game.empty_strategy(), options);
-  EXPECT_FALSE(one_pass.converged);  // empty start needs k deploys per user
-  EXPECT_EQ(one_pass.activations, 6u);  // exactly |N| activations
-
-  // When set, max_passes wins over an absurdly small max_activations.
-  options.max_activations = 1;
-  options.max_passes = 100;
-  const DynamicsResult generous =
-      run_response_dynamics(game, game.empty_strategy(), options);
-  EXPECT_TRUE(generous.converged);
-  EXPECT_GT(generous.activations, 1u);
-
-  // A huge pass count saturates instead of overflowing into a tiny budget.
-  options.max_passes = std::numeric_limits<std::size_t>::max() / 2;
-  const DynamicsResult saturated =
-      run_response_dynamics(game, game.empty_strategy(), options);
-  EXPECT_TRUE(saturated.converged);
-  EXPECT_TRUE(saturated.final_state == generous.final_state);
 }
 
 INSTANTIATE_TEST_SUITE_P(

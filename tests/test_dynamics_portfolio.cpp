@@ -164,6 +164,30 @@ TEST(TrialErrorEngine, ReachesNashOfTheFourRingBruteForceOracle) {
   }
 }
 
+TEST(LearnerEngines, TunedPortfolioConvergesOnTheSixtyFourUserCell) {
+  // The tuned engine parameters, pinned on N = 64, |C| = 8, k = 2,
+  // R(k) = 1/k from one seeded start. Utility gaps shrink as ~1/load^2,
+  // so log-linear must anneal well below ~1e-6 to leave the diffusive
+  // regime, and the distributed protocol needs p small enough that
+  // simultaneous movers stop colliding. Every engine must converge within
+  // 500,000 activations.
+  const GameModel model = ScenarioSpec{}.make_model(
+      64, 8, 2, std::make_shared<PowerLawRate>(1.0, 1.0));
+  Rng start_rng(42);
+  const StrategyMatrix start = random_full_allocation(model, start_rng);
+  DynamicsOptions options;
+  options.max_activations = 500000;
+  for (const std::string text :
+       {"best_response", "log_linear:0.0001:0.000000001", "trial_error:0.2",
+        "distributed:0.01"}) {
+    Rng rng(42 * 0x9e3779b97f4a7c15ULL + 1);
+    const DynamicsResult result =
+        run_dynamics(DynamicsSpec::parse(text), model, start, options, &rng);
+    EXPECT_TRUE(result.converged)
+        << text << " stopped after " << result.activations << " activations";
+  }
+}
+
 TEST(LearnerEngines, DrawOnlyFromTheHandedRngAndRequireOne) {
   const GameModel model = mrca::testing::power_law_game(4, 3, 1, /*alpha=*/1.0);
   Rng start_rng(5u);

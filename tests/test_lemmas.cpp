@@ -171,7 +171,8 @@ TEST(Theorem1, RejectsNonExceptionStacking) {
 }
 
 TEST(Theorem1, ExceptionClauseAdmitsDocumentedCounterexample) {
-  // DESIGN.md §2 example: N=4, k=2, C=3; user 0 = (2,0,0); loads (2,3,3).
+  // README "Reproduction findings" example: N=4, k=2, C=3; user 0 =
+  // (2,0,0); loads (2,3,3).
   // The PRINTED theorem accepts it (user 0 covers the only min channel,
   // gamma within bounds, nothing stacked on a max channel), yet it is not
   // actually a Nash equilibrium — the audit tests pin this divergence.

@@ -102,7 +102,8 @@ TEST(Figure4, SatisfiesTheorem1WithExceptionClause) {
 TEST(Figure4, ExceptionNeutralityIsExactlyTheM4Boundary) {
   // u1 moving one of its two radios from a min channel (load 4) to a max
   // channel (load 5) is exactly utility-neutral under constant R — the
-  // m = 4 boundary case of the reproduction audit (DESIGN.md §2).
+  // m = 4 boundary case of the reproduction audit (README "Reproduction
+  // findings").
   const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_NEAR(move_benefit(game, matrix, {0, 4, 0}), 0.0, 1e-12);

@@ -159,7 +159,7 @@ TEST(ScanPruningWitness, SkipsGrowSuperlinearlyOnSparseGraphs) {
     const StrategyMatrix start = random_full_allocation(model, start_rng);
     DynamicsOptions options;
     options.granularity = ResponseGranularity::kBestSingleMove;
-    options.max_passes = 64;
+    options.max_activations = 64 * users;
     const DynamicsResult result = run_response_dynamics(model, start, options);
     EXPECT_TRUE(result.converged);
     return result.scan_skips;
@@ -168,6 +168,31 @@ TEST(ScanPruningWitness, SkipsGrowSuperlinearlyOnSparseGraphs) {
   const std::size_t large = skips_at(64000);
   EXPECT_GT(small, 0u);
   EXPECT_GT(large, 64 * small);  // 64x the users, more than 64x the skips
+}
+
+TEST(ScanPruningWitness, HundredThousandUserCellsMatchTheUnprunedRun) {
+  // The scale gate: 100,000 users on ring:2 and on the complete graph
+  // (12 channels, k = 4, R(k) = 1/k, start seed 42, best single move in
+  // round-robin order, a budget of 64 passes). Both runs converge, and
+  // pruning changes nothing observable.
+  constexpr std::size_t kUsers = 100000;
+  for (const std::string spec : {"topology=ring:2", "base"}) {
+    const GameModel model = scenario_model(spec, kUsers, 12, 4);
+    Rng start_rng(42);
+    const StrategyMatrix start = random_full_allocation(model, start_rng);
+    DynamicsOptions options;
+    options.granularity = ResponseGranularity::kBestSingleMove;
+    options.max_activations = 64 * kUsers;
+    const DynamicsResult pruned = run_response_dynamics(model, start, options);
+    options.use_dirty_channel_pruning = false;
+    const DynamicsResult full = run_response_dynamics(model, start, options);
+    EXPECT_TRUE(pruned.converged) << spec;
+    EXPECT_TRUE(full.converged) << spec;
+    EXPECT_TRUE(pruned.final_state == full.final_state) << spec;
+    EXPECT_EQ(pruned.final_welfare, full.final_welfare) << spec;
+    EXPECT_EQ(pruned.activations, full.activations) << spec;
+    EXPECT_EQ(pruned.improving_steps, full.improving_steps) << spec;
+  }
 }
 
 TEST(ScanPruningPlan, GlobalDomainEpochStateMachine) {

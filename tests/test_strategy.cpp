@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,15 @@ TEST(GameConfig, ValidatesArguments) {
   EXPECT_THROW(GameConfig(2, 3, 0), std::invalid_argument);
   EXPECT_THROW(GameConfig(2, 3, 4), std::invalid_argument);  // k > |C|
   EXPECT_NO_THROW(GameConfig(2, 3, 3));
+  // |N| * k must fit in RadioCount (10^6 x 3000 used to wrap in int).
+  EXPECT_THROW(GameConfig(1000000, 3000, 3000), std::invalid_argument);
+  EXPECT_THROW(GameConfig(std::numeric_limits<std::size_t>::max(), 2, 2),
+               std::invalid_argument);
+  const auto limit =
+      static_cast<std::size_t>(std::numeric_limits<RadioCount>::max());
+  EXPECT_EQ(GameConfig(limit, 1, 1).total_radios(),
+            std::numeric_limits<RadioCount>::max());
+  EXPECT_THROW(GameConfig(limit + 1, 1, 1), std::invalid_argument);
 }
 
 TEST(GameConfig, TotalsAndConflict) {

@@ -2,7 +2,7 @@
 // oracle) over every full-deployment strategy matrix of small games.
 //
 // Findings encoded here (also reported at larger scale by
-// bench_theorem1_audit and discussed in DESIGN.md §2):
+// bench_theorem1_audit and stated in README "Reproduction findings"):
 //   - NECESSITY holds: every true Nash equilibrium satisfies the printed
 //     conditions (the lemmas' proofs are constructive and sound).
 //   - SUFFICIENCY has a gap: the printed exception clause admits matrices
@@ -91,7 +91,7 @@ TEST_P(TheoremAuditConstant, NecessityExactSufficiencyDocumented) {
 INSTANTIATE_TEST_SUITE_P(
     SmallGames, TheoremAuditConstant,
     ::testing::Values(std::make_tuple(3u, 2u, 2),   // loads (3,3)
-                      std::make_tuple(4u, 3u, 2),   // the DESIGN.md example
+                      std::make_tuple(4u, 3u, 2),   // the README example
                       std::make_tuple(3u, 3u, 2),   // loads (2,2,2)
                       std::make_tuple(5u, 3u, 1),   // singleton users
                       std::make_tuple(2u, 3u, 3),   // heavy stacking space

@@ -230,7 +230,7 @@ TEST(UtilityCache, LearnersMatchTheirFullRecomputeReferences) {
     for (int trial = 0; trial < 3; ++trial) {
       const StrategyMatrix start = random_full_allocation(model, start_rng);
       DynamicsOptions options;
-      options.max_passes = 40;
+      options.max_activations = 40 * model.num_users();
       options.record_welfare_trace = true;
       Rng rng_a(99);
       Rng rng_b(99);
