@@ -138,22 +138,56 @@ TEST(CliGoldenReports, SingleGameCommandsMatchByteForByte) {
   }
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Runs `sweep <args> --format json --records <tmp>` and pins both the
+/// JSON document and the JSONL record stream against
+/// tests/golden/cli/<name>_json.txt and <name>_jsonl.txt.
+void expect_json_and_records_golden(const std::string& name,
+                                    const std::string& args) {
+  const std::string json_golden = read_golden(name + "_json");
+  const std::string jsonl_golden = read_golden(name + "_jsonl");
+  ASSERT_FALSE(json_golden.empty()) << "missing golden " << name << "_json";
+  ASSERT_FALSE(jsonl_golden.empty()) << "missing golden " << name << "_jsonl";
+  const std::string records =
+      ::testing::TempDir() + "mrca_cli_golden_" + name + ".jsonl";
+  const CliResult result =
+      run_cli("sweep " + args + " --format json --records " + records);
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, json_golden);
+  EXPECT_EQ(read_file(records), jsonl_golden);
+}
+
 // The sweep's per-run record statistics (welfare, fairness,
 // budget_fairness, per_radio_spread, coloring_bound, graph_efficiency)
 // reach the CSV as cell means; pinning one small sweep over topology,
 // weighted, energy and budget cells holds every record column to the
 // bytes it had, not merely to itself across thread counts.
+constexpr const char* kSweepRecordsArgs =
+    "--users 4,9 --channels 4 --radios 1,2 "
+    "--rates powerlaw=1,geom=0.9 "
+    "--scenario \"base;topology=ring:1;topology=grid:3x3:1;weights=2:1;"
+    "energy=0.2;budgets=1:3\" "
+    "--metrics nash,poa --replicates 2 --seed 7";
+
 TEST(CliGoldenReports, SweepRecordColumnsMatchByteForByte) {
   const std::string expected = read_golden("sweep_records");
   ASSERT_FALSE(expected.empty()) << "missing golden sweep_records";
-  const CliResult result = run_cli(
-      "sweep --users 4,9 --channels 4 --radios 1,2 "
-      "--rates powerlaw=1,geom=0.9 "
-      "--scenario \"base;topology=ring:1;topology=grid:3x3:1;weights=2:1;"
-      "energy=0.2;budgets=1:3\" "
-      "--metrics nash,poa --replicates 2 --seed 7 --format csv");
+  const CliResult result =
+      run_cli(std::string("sweep ") + kSweepRecordsArgs + " --format csv");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(result.output, expected);
+}
+
+// The same sweep's JSON document (every stats object: count, mean,
+// stddev, m2, min, max) and its per-run JSONL stream, byte for byte.
+TEST(CliGoldenReports, SweepRecordJsonAndRecordStreamMatchByteForByte) {
+  expect_json_and_records_golden("sweep_records", kSweepRecordsArgs);
 }
 
 TEST(CliRateSpecs, SweepAcceptsTheBianchiTables) {
@@ -186,13 +220,16 @@ TEST(CliGoldenJson, SweepOutputIsStrictJson) {
 }
 
 TEST(CliGoldenJson, SimTierOutputIsStrictJson) {
-  const CliResult result = run_cli(
-      "sweep --users 3 --channels 3 --radios 1 --sim tdma "
-      "--sim-seconds 0.2 --seed 5 --format json");
+  const std::string args =
+      "--users 3 --channels 3 --radios 1 --sim tdma --sim-seconds 0.2 "
+      "--seed 5";
+  const CliResult result = run_cli("sweep " + args + " --format json");
   ASSERT_EQ(result.exit_code, 0);
   EXPECT_NE(result.output.find("\"sim_gap\""), std::string::npos);
   std::string why;
   EXPECT_TRUE(mrca::testing::is_strict_json(result.output, &why)) << why;
+  // The sim-tier stats and per-replay JSONL objects, byte for byte.
+  expect_json_and_records_golden("sweep_sim", args);
 }
 
 TEST(CliMetrics, UnknownMetricNamesTheFlagAndExits2) {
