@@ -1,7 +1,10 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace mrca {
@@ -201,6 +204,52 @@ const JsonValue* JsonValue::find(const std::string& key) const noexcept {
     if (name == key) return &value;
   }
   return nullptr;
+}
+
+namespace {
+
+[[noreturn]] void wrong_value(const std::string& what, const char* why) {
+  throw std::invalid_argument("json: '" + what + "' " + why);
+}
+
+}  // namespace
+
+const JsonValue& JsonValue::as_object(const std::string& what) const {
+  if (kind != Kind::kObject) wrong_value(what, "is not an object");
+  return *this;
+}
+
+const std::vector<JsonValue>& JsonValue::as_array(
+    const std::string& what) const {
+  if (kind != Kind::kArray) wrong_value(what, "is not an array");
+  return array;
+}
+
+const std::string& JsonValue::as_string(const std::string& what) const {
+  if (kind != Kind::kString) wrong_value(what, "is not a string");
+  return string;
+}
+
+double JsonValue::as_double(const std::string& what) const {
+  if (kind == Kind::kNull) return std::numeric_limits<double>::quiet_NaN();
+  if (kind != Kind::kNumber) wrong_value(what, "is not a number");
+  return number;
+}
+
+std::uint64_t JsonValue::as_count(const std::string& what,
+                                  std::uint64_t max) const {
+  if (kind != Kind::kNumber || !(number >= 0.0) ||
+      number != std::floor(number)) {
+    wrong_value(what, "is not a non-negative integer");
+  }
+  // Compared as doubles: a limit <= 2^53 converts exactly, so the cast
+  // below only ever sees a value already known to fit.
+  const std::uint64_t limit = std::min(max, kMaxCount);
+  if (number > static_cast<double>(limit)) {
+    throw std::invalid_argument("json: '" + what + "' exceeds the limit " +
+                                std::to_string(limit));
+  }
+  return static_cast<std::uint64_t>(number);
 }
 
 }  // namespace mrca

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +44,24 @@ struct JsonValue {
   const JsonValue& at(const std::string& key) const;
   /// Object member lookup; nullptr when absent (or not an object).
   const JsonValue* find(const std::string& key) const noexcept;
+
+  /// The largest count as_count accepts: every integer up to 2^53 is an
+  /// exact double, so the check happens before any cast can overflow.
+  static constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 53;
+
+  /// Checked typed reads. Each throws std::invalid_argument with a
+  /// "json: '<what>' ..." message when the value has another kind or is
+  /// out of range; `what` names the field for the reader's error message.
+  const JsonValue& as_object(const std::string& what) const;
+  const std::vector<JsonValue>& as_array(const std::string& what) const;
+  const std::string& as_string(const std::string& what) const;
+  /// A number (the parser admits only finite ones); null reads back as
+  /// the NaN our writers serialize as null.
+  double as_double(const std::string& what) const;
+  /// A non-negative integer no larger than `max` (itself at most
+  /// kMaxCount).
+  std::uint64_t as_count(const std::string& what,
+                         std::uint64_t max = kMaxCount) const;
 };
 
 }  // namespace mrca

@@ -85,10 +85,8 @@ void consume_stderr_lines(Child& child) {
     if (line.front() == '{') {
       try {
         const JsonValue update = JsonValue::parse(line);
-        child.runs_done =
-            static_cast<std::size_t>(update.at("runs_done").number);
-        child.runs_total =
-            static_cast<std::size_t>(update.at("runs_total").number);
+        child.runs_done = update.at("runs_done").as_count("runs_done");
+        child.runs_total = update.at("runs_total").as_count("runs_total");
         continue;
       } catch (const std::exception&) {
         // Not a progress line after all; fall through to diagnostics.

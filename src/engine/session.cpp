@@ -87,9 +87,8 @@ RunRecord run_one(const SweepSpec& spec, const SweepSpec::Cell& cell,
   const std::vector<double> utilities = model.utilities(result.final_state);
   record.welfare = model.welfare(result.final_state, utilities);
   const double optimal = model.optimal_welfare();
-  // NaN marks "undefined for this run" (the aggregation layer skips the
-  // sample): an unknown optimum leaves efficiency and the anarchy ratio
-  // undefined, and zero welfare leaves the ratio undefined even when the
+  // An unknown optimum leaves efficiency and the anarchy ratio undefined
+  // (NaN), and zero welfare leaves the ratio undefined even when the
   // optimum is known.
   record.efficiency = optimal > 0.0 ? record.welfare / optimal
                                     : (std::isnan(optimal) ? kNaN : 0.0);
@@ -386,29 +385,16 @@ void merge_cell_results(CellResult& into, const CellResult& from) {
   }
   into.runs += from.runs;
   into.converged += from.converged;
-  into.activations.merge(from.activations);
-  into.improving_steps.merge(from.improving_steps);
-  into.scan_skips.merge(from.scan_skips);
-  into.reprice_touches.merge(from.reprice_touches);
-  into.welfare.merge(from.welfare);
-  into.efficiency.merge(from.efficiency);
-  into.anarchy_ratio.merge(from.anarchy_ratio);
-  into.fairness.merge(from.fairness);
-  into.load_imbalance.merge(from.load_imbalance);
-  into.deployed.merge(from.deployed);
-  into.per_radio_spread.merge(from.per_radio_spread);
-  into.budget_fairness.merge(from.budget_fairness);
-  into.coloring_bound.merge(from.coloring_bound);
-  into.max_degree.merge(from.max_degree);
-  into.graph_efficiency.merge(from.graph_efficiency);
+  for (const RecordColumn& column : kRecordColumns) {
+    (into.*column.stats).merge(from.*column.stats);
+  }
   for (std::size_t m = 0; m < into.metric_stats.size(); ++m) {
     into.metric_stats[m].merge(from.metric_stats[m]);
   }
   into.sim_runs += from.sim_runs;
-  into.sim_total_bps.merge(from.sim_total_bps);
-  into.sim_gap.merge(from.sim_gap);
-  into.sim_fairness.merge(from.sim_fairness);
-  into.sim_imbalance.merge(from.sim_imbalance);
+  for (const SimColumn& column : kSimColumns) {
+    (into.*column.stats).merge(from.*column.stats);
+  }
 }
 
 SweepResult merge_sweep_results(const std::vector<SweepResult>& shards) {

@@ -111,6 +111,12 @@ class SweepPlan {
 
 /// One finished (cell, replicate) task, immutable once delivered. Plain
 /// values only, so records can cross thread / process / file boundaries.
+///
+/// Every double column below, every metric value and every sim-tier value
+/// follows one rule: NaN means "undefined for this run" (an unknown
+/// optimum, zero welfare, a non-topology cell, a metric with no defined
+/// value) and aggregation skips it, so a cell's `count()` reports how many
+/// runs had a defined value and its means stay honest.
 struct RunRecord {
   /// The cell's coordinates; `cell.index` is ABSOLUTE in the full plan.
   SweepSpec::Cell cell;
@@ -129,7 +135,7 @@ struct RunRecord {
   double reprice_touches = 0.0;
   double welfare = 0.0;
   /// NaN when the model's optimum is unknown (weighted models beyond the
-  /// one-radio-per-channel regime) — skipped by aggregation.
+  /// one-radio-per-channel regime).
   double efficiency = 0.0;
   /// NaN when undefined (non-positive welfare or unknown optimum).
   double anarchy_ratio = 0.0;
@@ -138,16 +144,67 @@ struct RunRecord {
   double deployed = 0.0;
   double per_radio_spread = 0.0;
   double budget_fairness = 0.0;
-  /// Topology columns; NaN (skipped by aggregation) for non-topology cells.
+  /// Topology columns; NaN for non-topology cells.
   double coloring_bound = 0.0;
   double max_degree = 0.0;
   /// welfare / coloring_bound (the graph-aware efficiency reference).
   double graph_efficiency = 0.0;
-  /// Flattened metric column values (empty when the spec has no metrics);
-  /// NaN entries mean "undefined for this run".
+  /// Flattened metric column values (empty when the spec has no metrics).
   std::vector<double> metric_values;
   /// One entry per DES replay (empty when the spec has no sim tier).
   std::vector<SimTierOutcome> sim;
+};
+
+/// The built-in record columns, described once. Aggregation, shard merge,
+/// the JSONL record stream and the sweep JSON writer and reader all loop
+/// over these tables in this order (which is also the key order of every
+/// JSON output). `name` is the JSONL key and the cell's stats key.
+struct RecordColumn {
+  const char* name;
+  double RunRecord::*sample;
+  RunningStats CellResult::*stats;
+};
+
+inline constexpr RecordColumn kRecordColumns[] = {
+    {"activations", &RunRecord::activations, &CellResult::activations},
+    {"improving_steps", &RunRecord::improving_steps,
+     &CellResult::improving_steps},
+    {"scan_skips", &RunRecord::scan_skips, &CellResult::scan_skips},
+    {"reprice_touches", &RunRecord::reprice_touches,
+     &CellResult::reprice_touches},
+    {"welfare", &RunRecord::welfare, &CellResult::welfare},
+    {"efficiency", &RunRecord::efficiency, &CellResult::efficiency},
+    {"anarchy_ratio", &RunRecord::anarchy_ratio, &CellResult::anarchy_ratio},
+    {"fairness", &RunRecord::fairness, &CellResult::fairness},
+    {"load_imbalance", &RunRecord::load_imbalance,
+     &CellResult::load_imbalance},
+    {"deployed", &RunRecord::deployed, &CellResult::deployed},
+    {"per_radio_spread", &RunRecord::per_radio_spread,
+     &CellResult::per_radio_spread},
+    {"budget_fairness", &RunRecord::budget_fairness,
+     &CellResult::budget_fairness},
+    {"coloring_bound", &RunRecord::coloring_bound,
+     &CellResult::coloring_bound},
+    {"max_degree", &RunRecord::max_degree, &CellResult::max_degree},
+    {"graph_efficiency", &RunRecord::graph_efficiency,
+     &CellResult::graph_efficiency},
+};
+
+/// The sim-tier columns: one sample per DES replay. `name` is the key
+/// inside a JSONL record's "sim" objects; the cell's stats key is
+/// "sim_" + name.
+struct SimColumn {
+  const char* name;
+  double SimTierOutcome::*sample;
+  RunningStats CellResult::*stats;
+};
+
+inline constexpr SimColumn kSimColumns[] = {
+    {"total_bps", &SimTierOutcome::total_bps, &CellResult::sim_total_bps},
+    {"gap", &SimTierOutcome::throughput_gap, &CellResult::sim_gap},
+    {"fairness", &SimTierOutcome::fairness, &CellResult::sim_fairness},
+    {"imbalance", &SimTierOutcome::channel_imbalance,
+     &CellResult::sim_imbalance},
 };
 
 /// Streaming consumer of finished runs. run_session guarantees:

@@ -6,6 +6,15 @@
 #include "engine/sweep_io.h"
 
 namespace mrca::engine {
+namespace {
+
+/// The one aggregation rule (engine/session.h): NaN is "undefined for this
+/// run" and is skipped.
+void add_defined(RunningStats& stats, double sample) {
+  if (!std::isnan(sample)) stats.add(sample);
+}
+
+}  // namespace
 
 void AggregatingSink::begin(const SweepPlan& plan) {
   result_ = SweepResult{};
@@ -33,46 +42,17 @@ void AggregatingSink::consume(const RunRecord& record) {
   CellResult& aggregate = open_cell_;
   ++aggregate.runs;
   if (record.converged) ++aggregate.converged;
-  aggregate.activations.add(record.activations);
-  aggregate.improving_steps.add(record.improving_steps);
-  aggregate.scan_skips.add(record.scan_skips);
-  aggregate.reprice_touches.add(record.reprice_touches);
-  aggregate.welfare.add(record.welfare);
-  // NaN = "undefined for this run" (unknown optimum / zero welfare): skip
-  // the sample so means stay honest and count() reports coverage.
-  if (!std::isnan(record.efficiency)) {
-    aggregate.efficiency.add(record.efficiency);
-  }
-  if (!std::isnan(record.anarchy_ratio)) {
-    aggregate.anarchy_ratio.add(record.anarchy_ratio);
-  }
-  aggregate.fairness.add(record.fairness);
-  aggregate.load_imbalance.add(record.load_imbalance);
-  aggregate.deployed.add(record.deployed);
-  aggregate.per_radio_spread.add(record.per_radio_spread);
-  aggregate.budget_fairness.add(record.budget_fairness);
-  // Topology columns are NaN for every non-topology cell: skipped the same
-  // way, so count() doubles as a "was this a topology cell" signal.
-  if (!std::isnan(record.coloring_bound)) {
-    aggregate.coloring_bound.add(record.coloring_bound);
-  }
-  if (!std::isnan(record.max_degree)) {
-    aggregate.max_degree.add(record.max_degree);
-  }
-  if (!std::isnan(record.graph_efficiency)) {
-    aggregate.graph_efficiency.add(record.graph_efficiency);
+  for (const RecordColumn& column : kRecordColumns) {
+    add_defined(aggregate.*column.stats, record.*column.sample);
   }
   for (std::size_t m = 0; m < record.metric_values.size(); ++m) {
-    if (!std::isnan(record.metric_values[m])) {
-      aggregate.metric_stats[m].add(record.metric_values[m]);
-    }
+    add_defined(aggregate.metric_stats[m], record.metric_values[m]);
   }
   for (const SimTierOutcome& sim : record.sim) {
     ++aggregate.sim_runs;
-    aggregate.sim_total_bps.add(sim.total_bps);
-    aggregate.sim_gap.add(sim.throughput_gap);
-    aggregate.sim_fairness.add(sim.fairness);
-    aggregate.sim_imbalance.add(sim.channel_imbalance);
+    for (const SimColumn& column : kSimColumns) {
+      add_defined(aggregate.*column.stats, sim.*column.sample);
+    }
   }
 }
 
@@ -92,32 +72,13 @@ void RecordSink::consume(const RunRecord& record) {
   std::ostream& out = *out_;
   out << "{\"cell\":" << record.cell.index
       << ",\"replicate\":" << record.replicate
-      << ",\"seed\":" << record.seed
-      << ",\"users\":" << record.cell.users
-      << ",\"channels\":" << record.cell.channels
-      << ",\"radios\":" << record.cell.radios
-      << ",\"rate\":\"" << json_escape(record.cell.rate.name())
-      << "\",\"scenario\":\"" << json_escape(record.cell.scenario.name())
-      << "\",\"dynamics\":\"" << json_escape(record.cell.dynamics.name())
-      << "\",\"granularity\":\"" << to_string(record.cell.granularity)
-      << "\",\"order\":\"" << to_string(record.cell.order)
-      << "\",\"start\":\"" << to_string(record.cell.start)
-      << "\",\"converged\":" << (record.converged ? "true" : "false")
-      << ",\"activations\":" << json_number(record.activations)
-      << ",\"improving_steps\":" << json_number(record.improving_steps)
-      << ",\"scan_skips\":" << json_number(record.scan_skips)
-      << ",\"reprice_touches\":" << json_number(record.reprice_touches)
-      << ",\"welfare\":" << json_number(record.welfare)
-      << ",\"efficiency\":" << json_number(record.efficiency)
-      << ",\"anarchy_ratio\":" << json_number(record.anarchy_ratio)
-      << ",\"fairness\":" << json_number(record.fairness)
-      << ",\"load_imbalance\":" << json_number(record.load_imbalance)
-      << ",\"deployed\":" << json_number(record.deployed)
-      << ",\"per_radio_spread\":" << json_number(record.per_radio_spread)
-      << ",\"budget_fairness\":" << json_number(record.budget_fairness)
-      << ",\"coloring_bound\":" << json_number(record.coloring_bound)
-      << ",\"max_degree\":" << json_number(record.max_degree)
-      << ",\"graph_efficiency\":" << json_number(record.graph_efficiency);
+      << ",\"seed\":" << record.seed;
+  append_cell_axes_json(out, record.cell);
+  out << ",\"converged\":" << (record.converged ? "true" : "false");
+  for (const RecordColumn& column : kRecordColumns) {
+    out << ",\"" << column.name
+        << "\":" << json_number(record.*column.sample);
+  }
   if (!metric_columns_.empty()) {
     out << ",\"metrics\":{";
     for (std::size_t m = 0; m < record.metric_values.size(); ++m) {
@@ -132,10 +93,13 @@ void RecordSink::consume(const RunRecord& record) {
     for (std::size_t s = 0; s < record.sim.size(); ++s) {
       const SimTierOutcome& sim = record.sim[s];
       if (s) out << ',';
-      out << "{\"total_bps\":" << json_number(sim.total_bps)
-          << ",\"gap\":" << json_number(sim.throughput_gap)
-          << ",\"fairness\":" << json_number(sim.fairness)
-          << ",\"imbalance\":" << json_number(sim.channel_imbalance) << '}';
+      char separator = '{';
+      for (const SimColumn& column : kSimColumns) {
+        out << separator << '"' << column.name
+            << "\":" << json_number(sim.*column.sample);
+        separator = ',';
+      }
+      out << '}';
     }
     out << ']';
   }

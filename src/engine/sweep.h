@@ -157,7 +157,10 @@ struct SweepSpec {
   std::string fingerprint() const;
 };
 
-/// Per-cell aggregate over the cell's replicates.
+/// Per-cell aggregate over the cell's replicates. Each RunningStats holds
+/// the defined samples of one RunRecord column (engine/session.h: NaN
+/// samples are skipped, so `count()` is that column's coverage), listed in
+/// kRecordColumns / kSimColumns there.
 struct CellResult {
   SweepSpec::Cell cell;
   std::size_t runs = 0;
@@ -175,7 +178,7 @@ struct CellResult {
   /// welfare / optimal_welfare in [0, 1].
   RunningStats efficiency;
   /// optimal_welfare / welfare (empirical anarchy ratio; the paper's PoA is
-  /// this value at a NE). Only defined for runs with positive welfare.
+  /// this value at a NE).
   RunningStats anarchy_ratio;
   /// Jain fairness over final per-user utilities.
   RunningStats fairness;
@@ -192,8 +195,7 @@ struct CellResult {
   /// Jain fairness over budget-normalized utilities U_i / k_i.
   RunningStats budget_fairness;
 
-  // Topology columns (NaN — and therefore skipped, count()==0 — for every
-  // non-topology cell, so adding them cost existing sweeps nothing).
+  // Topology columns (empty for every non-topology cell).
   /// Spatial-reuse achievable welfare (GameModel::coloring_bound).
   RunningStats coloring_bound;
   /// Interference graph's maximum degree (constant across replicates).
@@ -203,9 +205,7 @@ struct CellResult {
   RunningStats graph_efficiency;
 
   // Dynamic metric aggregates, parallel to SweepResult::metric_columns
-  // (empty when the spec has no metrics). A run whose metric value is NaN
-  // ("undefined here") is skipped, so `count()` reports how many runs had
-  // a defined value.
+  // (empty when the spec has no metrics).
   std::vector<RunningStats> metric_stats;
 
   // Packet-level tier aggregates (one sample per DES replay; all empty when

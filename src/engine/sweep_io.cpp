@@ -7,11 +7,13 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/table.h"
+#include "engine/session.h"
 
 namespace mrca::engine {
 namespace {
@@ -24,12 +26,14 @@ std::string full_precision(double value) {
   return out.str();
 }
 
-void append_stats_json(std::ostringstream& out, const char* key,
+/// Writes `"<prefix><key>":{...}`.
+void append_stats_json(std::ostringstream& out, const char* prefix,
+                       const std::string_view key,
                        const RunningStats& stats) {
   // `m2` (Welford's raw second moment) sits next to the derived stddev so
   // the document carries the aggregate's full merge state: sweep_from_json
   // restores it bit-for-bit and shard merges lose nothing to rounding.
-  out << '"' << key << "\":{\"count\":" << stats.count()
+  out << '"' << prefix << key << "\":{\"count\":" << stats.count()
       << ",\"mean\":" << json_number(stats.mean())
       << ",\"stddev\":" << json_number(stats.stddev())
       << ",\"m2\":" << json_number(stats.m2())
@@ -69,6 +73,17 @@ std::string json_escape(const std::string& text) {
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
   return full_precision(value);
+}
+
+void append_cell_axes_json(std::ostream& out, const SweepSpec::Cell& cell) {
+  out << ",\"users\":" << cell.users << ",\"channels\":" << cell.channels
+      << ",\"radios\":" << cell.radios << ",\"rate\":\""
+      << json_escape(cell.rate.name()) << "\",\"scenario\":\""
+      << json_escape(cell.scenario.name()) << "\",\"dynamics\":\""
+      << json_escape(cell.dynamics.name()) << "\",\"granularity\":\""
+      << to_string(cell.granularity) << "\",\"order\":\""
+      << to_string(cell.order) << "\",\"start\":\"" << to_string(cell.start)
+      << '"';
 }
 
 SweepFormat parse_sweep_format(const std::string& text) {
@@ -172,59 +187,23 @@ std::string sweep_to_json(const SweepResult& result) {
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CellResult& cell = result.cells[i];
     if (i) out << ',';
-    out << "{\"cell\":" << cell.cell.index
-        << ",\"users\":" << cell.cell.users
-        << ",\"channels\":" << cell.cell.channels
-        << ",\"radios\":" << cell.cell.radios << ",\"rate\":\""
-        << json_escape(cell.cell.rate.name()) << "\",\"scenario\":\""
-        << json_escape(cell.cell.scenario.name()) << "\",\"dynamics\":\""
-        << json_escape(cell.cell.dynamics.name()) << "\",\"granularity\":\""
-        << to_string(cell.cell.granularity) << "\",\"order\":\""
-        << to_string(cell.cell.order) << "\",\"start\":\""
-        << to_string(cell.cell.start) << "\",\"runs\":" << cell.runs
-        << ",\"converged\":" << cell.converged << ',';
-    append_stats_json(out, "activations", cell.activations);
-    out << ',';
-    append_stats_json(out, "improving_steps", cell.improving_steps);
-    out << ',';
-    append_stats_json(out, "scan_skips", cell.scan_skips);
-    out << ',';
-    append_stats_json(out, "reprice_touches", cell.reprice_touches);
-    out << ',';
-    append_stats_json(out, "welfare", cell.welfare);
-    out << ',';
-    append_stats_json(out, "efficiency", cell.efficiency);
-    out << ',';
-    append_stats_json(out, "anarchy_ratio", cell.anarchy_ratio);
-    out << ',';
-    append_stats_json(out, "fairness", cell.fairness);
-    out << ',';
-    append_stats_json(out, "load_imbalance", cell.load_imbalance);
-    out << ',';
-    append_stats_json(out, "deployed", cell.deployed);
-    out << ',';
-    append_stats_json(out, "per_radio_spread", cell.per_radio_spread);
-    out << ',';
-    append_stats_json(out, "budget_fairness", cell.budget_fairness);
-    out << ',';
-    append_stats_json(out, "coloring_bound", cell.coloring_bound);
-    out << ',';
-    append_stats_json(out, "max_degree", cell.max_degree);
-    out << ',';
-    append_stats_json(out, "graph_efficiency", cell.graph_efficiency);
-    out << ",\"sim_runs\":" << cell.sim_runs << ',';
-    append_stats_json(out, "sim_total_bps", cell.sim_total_bps);
-    out << ',';
-    append_stats_json(out, "sim_gap", cell.sim_gap);
-    out << ',';
-    append_stats_json(out, "sim_fairness", cell.sim_fairness);
-    out << ',';
-    append_stats_json(out, "sim_imbalance", cell.sim_imbalance);
+    out << "{\"cell\":" << cell.cell.index;
+    append_cell_axes_json(out, cell.cell);
+    out << ",\"runs\":" << cell.runs << ",\"converged\":" << cell.converged;
+    for (const RecordColumn& column : kRecordColumns) {
+      out << ',';
+      append_stats_json(out, "", column.name, cell.*column.stats);
+    }
+    out << ",\"sim_runs\":" << cell.sim_runs;
+    for (const SimColumn& column : kSimColumns) {
+      out << ',';
+      append_stats_json(out, "sim_", column.name, cell.*column.stats);
+    }
     if (!result.metric_columns.empty()) {
       out << ",\"metrics\":{";
       for (std::size_t m = 0; m < result.metric_columns.size(); ++m) {
         if (m) out << ',';
-        append_stats_json(out, result.metric_columns[m].c_str(),
+        append_stats_json(out, "", result.metric_columns[m],
                           cell.metric_stats[m]);
       }
       out << '}';
@@ -319,127 +298,68 @@ std::string sweep_to_table(const SweepResult& result) {
 
 namespace {
 
-// The DOM and parser live in common/json (shared with the farm's progress
-// and manifest readers); the typed accessors below keep sweep_from_json's
-// error-message contract ("sweep_from_json: ..." naming the field).
-std::size_t as_count(const JsonValue& value, const char* what) {
-  if (value.kind != JsonValue::Kind::kNumber || value.number < 0.0 ||
-      value.number != std::floor(value.number)) {
-    throw std::invalid_argument("sweep_from_json: '" + std::string(what) +
-                                "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(value.number);
-}
-
-/// null round-trips back to the NaN the writer serialized it from.
-double as_double(const JsonValue& value, const char* what) {
-  if (value.kind == JsonValue::Kind::kNull) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  if (value.kind != JsonValue::Kind::kNumber) {
-    throw std::invalid_argument("sweep_from_json: '" + std::string(what) +
-                                "' is not a number");
-  }
-  return value.number;
-}
-
-const std::string& as_string(const JsonValue& value, const char* what) {
-  if (value.kind != JsonValue::Kind::kString) {
-    throw std::invalid_argument("sweep_from_json: '" + std::string(what) +
-                                "' is not a string");
-  }
-  return value.string;
-}
-
-RunningStats stats_from_json(const JsonValue& value, const char* what) {
-  if (value.kind != JsonValue::Kind::kObject) {
-    throw std::invalid_argument("sweep_from_json: stats '" +
-                                std::string(what) + "' is not an object");
-  }
+RunningStats stats_from_json(const JsonValue& value, const std::string& what) {
+  const JsonValue& stats = value.as_object(what);
   return RunningStats::from_state(
-      as_count(value.at("count"), what), as_double(value.at("mean"), what),
-      as_double(value.at("m2"), what), as_double(value.at("min"), what),
-      as_double(value.at("max"), what));
+      stats.at("count").as_count(what), stats.at("mean").as_double(what),
+      stats.at("m2").as_double(what), stats.at("min").as_double(what),
+      stats.at("max").as_double(what));
 }
 
 }  // namespace
 
 SweepResult sweep_from_json(const std::string& text) {
   const JsonValue root = JsonValue::parse(text);
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::invalid_argument("sweep_from_json: root is not an object");
-  }
+  // Every field is read through the checked common/json accessors, so a
+  // hand-edited or foreign document fails with a message naming the field.
+  const auto count_at = [](const JsonValue& object, const std::string& key) {
+    return object.at(key).as_count(key);
+  };
+  const auto string_at = [](const JsonValue& object, const std::string& key) {
+    return object.at(key).as_string(key);
+  };
   SweepResult result;
-  const JsonValue& spec = root.at("spec");
-  result.spec_fingerprint = as_string(spec.at("fingerprint"), "fingerprint");
-  result.cells_total = as_count(spec.at("cells_total"), "cells_total");
-  result.cell_begin = as_count(spec.at("cell_begin"), "cell_begin");
-  result.cell_end = as_count(spec.at("cell_end"), "cell_end");
-  for (const JsonValue& column : spec.at("metric_columns").array) {
-    result.metric_columns.push_back(as_string(column, "metric_columns"));
+  const JsonValue& spec = root.as_object("document").at("spec");
+  result.spec_fingerprint = string_at(spec, "fingerprint");
+  result.cells_total = count_at(spec, "cells_total");
+  result.cell_begin = count_at(spec, "cell_begin");
+  result.cell_end = count_at(spec, "cell_end");
+  for (const JsonValue& column :
+       spec.at("metric_columns").as_array("metric_columns")) {
+    result.metric_columns.push_back(column.as_string("metric_columns"));
   }
-  result.total_runs = as_count(root.at("total_runs"), "total_runs");
+  result.total_runs = count_at(root, "total_runs");
 
-  for (const JsonValue& cell_json : root.at("cells").array) {
+  for (const JsonValue& cell_json : root.at("cells").as_array("cells")) {
     CellResult cell;
-    cell.cell.index = as_count(cell_json.at("cell"), "cell");
-    cell.cell.users = as_count(cell_json.at("users"), "users");
-    cell.cell.channels = as_count(cell_json.at("channels"), "channels");
-    cell.cell.radios = static_cast<RadioCount>(
-        as_count(cell_json.at("radios"), "radios"));
-    cell.cell.rate = RateSpec::parse(as_string(cell_json.at("rate"), "rate"));
-    cell.cell.scenario =
-        ScenarioSpec::parse(as_string(cell_json.at("scenario"), "scenario"));
-    cell.cell.dynamics =
-        DynamicsSpec::parse(as_string(cell_json.at("dynamics"), "dynamics"));
-    cell.cell.granularity = parse_response_granularity(
-        as_string(cell_json.at("granularity"), "granularity"));
-    cell.cell.order =
-        parse_activation_order(as_string(cell_json.at("order"), "order"));
-    cell.cell.start =
-        parse_sweep_start(as_string(cell_json.at("start"), "start"));
-    cell.runs = as_count(cell_json.at("runs"), "runs");
-    cell.converged = as_count(cell_json.at("converged"), "converged");
-    cell.activations = stats_from_json(cell_json.at("activations"),
-                                       "activations");
-    cell.improving_steps =
-        stats_from_json(cell_json.at("improving_steps"), "improving_steps");
-    cell.scan_skips =
-        stats_from_json(cell_json.at("scan_skips"), "scan_skips");
-    cell.reprice_touches =
-        stats_from_json(cell_json.at("reprice_touches"), "reprice_touches");
-    cell.welfare = stats_from_json(cell_json.at("welfare"), "welfare");
-    cell.efficiency =
-        stats_from_json(cell_json.at("efficiency"), "efficiency");
-    cell.anarchy_ratio =
-        stats_from_json(cell_json.at("anarchy_ratio"), "anarchy_ratio");
-    cell.fairness = stats_from_json(cell_json.at("fairness"), "fairness");
-    cell.load_imbalance =
-        stats_from_json(cell_json.at("load_imbalance"), "load_imbalance");
-    cell.deployed = stats_from_json(cell_json.at("deployed"), "deployed");
-    cell.per_radio_spread = stats_from_json(cell_json.at("per_radio_spread"),
-                                            "per_radio_spread");
-    cell.budget_fairness = stats_from_json(cell_json.at("budget_fairness"),
-                                           "budget_fairness");
-    cell.coloring_bound = stats_from_json(cell_json.at("coloring_bound"),
-                                          "coloring_bound");
-    cell.max_degree = stats_from_json(cell_json.at("max_degree"),
-                                      "max_degree");
-    cell.graph_efficiency = stats_from_json(cell_json.at("graph_efficiency"),
-                                            "graph_efficiency");
-    cell.sim_runs = as_count(cell_json.at("sim_runs"), "sim_runs");
-    cell.sim_total_bps =
-        stats_from_json(cell_json.at("sim_total_bps"), "sim_total_bps");
-    cell.sim_gap = stats_from_json(cell_json.at("sim_gap"), "sim_gap");
-    cell.sim_fairness =
-        stats_from_json(cell_json.at("sim_fairness"), "sim_fairness");
-    cell.sim_imbalance =
-        stats_from_json(cell_json.at("sim_imbalance"), "sim_imbalance");
+    cell.cell.index = count_at(cell_json, "cell");
+    cell.cell.users = count_at(cell_json, "users");
+    cell.cell.channels = count_at(cell_json, "channels");
+    cell.cell.radios = static_cast<RadioCount>(cell_json.at("radios").as_count(
+        "radios", std::numeric_limits<RadioCount>::max()));
+    cell.cell.rate = RateSpec::parse(string_at(cell_json, "rate"));
+    cell.cell.scenario = ScenarioSpec::parse(string_at(cell_json, "scenario"));
+    cell.cell.dynamics = DynamicsSpec::parse(string_at(cell_json, "dynamics"));
+    cell.cell.granularity =
+        parse_response_granularity(string_at(cell_json, "granularity"));
+    cell.cell.order = parse_activation_order(string_at(cell_json, "order"));
+    cell.cell.start = parse_sweep_start(string_at(cell_json, "start"));
+    cell.runs = count_at(cell_json, "runs");
+    cell.converged = count_at(cell_json, "converged");
+    for (const RecordColumn& column : kRecordColumns) {
+      cell.*column.stats =
+          stats_from_json(cell_json.at(column.name), column.name);
+    }
+    cell.sim_runs = count_at(cell_json, "sim_runs");
+    for (const SimColumn& column : kSimColumns) {
+      const std::string key = std::string("sim_") + column.name;
+      cell.*column.stats = stats_from_json(cell_json.at(key), key);
+    }
     if (!result.metric_columns.empty()) {
-      const JsonValue& metrics = cell_json.at("metrics");
+      const JsonValue& metrics = cell_json.at("metrics").as_object("metrics");
       for (const std::string& column : result.metric_columns) {
         cell.metric_stats.push_back(
-            stats_from_json(metrics.at(column), column.c_str()));
+            stats_from_json(metrics.at(column), column));
       }
     }
     result.cells.push_back(std::move(cell));

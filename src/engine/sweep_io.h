@@ -31,6 +31,11 @@ std::string json_escape(const std::string& text);
 /// values, "null" for inf/nan (JSON has no non-finite literals).
 std::string json_number(double value);
 
+/// Writes a cell's axis coordinates as JSON members, each led by a comma
+/// (`,"users":4,...,"start":"random"`): the one spelling shared by the
+/// sweep JSON document and the JSONL record stream.
+void append_cell_axes_json(std::ostream& out, const SweepSpec::Cell& cell);
+
 std::string sweep_to_csv(const SweepResult& result);
 std::string sweep_to_json(const SweepResult& result);
 /// Human-readable aligned table (common/table).

@@ -170,4 +170,20 @@ inline bool is_strict_json(const std::string& text,
   return ok;
 }
 
+/// `json` with the value of its first `"key":` member replaced by
+/// `replacement` — how tests hand-edit a real document into a malformed
+/// one. The value must be a scalar or a flat array; an absent key returns
+/// the text unchanged, which the caller's rejection check then catches.
+inline std::string with_json_value(std::string json, const std::string& key,
+                                   const std::string& replacement) {
+  const std::string member = "\"" + key + "\":";
+  const std::size_t at = json.find(member);
+  if (at == std::string::npos) return json;
+  const std::size_t begin = at + member.size();
+  const std::size_t end = json[begin] == '['
+                              ? json.find(']', begin) + 1
+                              : json.find_first_of(",}", begin);
+  return json.replace(begin, end - begin, replacement);
+}
+
 }  // namespace mrca::testing

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_harness.h"
@@ -164,6 +165,27 @@ TEST(SweepSession, JsonDocumentRoundTripsThroughSweepFromJson) {
   // -> CLI exit 2), never recursed into until the stack dies.
   EXPECT_THROW(engine::sweep_from_json(std::string(200000, '[')),
                std::invalid_argument);
+  // Hand-edited documents: a radio count past RadioCount (it used to wrap
+  // to 1), a metric list that is not an array (it used to read as "no
+  // metrics"), and a count no size_t holds (a float-to-integer cast UB).
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"radios", "4294967297"},
+           {"metric_columns", "\"x\""},
+           {"cells_total", "1e300"},
+           {"cells_total", "-1"},
+           {"cell_begin", "2.5"}}) {
+    const std::string edited =
+        mrca::testing::with_json_value(json, key, value);
+    ASSERT_NE(edited, json) << key;
+    try {
+      engine::sweep_from_json(edited);
+      ADD_FAILURE() << key << ":" << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(SweepSession, AllSkippedEfficiencyPrintsNanNeverZero) {

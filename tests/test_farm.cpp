@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_harness.h"
@@ -494,6 +495,49 @@ TEST(MergeCli, FingerprintMismatchNamesBothFiles) {
       << merged.output;
   EXPECT_NE(merged.output.find(a), std::string::npos) << merged.output;
   EXPECT_NE(merged.output.find(b), std::string::npos) << merged.output;
+}
+
+TEST(MergeCli, RejectsHandEditedDocumentsNamingTheField) {
+  const std::string dir = scratch_dir("merge_edited");
+  const std::string json = engine::sweep_to_json(
+      run_range(SweepPlan::build(farm_spec()).slice(0, 2)));
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"radios", "4294967297"},
+           {"metric_columns", "\"x\""},
+           {"cells_total", "1e300"}}) {
+    const std::string path = dir + "/" + key + ".json";
+    write_file(path, mrca::testing::with_json_value(json, key, value));
+    const auto merged = run_cli("merge " + path);
+    EXPECT_EQ(merged.exit_code, 2) << key;
+    EXPECT_NE(merged.output.find(path), std::string::npos) << merged.output;
+    EXPECT_NE(merged.output.find("'" + key + "'"), std::string::npos)
+        << merged.output;
+  }
+}
+
+TEST(FarmCli, ResumeRejectsMalformedManifestsNamingThem) {
+  const std::string dir = scratch_dir("resume_manifest");
+  const std::string manifest = dir + "/farm.json";
+  // A negative shard count (it used to run until killed), a fractional
+  // one (it used to truncate), and a non-string sweep flag (it used to
+  // surface as an unnamed usage error).
+  for (const std::string text :
+       {"{\"fingerprint\":\"x\",\"cells_total\":4,\"shards\":-1,"
+        "\"sweep_args\":[\"--users\",\"3\"]}",
+        "{\"fingerprint\":\"x\",\"cells_total\":4,\"shards\":2.5,"
+        "\"sweep_args\":[\"--users\",\"3\"]}",
+        "{\"fingerprint\":\"x\",\"cells_total\":4,\"shards\":0,"
+        "\"sweep_args\":[\"--users\",\"3\"]}",
+        "{\"fingerprint\":\"x\",\"cells_total\":4,\"shards\":2,"
+        "\"sweep_args\":[\"--users\",3]}"}) {
+    write_file(manifest, text);
+    const auto result = run_cli("farm --resume --dir " + dir);
+    EXPECT_EQ(result.exit_code, 2) << text;
+    EXPECT_NE(result.output.find("manifest '" + manifest + "' is malformed"),
+              std::string::npos)
+        << text << ": " << result.output;
+  }
 }
 
 TEST(FarmCli, RejectsFarmManagedSweepFlags) {

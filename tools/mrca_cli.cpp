@@ -982,13 +982,19 @@ int cmd_farm(int argc, char** argv) {
     text << in.rdbuf();
     try {
       const JsonValue manifest = JsonValue::parse(text.str());
-      manifest_fingerprint = manifest.at("fingerprint").string;
-      for (const JsonValue& item : manifest.at("sweep_args").array) {
-        sweep_args.push_back(item.string);
+      manifest_fingerprint =
+          manifest.at("fingerprint").as_string("fingerprint");
+      for (const JsonValue& item :
+           manifest.at("sweep_args").as_array("sweep_args")) {
+        sweep_args.push_back(item.as_string("sweep_args"));
       }
-      if (!shards_given) {
-        shards = static_cast<std::size_t>(manifest.at("shards").number);
+      // The same positive-count rule --shards has.
+      const std::size_t manifest_shards =
+          manifest.at("shards").as_count("shards", kMaxAxisValue);
+      if (manifest_shards == 0) {
+        throw std::invalid_argument("'shards' must be >= 1");
       }
+      if (!shards_given) shards = manifest_shards;
     } catch (const std::invalid_argument& error) {
       usage("farm: manifest '" + manifest_path + "' is malformed (" +
             error.what() + ")");
