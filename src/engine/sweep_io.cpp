@@ -28,7 +28,7 @@ std::string full_precision(double value) {
 
 /// Writes `"<prefix><key>":{...}`.
 void append_stats_json(std::ostringstream& out, const char* prefix,
-                       const std::string_view key,
+                       std::string_view key,
                        const RunningStats& stats) {
   // `m2` (Welford's raw second moment) sits next to the derived stddev so
   // the document carries the aggregate's full merge state: sweep_from_json
@@ -298,12 +298,13 @@ std::string sweep_to_table(const SweepResult& result) {
 
 namespace {
 
-RunningStats stats_from_json(const JsonValue& value, const std::string& what) {
-  const JsonValue& stats = value.as_object(what);
+/// The stats object `object[key]`, restored to its exact merge state.
+RunningStats stats_at(const JsonValue& object, const std::string& key) {
+  const JsonValue& stats = object.at(key).as_object(key);
   return RunningStats::from_state(
-      stats.at("count").as_count(what), stats.at("mean").as_double(what),
-      stats.at("m2").as_double(what), stats.at("min").as_double(what),
-      stats.at("max").as_double(what));
+      stats.at("count").as_count(key), stats.at("mean").as_double(key),
+      stats.at("m2").as_double(key), stats.at("min").as_double(key),
+      stats.at("max").as_double(key));
 }
 
 }  // namespace
@@ -347,19 +348,17 @@ SweepResult sweep_from_json(const std::string& text) {
     cell.runs = count_at(cell_json, "runs");
     cell.converged = count_at(cell_json, "converged");
     for (const RecordColumn& column : kRecordColumns) {
-      cell.*column.stats =
-          stats_from_json(cell_json.at(column.name), column.name);
+      cell.*column.stats = stats_at(cell_json, column.name);
     }
     cell.sim_runs = count_at(cell_json, "sim_runs");
     for (const SimColumn& column : kSimColumns) {
-      const std::string key = std::string("sim_") + column.name;
-      cell.*column.stats = stats_from_json(cell_json.at(key), key);
+      cell.*column.stats =
+          stats_at(cell_json, std::string("sim_") + column.name);
     }
     if (!result.metric_columns.empty()) {
       const JsonValue& metrics = cell_json.at("metrics").as_object("metrics");
       for (const std::string& column : result.metric_columns) {
-        cell.metric_stats.push_back(
-            stats_from_json(metrics.at(column), column));
+        cell.metric_stats.push_back(stats_at(metrics, column));
       }
     }
     result.cells.push_back(std::move(cell));
