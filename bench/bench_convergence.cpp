@@ -112,7 +112,8 @@ int main() {
   scale_table.print(std::cout);
   std::cout << "\nEmpirical finding: selfish play converged to a NE in every\n"
                "run even though the multi-radio game admits no exact\n"
-               "Rosenthal potential (see potential.h) — supporting the\n"
-               "feasibility of the paper's planned distributed protocol.\n";
+               "Rosenthal potential (see tests/reference_potential.h) —\n"
+               "supporting the feasibility of the paper's planned\n"
+               "distributed protocol.\n";
   return always_ne ? 0 : 1;
 }

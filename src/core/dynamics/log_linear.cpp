@@ -4,10 +4,10 @@
 // strategy from the Gibbs distribution over {stay} ∪ {single-radio
 // changes}, with weight exp(benefit / T). For single-radio changes the
 // utility difference IS the Rosenthal potential difference
-// (core/potential.h), so this is exactly Glauber dynamics on the potential
-// landscape: as T -> 0 the stationary distribution concentrates on the
-// potential maximizers, and each step costs one shared-kernel scan — the
-// same O(|C|^2) enumeration the best-response driver uses.
+// (tests/reference_potential.h), so this is exactly Glauber dynamics on the
+// potential landscape: as T -> 0 the stationary distribution concentrates
+// on the potential maximizers, and each step costs one shared-kernel scan —
+// the same O(|C|^2) enumeration the best-response driver uses.
 //
 // The temperature anneals geometrically from spec.temp_start to
 // spec.temp_end over the activation budget (a single parsed temperature

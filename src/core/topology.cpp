@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
-#include <queue>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 
 namespace mrca {
@@ -51,17 +52,11 @@ std::vector<std::string> split(const std::string& text, char separator) {
 
 }  // namespace
 
-Topology::Topology(std::size_t num_users,
-                   const std::vector<std::vector<UserId>>& adjacency) {
-  offsets_.reserve(num_users + 1);
-  offsets_.push_back(0);
-  for (UserId u = 0; u < num_users; ++u) {
-    std::vector<UserId> sorted = adjacency[u];
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    neighbors_.insert(neighbors_.end(), sorted.begin(), sorted.end());
-    offsets_.push_back(neighbors_.size());
-    max_degree_ = std::max(max_degree_, sorted.size());
+Topology::Topology(std::vector<std::size_t> offsets,
+                   std::vector<UserId> neighbors)
+    : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {
+  for (std::size_t u = 0; u + 1 < offsets_.size(); ++u) {
+    max_degree_ = std::max(max_degree_, offsets_[u + 1] - offsets_[u]);
   }
   color_dsatur();
 }
@@ -70,14 +65,18 @@ Topology Topology::complete(std::size_t num_users) {
   if (num_users == 0) {
     throw std::invalid_argument("Topology: need at least one user");
   }
-  std::vector<std::vector<UserId>> adjacency(num_users);
+  const std::size_t row_length = num_users - 1;
+  std::vector<std::size_t> offsets(num_users + 1);
+  std::vector<UserId> neighbors(num_users * row_length);
+  auto out = neighbors.begin();
   for (UserId i = 0; i < num_users; ++i) {
-    adjacency[i].reserve(num_users - 1);
+    offsets[i] = i * row_length;
     for (UserId j = 0; j < num_users; ++j) {
-      if (j != i) adjacency[i].push_back(j);
+      if (j != i) *out++ = j;
     }
   }
-  return Topology(num_users, adjacency);
+  offsets[num_users] = neighbors.size();
+  return Topology(std::move(offsets), std::move(neighbors));
 }
 
 Topology Topology::ring(std::size_t num_users, int distance) {
@@ -87,16 +86,27 @@ Topology Topology::ring(std::size_t num_users, int distance) {
   if (distance < 1) {
     throw std::invalid_argument("Topology: ring distance must be >= 1");
   }
-  std::vector<std::vector<UserId>> adjacency(num_users);
-  for (UserId i = 0; i < num_users; ++i) {
-    for (int t = 1; t <= distance; ++t) {
-      const auto step = static_cast<std::size_t>(t) % num_users;
-      if (step == 0) continue;  // wrapped all the way back to i
-      adjacency[i].push_back((i + step) % num_users);
-      adjacency[i].push_back((i + num_users - step) % num_users);
+  const auto d = static_cast<std::size_t>(distance);
+  // No cyclic distance exceeds n/2, so a ring with n <= 2d is complete;
+  // above that the 2d offsets +-1..+-d land on distinct users.
+  if (num_users <= 2 * d) return complete(num_users);
+  const std::size_t n = num_users;
+  std::vector<std::size_t> offsets(n + 1);
+  std::vector<UserId> neighbors(n * 2 * d);
+  auto out = neighbors.begin();
+  for (UserId i = 0; i < n; ++i) {
+    offsets[i] = i * 2 * d;
+    // Ascending: the forward arc wrapped past n-1, the unwrapped window
+    // [i-d, i+d] minus i, then the backward arc wrapped below 0.
+    for (UserId v = 0; v + n <= i + d; ++v) *out++ = v;
+    for (UserId v = i < d ? 0 : i - d; v < i; ++v) *out++ = v;
+    for (UserId v = i + 1; v <= i + d && v < n; ++v) *out++ = v;
+    if (i < d) {
+      for (UserId v = n + i - d; v < n; ++v) *out++ = v;
     }
   }
-  return Topology(num_users, adjacency);
+  offsets[n] = neighbors.size();
+  return Topology(std::move(offsets), std::move(neighbors));
 }
 
 Topology Topology::grid(std::size_t width, std::size_t height, int distance) {
@@ -107,25 +117,35 @@ Topology Topology::grid(std::size_t width, std::size_t height, int distance) {
     throw std::invalid_argument("Topology: grid distance must be >= 1");
   }
   const std::size_t num_users = width * height;
-  std::vector<std::vector<UserId>> adjacency(num_users);
-  const auto d = static_cast<std::ptrdiff_t>(distance);
+  const auto d = static_cast<std::size_t>(distance);
+  // The Chebyshev window [coord - d, coord + d] clipped to [0, extent).
+  const auto lo = [d](std::size_t coord) { return coord < d ? 0 : coord - d; };
+  const auto hi = [d](std::size_t coord, std::size_t extent) {
+    return std::min(coord + d, extent - 1);
+  };
+  // Pass 1: a row holds its clipped window minus the user itself.
+  std::vector<std::size_t> offsets(num_users + 1, 0);
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
       const UserId i = y * width + x;
-      for (std::ptrdiff_t dy = -d; dy <= d; ++dy) {
-        const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(y) + dy;
-        if (ny < 0 || ny >= static_cast<std::ptrdiff_t>(height)) continue;
-        for (std::ptrdiff_t dx = -d; dx <= d; ++dx) {
-          const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(x) + dx;
-          if (nx < 0 || nx >= static_cast<std::ptrdiff_t>(width)) continue;
-          if (dx == 0 && dy == 0) continue;
-          adjacency[i].push_back(static_cast<std::size_t>(ny) * width +
-                                 static_cast<std::size_t>(nx));
+      offsets[i + 1] = offsets[i] + (hi(x, width) - lo(x) + 1) *
+                                        (hi(y, height) - lo(y) + 1) -
+                       1;
+    }
+  }
+  // Pass 2: walking the window row-major visits ids in ascending order.
+  std::vector<UserId> neighbors(offsets[num_users]);
+  auto out = neighbors.begin();
+  for (std::size_t y = 0; y < height; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      for (std::size_t ny = lo(y); ny <= hi(y, height); ++ny) {
+        for (std::size_t nx = lo(x); nx <= hi(x, width); ++nx) {
+          if (nx != x || ny != y) *out++ = ny * width + nx;
         }
       }
     }
   }
-  return Topology(num_users, adjacency);
+  return Topology(std::move(offsets), std::move(neighbors));
 }
 
 Topology Topology::from_edges(
@@ -134,7 +154,8 @@ Topology Topology::from_edges(
   if (num_users == 0) {
     throw std::invalid_argument("Topology: need at least one user");
   }
-  std::vector<std::vector<UserId>> adjacency(num_users);
+  std::vector<std::pair<UserId, UserId>> sorted;
+  sorted.reserve(edges.size());
   for (const auto& [a, b] : edges) {
     if (a == b) {
       throw std::invalid_argument("Topology: self-loop edge on user " +
@@ -145,10 +166,27 @@ Topology Topology::from_edges(
           "Topology: edge endpoint " + std::to_string(std::max(a, b)) +
           " out of range for " + std::to_string(num_users) + " user(s)");
     }
-    adjacency[a].push_back(b);
-    adjacency[b].push_back(a);
+    sorted.emplace_back(std::min(a, b), std::max(a, b));
   }
-  return Topology(num_users, adjacency);
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  // Pass 1: count each endpoint's distinct edges.
+  std::vector<std::size_t> offsets(num_users + 1, 0);
+  for (const auto& [a, b] : sorted) {
+    ++offsets[a + 1];
+    ++offsets[b + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  // Pass 2: in (lo, hi) order a user first meets the edges to its lower
+  // neighbors (ascending lo), then those to its higher ones (ascending
+  // hi), so every row fills already sorted.
+  std::vector<UserId> neighbors(offsets[num_users]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& [a, b] : sorted) {
+    neighbors[cursor[a]++] = b;
+    neighbors[cursor[b]++] = a;
+  }
+  return Topology(std::move(offsets), std::move(neighbors));
 }
 
 void Topology::check_user(UserId user) const {
@@ -184,53 +222,74 @@ void Topology::color_dsatur() {
   std::vector<std::size_t> saturation(n, 0);
   // DSATUR selection: highest saturation, then highest degree, then lowest
   // id — all deterministic, so the coloring (and every bound derived from
-  // it) is a pure function of the graph. A lazy-deletion max-heap replaces
-  // the naive O(n^2) selection sweep (which a million-node graph cannot
-  // afford): every saturation bump pushes a fresh (saturation, degree, id)
-  // snapshot, pops discard snapshots that are stale or already colored, and
-  // the comparator reproduces the sweep's exact tie order — saturation
-  // values only grow, so the top fresh snapshot IS the sweep's pick.
-  // O((n + |E|) log n) total.
-  struct Snapshot {
-    std::size_t saturation;
-    std::size_t degree;
-    UserId user;
-    bool operator<(const Snapshot& other) const {
-      if (saturation != other.saturation) {
-        return saturation < other.saturation;
-      }
-      if (degree != other.degree) return degree < other.degree;
-      return user > other.user;  // max-heap: the lowest id wins ties
-    }
-  };
-  std::priority_queue<Snapshot> candidates;
+  // it) is a pure function of the graph. The last two keys never change,
+  // so a counting sort fixes them once as a static rank (degree
+  // descending, then id ascending), and the pick is the lowest-ranked
+  // uncolored user of the highest saturation. A bucket queue indexed by
+  // saturation (at most max_degree, so max_degree + 1 buckets) holds each
+  // user's ranks: bucket 0 is the static rank order itself, scanned by a
+  // cursor, since saturation only grows and nothing re-enters it; every
+  // higher bucket is a lazy min-heap of ranks. A saturation bump pushes
+  // the user into its new bucket and leaves the old entry stale; pops
+  // discard entries whose user is colored or has moved up. Every bump
+  // comes from a newly colored neighbor, so there are at most |E| pushes:
+  // O(n + max_degree + |E| log n) time and O(n + max_degree) queue memory
+  // beyond the pushed entries and the n * palette color marks.
+  std::vector<std::size_t> rank_start(palette + 1, 0);
   for (UserId u = 0; u < n; ++u) {
-    candidates.push({0, degree(u), u});
+    ++rank_start[max_degree_ - (offsets_[u + 1] - offsets_[u]) + 1];
   }
+  std::partial_sum(rank_start.begin(), rank_start.end(), rank_start.begin());
+  std::vector<std::size_t> rank(n);
+  std::vector<UserId> by_rank(n);
+  for (UserId u = 0; u < n; ++u) {
+    const std::size_t r =
+        rank_start[max_degree_ - (offsets_[u + 1] - offsets_[u])]++;
+    rank[u] = r;
+    by_rank[r] = u;
+  }
+  std::vector<std::vector<std::size_t>> buckets(palette);
+  std::size_t top = 0;     // no bucket above `top` holds an entry
+  std::size_t cursor = 0;  // bucket 0: ranks below `cursor` are colored
   for (std::size_t round = 0; round < n; ++round) {
     UserId pick = 0;
     for (;;) {
-      const Snapshot top = candidates.top();
-      candidates.pop();
-      if (colors_[top.user] == kUncolored &&
-          saturation[top.user] == top.saturation) {
-        pick = top.user;
+      if (top == 0) {
+        // With every higher bucket empty, no uncolored user has a
+        // nonzero saturation: the next uncolored rank is the pick.
+        while (colors_[by_rank[cursor]] != kUncolored) ++cursor;
+        pick = by_rank[cursor];
+        break;
+      }
+      std::vector<std::size_t>& heap = buckets[top];
+      if (heap.empty()) {
+        --top;
+        continue;
+      }
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const UserId user = by_rank[heap.back()];
+      heap.pop_back();
+      if (colors_[user] == kUncolored && saturation[user] == top) {
+        pick = user;
         break;
       }
     }
+    const char* marks = seen.data() + pick * palette;
     std::size_t color = 0;
-    while (seen[pick * palette + color] != 0) ++color;
+    while (marks[color] != 0) ++color;
     colors_[pick] = color;
     num_colors_ = std::max(num_colors_, color + 1);
-    for (const UserId v : neighbors(pick)) {
+    for (std::size_t e = offsets_[pick]; e < offsets_[pick + 1]; ++e) {
+      const UserId v = neighbors_[e];
+      if (colors_[v] != kUncolored) continue;
       char& mark = seen[v * palette + color];
-      if (mark == 0) {
-        mark = 1;
-        ++saturation[v];
-        if (colors_[v] == kUncolored) {
-          candidates.push({saturation[v], degree(v), v});
-        }
-      }
+      if (mark != 0) continue;
+      mark = 1;
+      const std::size_t s = ++saturation[v];
+      std::vector<std::size_t>& heap = buckets[s];
+      heap.push_back(rank[v]);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      top = std::max(top, s);
     }
   }
 }

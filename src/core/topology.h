@@ -74,13 +74,18 @@ class Topology {
   std::size_t color(UserId user) const;
 
  private:
-  Topology(std::size_t num_users,
-           const std::vector<std::vector<UserId>>& adjacency);
+  /// Takes finished CSR arrays (rows sorted, de-duplicated, self-free),
+  /// then colors the graph.
+  Topology(std::vector<std::size_t> offsets, std::vector<UserId> neighbors);
   void check_user(UserId user) const;
   void color_dsatur();
 
   /// CSR adjacency: neighbors of user u are
-  /// neighbors_[offsets_[u] .. offsets_[u+1]).
+  /// neighbors_[offsets_[u] .. offsets_[u+1]). Each generator writes these
+  /// arrays itself, rows already sorted: ring and complete rows have a
+  /// fixed length, grid counts its clipped windows before filling them, and
+  /// from_edges counts and fills from the sorted, de-duplicated edge list,
+  /// so building a graph allocates only these two arrays.
   std::vector<std::size_t> offsets_;
   std::vector<UserId> neighbors_;
   std::vector<std::size_t> colors_;

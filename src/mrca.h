@@ -29,7 +29,6 @@
 #include "core/dynamics/engine.h"       // IWYU pragma: export
 #include "core/game_model.h"     // IWYU pragma: export
 #include "core/io.h"             // IWYU pragma: export
-#include "core/potential.h"      // IWYU pragma: export
 #include "core/rate_function.h"  // IWYU pragma: export
 #include "core/rate_table.h"     // IWYU pragma: export
 #include "core/strategy.h"       // IWYU pragma: export

@@ -121,7 +121,7 @@ TEST(Dynamics, RandomActivationSeedDeterminism) {
 /// random starts the dynamics must reach a stable state well within the
 /// activation budget (empirically the game has the finite-improvement
 /// property even for multi-radio users, where no exact potential exists —
-/// see potential.h).
+/// see reference_potential.h).
 using DynamicsParam =
     std::tuple<std::shared_ptr<const RateFunction>, ResponseGranularity,
                ActivationOrder, std::uint64_t>;

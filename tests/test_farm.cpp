@@ -452,6 +452,42 @@ TEST(MergeCli, AcceptsASessionDirectory) {
   EXPECT_EQ(merged.out, reference);
 }
 
+TEST(MergeCli, TopologySweepIsThreadFreeAndMergesFromThreeShards) {
+  // Graph load layer end to end: the ring and grid cells' CSV is the same
+  // at 1 and 8 threads, and three --shard slices merge back to the
+  // one-process JSON document byte for byte.
+  const std::string dir = scratch_dir("merge_topology");
+  const std::string args =
+      "sweep --users 4,6,9 --channels 4 --radios 1,2 --rates powerlaw=1 "
+      "--scenario \"base;topology=ring:1;topology=grid:3x3:1\" "
+      "--replicates 3 --seed 7";
+  const auto one = run_cli_split(args + " --threads 1 --format csv", dir,
+                                 "threads1");
+  const auto eight = run_cli_split(args + " --threads 8 --format csv", dir,
+                                   "threads8");
+  ASSERT_EQ(one.exit_code, 0) << one.err;
+  ASSERT_EQ(eight.exit_code, 0) << eight.err;
+  EXPECT_EQ(one.out, eight.out);
+  EXPECT_NE(one.out.find("topology=ring:1"), std::string::npos);
+  EXPECT_NE(one.out.find("coloring_bound_mean"), std::string::npos);
+
+  const auto full = run_cli_split(args + " --format json", dir, "full");
+  ASSERT_EQ(full.exit_code, 0) << full.err;
+  std::string shards;
+  for (int i = 0; i < 3; ++i) {
+    const std::string label = "shard" + std::to_string(i);
+    const auto part = run_cli_split(
+        args + " --format json --shard " + std::to_string(i) + "/3", dir,
+        label);
+    ASSERT_EQ(part.exit_code, 0) << part.err;
+    shards += " " + dir + "/" + label + ".out";  // run_cli_split's stdout
+  }
+  const auto merged =
+      run_cli_split("merge" + shards + " --format json", dir, "merged");
+  ASSERT_EQ(merged.exit_code, 0) << merged.err;
+  EXPECT_EQ(merged.out, full.out);
+}
+
 TEST(MergeCli, RejectsATornArtifactNamingIt) {
   const std::string dir = scratch_dir("merge_torn");
   sweep_reference_json(dir);

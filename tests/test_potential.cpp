@@ -1,10 +1,10 @@
-#include "core/potential.h"
-
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "common/rng.h"
 #include "core/alloc/random_alloc.h"
-#include "core/analysis/deviation.h"
+#include "reference_potential.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -12,6 +12,9 @@ namespace {
 
 using testing::constant_game;
 using testing::matrix_of;
+using testing::move_potential_gap;
+using testing::potential;
+using testing::potential_delta;
 using testing::power_law_game;
 
 TEST(Potential, EmptyAllocationIsZero) {

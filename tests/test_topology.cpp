@@ -1,7 +1,8 @@
 // Interference-graph topologies as a first-class load layer.
 //
 // Covers the Topology graph kernel (construction, DSATUR coloring,
-// complete-graph detection), the TopologySpec round-trip grammar, the
+// complete-graph detection, bit-identity with the row-by-row reference
+// build of reference_topology.h), the TopologySpec round-trip grammar, the
 // GameModel LoadView (perceived loads, complete-graph normalization,
 // bit-identity with the single collision domain), a brute-force
 // Definition-1 Nash oracle on a small ring against the model's
@@ -11,9 +12,12 @@
 // witness, and the matrix pairing guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +27,7 @@
 #include "core/rate_function.h"
 #include "core/strategy.h"
 #include "core/topology.h"
+#include "reference_topology.h"
 #include "test_util.h"
 
 namespace {
@@ -115,6 +120,92 @@ TEST(Topology, ColoringIsProperAndHitsKnownChromaticNumbers) {
 
   check_proper(Topology::grid(4, 4, 1));
   check_proper(Topology::from_edges(6, {{0, 1}, {1, 2}, {3, 4}}));
+}
+
+// ---------------------------------------------------------------------------
+// Reference oracle: Topology's direct CSR generators and bucket-queue DSATUR
+// against the per-user-row build and heap DSATUR of reference_topology.h.
+
+void expect_matches_reference(const Topology& graph,
+                              const mrca::testing::ReferenceTopology& want,
+                              const std::string& label) {
+  ASSERT_EQ(graph.num_users(), want.offsets.size() - 1) << label;
+  EXPECT_EQ(graph.max_degree(), want.max_degree) << label;
+  EXPECT_EQ(graph.num_colors(), want.num_colors) << label;
+  for (UserId u = 0; u < graph.num_users(); ++u) {
+    const auto row = graph.neighbors(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                           want.neighbors.begin() + want.offsets[u],
+                           want.neighbors.begin() + want.offsets[u + 1]))
+        << label << " neighbors of user " << u;
+    ASSERT_EQ(graph.color(u), want.colors[u]) << label << " user " << u;
+  }
+}
+
+TEST(TopologyReference, GeneratedFamiliesMatchTheRowByRowBuild) {
+  // Small rings cover the wrap and the n <= 2d duplicates (n=2 with d=1,
+  // n=3 with d=2); grids cover clipped windows wider than the grid.
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (int d = 1; d <= 6; ++d) {
+      expect_matches_reference(
+          Topology::ring(n, d), mrca::testing::reference_ring(n, d),
+          "ring n=" + std::to_string(n) + " d=" + std::to_string(d));
+    }
+  }
+  for (std::size_t w = 1; w <= 6; ++w) {
+    for (std::size_t h = 1; h <= 6; ++h) {
+      for (int d = 1; d <= 3; ++d) {
+        expect_matches_reference(
+            Topology::grid(w, h, d), mrca::testing::reference_grid(w, h, d),
+            "grid " + std::to_string(w) + "x" + std::to_string(h) +
+                " d=" + std::to_string(d));
+      }
+    }
+  }
+  for (std::size_t n = 1; n <= 20; ++n) {
+    expect_matches_reference(Topology::complete(n),
+                             mrca::testing::reference_complete(n),
+                             "complete n=" + std::to_string(n));
+  }
+}
+
+TEST(TopologyReference, RandomEdgeListsWithDuplicatesMatch) {
+  // Densities from near-empty to near-complete, so degree ties and
+  // saturation ties both occur; every list repeats some edges, half of
+  // them reversed.
+  Rng rng(20260601);
+  for (int trial = 0; trial < 1200; ++trial) {
+    const std::size_t n = 1 + rng.next_below(40);
+    const double density = rng.next_double();
+    std::vector<std::pair<UserId, UserId>> edges;
+    for (UserId a = 0; a < n; ++a) {
+      for (UserId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(density)) edges.emplace_back(b, a);
+      }
+    }
+    const std::size_t distinct = edges.size();
+    for (std::size_t k = 0; k < distinct / 3 + 1 && distinct > 0; ++k) {
+      const auto [a, b] = edges[rng.next_below(distinct)];
+      if (rng.bernoulli(0.5)) {
+        edges.emplace_back(a, b);
+      } else {
+        edges.emplace_back(b, a);
+      }
+    }
+    // Shuffle so rows do not arrive in id order.
+    for (std::size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng.next_below(i)]);
+    }
+    expect_matches_reference(Topology::from_edges(n, edges),
+                             mrca::testing::reference_from_edges(n, edges),
+                             "trial " + std::to_string(trial));
+  }
+}
+
+TEST(TopologyReference, LargeRingMatches) {
+  expect_matches_reference(Topology::ring(100000, 2),
+                           mrca::testing::reference_ring(100000, 2),
+                           "ring n=100000 d=2");
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@
 #endif
 
 #include "common/json.h"
+#include "core/io.h"
 #include "engine/farm.h"
 #include "mrca.h"
 

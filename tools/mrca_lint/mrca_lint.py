@@ -31,6 +31,12 @@ every commit:
                         headers stay self-contained), engine headers pull
                         stream types only via <iosfwd>, and no include
                         path escapes src/ via "..".
+  R5 header-consumer    Every src/ header is reached by the quoted-include
+                        closure of tools/, examples/, bench/ or perfbench/
+                        (a reached header's own .cpp is followed too, since
+                        it links in). Reaching the mrca.h umbrella counts
+                        for the umbrella alone, so a header only the
+                        umbrella and tests include is dead weight in src/.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 Run as:  python3 tools/mrca_lint/mrca_lint.py --root .
@@ -263,10 +269,64 @@ def check_include_hygiene(path: Path, rel: str, text: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R5: every src/ header has a non-test consumer
+
+CONSUMER_DIRS = ("tools", "examples", "bench", "perfbench")
+# The linter's own C++ fixtures live under tools/ but are nobody's consumer.
+LINT_FIXTURES = Path("tools/mrca_lint/fixtures")
+UMBRELLA = "mrca.h"
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+
+
+def check_header_consumers(root: Path, subdir: str) -> list[Finding]:
+    """Walks the quoted-include closure from every file under the consumer
+    directories. An include resolves next to the including file first,
+    then under src/. The umbrella header re-exports everything, so reaching
+    it marks only the umbrella itself; its includes are not followed."""
+    base = (root / subdir).resolve()
+    umbrella = base / UMBRELLA
+    pending = sorted(
+        p.resolve() for d in CONSUMER_DIRS if (root / d).is_dir()
+        for p in (root / d).rglob("*")
+        if p.suffix in (".h", ".cpp")
+        and not p.relative_to(root).is_relative_to(LINT_FIXTURES))
+    seen = set(pending)
+    reached: set[Path] = set()
+    while pending:
+        path = pending.pop()
+        for name in QUOTED_INCLUDE.findall(path.read_text(encoding="utf-8")):
+            target = next((c for c in (path.parent / name, base / name)
+                           if c.is_file()), None)
+            if target is None:
+                continue
+            target = target.resolve()
+            if target.is_relative_to(base):
+                reached.add(target)
+            if target == umbrella:
+                continue
+            # A reached header links its implementation in, and with it
+            # everything that implementation includes.
+            for follow in (target, target.with_suffix(".cpp")):
+                if follow not in seen and follow.is_file():
+                    seen.add(follow)
+                    pending.append(follow)
+    findings = []
+    for header in sorted(base.rglob("*.h")):
+        if header.resolve() not in reached:
+            findings.append(Finding(
+                "header-consumer", header, 1,
+                f"no file under {'/, '.join(CONSUMER_DIRS)}/ reaches this "
+                f"header through includes (the {UMBRELLA} umbrella does not "
+                f"count). Include it where it is used, or move it out of "
+                f"{subdir}/ if only tests need it."))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 RULES_HELP = ("banned-entropy", "unordered-iter", "seed-provenance",
-              "include-hygiene")
+              "include-hygiene", "header-consumer")
 
 
 def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
@@ -296,6 +356,7 @@ def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
             path, rel, path.read_text(encoding="utf-8"))
     for pair_name, files in sorted(pairs.items()):
         findings += check_unordered_iteration(pair_name, files)
+    findings += check_header_consumers(root, subdir)
     return findings
 
 

@@ -4,7 +4,9 @@ caught (right rule, right file, right count) and the clean fixtures must
 produce zero findings — so a rule regression can never silently pass the
 real tree."""
 
+import shutil
 import sys
+import tempfile
 import unittest
 from collections import Counter
 from pathlib import Path
@@ -71,9 +73,17 @@ class ViolationFixtures(unittest.TestCase):
         self.assertIn("own header", messages)
         self.assertIn("below the engine", messages)
 
+    def test_header_consumer(self):
+        hits = findings_by(self.findings, rule="header-consumer")
+        # orphan.h is included only by a test, umbrella_only.h only by the
+        # mrca.h umbrella; every other header has a tools/ consumer.
+        self.assertEqual(sorted(f.path.name for f in hits),
+                         ["orphan.h", "umbrella_only.h"])
+        self.assertIn("umbrella does not count", hits[0].message)
+
     def test_total_findings_accounted_for(self):
         # No rule may fire where the fixtures did not seed a violation.
-        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4)
+        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2)
 
 
 class CleanFixtures(unittest.TestCase):
@@ -86,6 +96,19 @@ class CleanFixtures(unittest.TestCase):
         # literal; rng.h uses random_device in the one allowed location.
         findings = lint_tree(FIXTURES / "clean")
         self.assertEqual(findings_by(findings, rule="banned-entropy"), [])
+
+
+    def test_consumers_reach_through_headers_and_implementations(self):
+        # tools/demo.cpp includes only core/facade.h; rng.h is reached
+        # through that header and good_medium.h through facade.cpp. Without
+        # the consumer directory every header is flagged.
+        with tempfile.TemporaryDirectory() as scratch:
+            tree = Path(scratch) / "clean"
+            shutil.copytree(FIXTURES / "clean", tree)
+            shutil.rmtree(tree / "tools")
+            hits = findings_by(lint_tree(tree), rule="header-consumer")
+        self.assertEqual(sorted(f.path.name for f in hits),
+                         ["facade.h", "good_medium.h", "rng.h"])
 
 
 class RealTree(unittest.TestCase):
