@@ -190,6 +190,25 @@ TEST(CliGoldenReports, SweepRecordJsonAndRecordStreamMatchByteForByte) {
   expect_json_and_records_golden("sweep_records", kSweepRecordsArgs);
 }
 
+// Every dynamics engine's trajectory reaches the CSV through its counts
+// (activations, improving steps, scan skips, reprice touches) and its end
+// state (welfare, regret); one small sweep over all four engines, both
+// rate families and the energy/budget/topology scenarios pins them byte
+// for byte, so an engine or cache change that moves one trajectory shows.
+TEST(CliGoldenReports, EngineSweepMatchesByteForByte) {
+  const std::string expected = read_golden("sweep_engines");
+  ASSERT_FALSE(expected.empty()) << "missing golden sweep_engines";
+  const CliResult result = run_cli(
+      "sweep --users 64 --channels 6 --radios 2 --rates powerlaw=1,tdma "
+      "--dynamics best_response,log_linear:1e-3:1e-7,trial_error:0.2,"
+      "distributed:0.05 "
+      "--scenario \"base;energy=0.2;budgets=1:3;topology=ring:2\" "
+      "--granularity best,single --metrics regret --max-activations 40000 "
+      "--replicates 2 --seed 1 --format csv");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, expected);
+}
+
 TEST(CliRateSpecs, SweepAcceptsTheBianchiTables) {
   const CliResult result = run_cli(
       "sweep --users 3 --channels 3 --radios 1 --rates dcf,dcf-opt "
