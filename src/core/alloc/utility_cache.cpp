@@ -30,84 +30,65 @@ UtilityCache::UtilityCache(const GameModel& model,
 void UtilityCache::rebuild(const StrategyMatrix& strategies) {
   model_->validate(strategies);
   tracked_ = &strategies;
-  const std::size_t users = strategies.num_users();
-  if (users >= static_cast<std::size_t>(kNotOccupant)) {
-    throw std::invalid_argument(
-        "UtilityCache: occupant indexing caps users at 2^32-2");
+  occupant_count_.assign(num_channels_, 0);
+  for (UserId i = 0; i < strategies.num_users(); ++i) {
+    strategies.for_each_row_entry(
+        i, [&](ChannelId c, RadioCount) { ++occupant_count_[c]; });
   }
-  const double cost = model_->radio_cost();
-  utilities_.assign(users, 0.0);
-  welfare_ = 0.0;
-  occupants_.assign(num_channels_, {});
-  positions_.assign(users * num_channels_, kNotOccupant);
-
-  // Occupant prepass: one ascending walk over each user's occupied
-  // channels. Appending user-major builds every occupants_ list in
-  // ascending user order — exactly the order the previous column scans
-  // produced, which the utility summations below depend on for
-  // bit-stability. own_on_channel mirrors occupants_ so the hot loops
-  // below never re-query the (possibly sparse) matrix cell by cell.
-  std::vector<std::vector<RadioCount>> own_on_channel(num_channels_);
-  for (UserId i = 0; i < users; ++i) {
-    strategies.for_each_row_entry(i, [&](ChannelId c, RadioCount own) {
-      position(i, c) = static_cast<std::uint32_t>(occupants_[c].size());
-      occupants_[c].push_back(i);
-      own_on_channel[c].push_back(own);
-    });
-  }
-
-  if (topology_ != nullptr) {
-    // Neighborhood mode: utilities come from per-user perceived loads, and
-    // welfare has no per-channel shortcut — it IS the sum of utilities.
-    // Perceived loads are integer sums, so scatter order is free: each
-    // occupied (j, c) entry contributes to j's closed neighborhood,
-    // O(nnz * degree) total instead of O(|N|*|C|*degree).
-    perceived_.assign(users * num_channels_, 0);
-    for (UserId j = 0; j < users; ++j) {
-      strategies.for_each_row_entry(j, [&](ChannelId c, RadioCount own) {
-        perceived(j, c) += own;
-        for (const UserId i : topology_->neighbors(j)) {
-          perceived(i, c) += own;
-        }
-      });
-    }
-    for (ChannelId c = 0; c < num_channels_; ++c) {
-      const auto& list = occupants_[c];
-      const auto& owns = own_on_channel[c];
-      for (std::size_t s = 0; s < list.size(); ++s) {
-        const double value =
-            load_share(*model_, c, owns[s], perceived(list[s], c));
-        utilities_[list[s]] += value;
-        welfare_ += value;
-      }
-    }
-    if (cost > 0.0) {
-      for (UserId i = 0; i < users; ++i) {
-        utilities_[i] -= cost * static_cast<double>(strategies.user_total(i));
-      }
-      welfare_ -= cost * static_cast<double>(strategies.total_deployed());
-    }
-    reset_scan_state();
+  reset_scan_state();
+  if (topology_ == nullptr) {
+    welfare_ = model_->raw_welfare(strategies);
     return;
   }
+  // Neighborhood mode: utilities come from per-user perceived loads, and
+  // welfare has no per-channel shortcut — it IS the sum of utilities.
+  // Perceived loads are integer sums, so scatter order is free: each
+  // occupied (j, c) entry contributes to j's closed neighborhood,
+  // O(nnz * degree) total instead of O(|N|*|C|*degree).
+  const std::size_t users = strategies.num_users();
+  perceived_.assign(users * num_channels_, 0);
+  for (UserId j = 0; j < users; ++j) {
+    strategies.for_each_row_entry(j, [&](ChannelId c, RadioCount own) {
+      perceived(j, c) += own;
+      for (const UserId i : topology_->neighbors(j)) {
+        perceived(i, c) += own;
+      }
+    });
+  }
+  // Welfare sums channel-major, ascending users within a channel — the
+  // order its bits are pinned to. A transient counting sort of the
+  // occupied (user, own) entries by channel yields that order in O(nnz).
+  std::vector<std::size_t> begin(num_channels_ + 1, 0);
   for (ChannelId c = 0; c < num_channels_; ++c) {
-    const RadioCount load = strategies.channel_load(c);
-    if (load <= 0) continue;
-    welfare_ += model_->rate(c, load);
-    const double per_radio = model_->per_radio(c, load);
-    const auto& list = occupants_[c];
-    const auto& owns = own_on_channel[c];
-    for (std::size_t s = 0; s < list.size(); ++s) {
-      utilities_[list[s]] += static_cast<double>(owns[s]) * per_radio;
+    begin[c + 1] = begin[c] + occupant_count_[c];
+  }
+  std::vector<UserId> entry_user(begin.back());
+  std::vector<RadioCount> entry_own(begin.back());
+  std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
+  for (UserId i = 0; i < users; ++i) {
+    strategies.for_each_row_entry(i, [&](ChannelId c, RadioCount own) {
+      entry_user[next[c]] = i;
+      entry_own[next[c]++] = own;
+    });
+  }
+  utilities_.assign(users, 0.0);
+  welfare_ = 0.0;
+  for (ChannelId c = 0; c < num_channels_; ++c) {
+    for (std::size_t s = begin[c]; s < begin[c + 1]; ++s) {
+      const UserId i = entry_user[s];
+      const double value =
+          load_share(*model_, c, entry_own[s], perceived(i, c));
+      utilities_[i] += value;
+      welfare_ += value;
     }
   }
+  const double cost = model_->radio_cost();
   if (cost > 0.0) {
     for (UserId i = 0; i < users; ++i) {
       utilities_[i] -= cost * static_cast<double>(strategies.user_total(i));
     }
     welfare_ -= cost * static_cast<double>(strategies.total_deployed());
   }
-  reset_scan_state();
 }
 
 RadioCount UtilityCache::perceived_load(const StrategyMatrix& strategies,
@@ -219,25 +200,23 @@ void UtilityCache::reprice_channel(const StrategyMatrix& strategies,
     }
     const RadioCount old_load = strategies.channel_load(channel);
     const RadioCount new_load = old_load + delta;
-    const double per_radio_old = model_->per_radio(channel, old_load);
-    const double per_radio_new = model_->per_radio(channel, new_load);
-    const double repricing = per_radio_new - per_radio_old;
-    if (repricing != 0.0) {
-      for (const UserId occupant : occupants_[channel]) {
-        utilities_[occupant] +=
-            static_cast<double>(strategies.at(occupant, channel)) * repricing;
-        ++reprice_touches_;
-      }
+    // The mover's utility moves, and so does every occupant's whenever the
+    // per-radio share changes; utility() reads them on demand, so only
+    // welfare is stored.
+    if (model_->per_radio(channel, new_load) !=
+        model_->per_radio(channel, old_load)) {
+      reprice_touches_ += occupant_count_[channel];
     }
-    utilities_[user] +=
-        static_cast<double>(delta) * per_radio_new - cost_delta;
     ++reprice_touches_;
     welfare_ += model_->rate(channel, new_load) -
                 model_->rate(channel, old_load) - cost_delta;
   }
 
-  if (old_own == 0 && delta > 0) insert_occupant(user, channel);
-  if (old_own + delta == 0 && old_own > 0) erase_occupant(user, channel);
+  if (old_own == 0) {
+    ++occupant_count_[channel];
+  } else if (old_own + delta == 0) {
+    --occupant_count_[channel];
+  }
 }
 
 // Every mutator validates its preconditions (mirroring StrategyMatrix's
@@ -331,25 +310,9 @@ double UtilityCache::max_drift(const StrategyMatrix& strategies) const {
   double drift = std::abs(welfare_ - model_->raw_welfare(strategies));
   for (UserId i = 0; i < strategies.num_users(); ++i) {
     drift = std::max(
-        drift, std::abs(utilities_[i] - model_->raw_utility(strategies, i)));
+        drift, std::abs(utility(i) - model_->raw_utility(strategies, i)));
   }
   return drift;
-}
-
-void UtilityCache::insert_occupant(UserId user, ChannelId channel) {
-  position(user, channel) =
-      static_cast<std::uint32_t>(occupants_[channel].size());
-  occupants_[channel].push_back(user);
-}
-
-void UtilityCache::erase_occupant(UserId user, ChannelId channel) {
-  auto& list = occupants_[channel];
-  const std::uint32_t at = position(user, channel);
-  const UserId moved = list.back();
-  list[at] = moved;
-  position(moved, channel) = at;
-  list.pop_back();
-  position(user, channel) = kNotOccupant;
 }
 
 }  // namespace mrca

@@ -1,26 +1,29 @@
 // Incremental utility bookkeeping for the response dynamics and the batch
 // engine, generalized over the unified GameModel.
 //
-// The full recompute of U_i(S) is O(|C|) per user and welfare is O(|N|*|C|);
-// the dynamics touch at most two channel loads per activation, so almost all
-// of that work repeats unchanged values. UtilityCache keeps
-//   - every user's RAW utility U_i (energy price included, valuation
-//     weights not — decisions are weight-free; see GameModel::raw_utility),
+// Recomputing every utility and the welfare is O(|N|*|C|); the dynamics
+// touch at most two channel loads per activation, so almost all of that
+// work repeats unchanged values. UtilityCache keeps
 //   - the raw social welfare sum_c R_c(k_c) - cost * deployed,
-//   - per-channel occupant lists (users with k_{i,c} > 0),
-//   - under an interference topology, every user's PERCEIVED load
-//     P_i(c) (closed-neighborhood sum; see GameModel::perceived_load),
+//   - per-channel occupant counts (users with k_{i,c} > 0),
+//   - under an interference topology only, every user's PERCEIVED load
+//     P_i(c) (closed-neighborhood sum; see GameModel::perceived_load) and
+//     RAW utility U_i (energy price included, valuation weights not —
+//     decisions are weight-free; see GameModel::raw_utility),
 // and updates them under single-radio deltas instead of re-deriving them
 // from the whole matrix; rate lookups go through the model's memoized
-// per-channel tables. In the single collision domain an activation reprices
-// the occupants of the changed channels; under a topology it reprices ONLY
-// the mover's closed neighborhood — on sparse graphs that is O(degree), the
-// pruning lever the million-user scale item wants (reprice_touches() is the
-// operation-count witness). Mutations go through the cache (which forwards
-// to the StrategyMatrix) so matrix and cache can never drift apart
-// structurally; utilities are maintained in floating point incrementally
-// and agree with the full recompute to ~1e-13 over any realistic
-// trajectory (regression-tested for every scenario kind).
+// per-channel tables. In the single collision domain U_i depends only on
+// the user's own row and the |C| channel loads, so utility(i) evaluates
+// GameModel's own formula on demand (bit-identical to the full recompute)
+// and a reprice is O(1) per changed channel. Under a topology it reprices
+// ONLY the mover's closed neighborhood — on sparse graphs that is
+// O(degree), the pruning lever the million-user scale item wants
+// (reprice_touches() is the operation-count witness). Mutations go through
+// the cache (which forwards to the StrategyMatrix) so matrix and cache can
+// never drift apart structurally; the stored values are maintained in
+// floating point incrementally and agree with the full recompute to
+// ~1e-13 over any realistic trajectory (regression-tested for every
+// scenario kind).
 //
 // DIRTY-CHANNEL SCAN PRUNING (enable_scan_pruning): the cache can
 // additionally witness which channels changed, as seen by each user, since
@@ -59,16 +62,20 @@ class UtilityCache {
 
   const GameModel& model() const noexcept { return *model_; }
 
-  /// U_i(S) of the tracked matrix, O(1).
-  double utility(UserId user) const { return utilities_[user]; }
-  const std::vector<double>& utilities() const noexcept { return utilities_; }
+  /// Raw U_i(S) of the tracked matrix: the stored value under a topology
+  /// (O(1)); in the single collision domain GameModel's own formula over
+  /// the user's occupied channels, bit-identical to raw_utility().
+  double utility(UserId user) const {
+    if (topology_ != nullptr) return utilities_[user];
+    return model_->raw_utility_unchecked(*tracked_, user);
+  }
 
   /// Social welfare, O(1).
   double welfare() const noexcept { return welfare_; }
 
-  /// Users with at least one radio on `channel` (unspecified order).
-  std::span<const UserId> occupants(ChannelId channel) const {
-    return occupants_[channel];
+  /// Users with at least one radio on `channel`, O(1).
+  std::size_t occupant_count(ChannelId channel) const {
+    return occupant_count_[channel];
   }
 
   /// Perceived load P_user(channel) as tracked incrementally; equals the
@@ -85,10 +92,12 @@ class UtilityCache {
     return tracked_->channel_loads()[channel];
   }
 
-  /// Running count of per-user utility updates performed by repricing —
-  /// the operation-count witness that a sparse-graph activation touches
-  /// only the mover's closed neighborhood while the single collision
-  /// domain touches every occupant of the changed channels.
+  /// Running count of the per-user utilities the changes so far moved:
+  /// per changed channel, the mover plus every occupant whose per-radio
+  /// share changed (single collision domain), or the mover's closed
+  /// neighborhood (topology) — the operation-count witness that a
+  /// sparse-graph activation touches only O(degree) users. Counted from
+  /// occupant_count(); nothing is rewritten per occupant.
   std::size_t reprice_touches() const noexcept { return reprice_touches_; }
 
   // --- Dirty-channel scan pruning -----------------------------------------
@@ -154,24 +163,18 @@ class UtilityCache {
  private:
   /// The pairing guard behind every mutator.
   void check_tracked(const StrategyMatrix& strategies) const;
-  /// Repriced-utility update for one channel whose load changes by `delta`
-  /// radios of `user` (the energy price of the delta is folded in). Must
-  /// run BEFORE the matrix mutation (it reads the old counts).
+  /// Welfare (and, under a topology, neighborhood utility) update for one
+  /// channel whose load changes by `delta` radios of `user` (the energy
+  /// price of the delta is folded in). Must run BEFORE the matrix mutation
+  /// (it reads the old counts).
   void reprice_channel(const StrategyMatrix& strategies, UserId user,
                        ChannelId channel, RadioCount delta);
-  void insert_occupant(UserId user, ChannelId channel);
-  void erase_occupant(UserId user, ChannelId channel);
   /// Voids every user's scan memo (no-op unless pruning is enabled).
   void reset_scan_state();
-  std::uint32_t& position(UserId user, ChannelId channel) {
-    return positions_[user * num_channels_ + channel];
-  }
   RadioCount& perceived(UserId user, ChannelId channel) {
     return perceived_[user * num_channels_ + channel];
   }
 
-  static constexpr std::uint32_t kNotOccupant =
-      static_cast<std::uint32_t>(-1);
   /// Channels >= 63 share the top dirty-mask bit; a mask with it set can
   /// only plan a full rescan.
   static constexpr ChannelId kMaskOverflowBit = 63;
@@ -186,14 +189,12 @@ class UtilityCache {
   const Topology* topology_ = nullptr;  ///< model's graph; null = global
   const StrategyMatrix* tracked_ = nullptr;  ///< the paired matrix
   std::size_t num_channels_ = 0;
-  std::vector<double> utilities_;
   double welfare_ = 0.0;
-  std::vector<std::vector<UserId>> occupants_;
-  // positions_[i*|C|+c]: index of user i in occupants_[c], or kNotOccupant.
-  // 32 bits: occupant list indices are bounded by |N|, and at 10^6 users
-  // this array is the largest per-cell structure after the loads.
-  std::vector<std::uint32_t> positions_;
-  // perceived_[i*|C|+c]: P_i(c), maintained only under a topology.
+  // occupant_count_[c]: users with k_{i,c} > 0.
+  std::vector<std::size_t> occupant_count_;
+  // Maintained only under a topology: utilities_[i] = raw U_i and
+  // perceived_[i*|C|+c] = P_i(c).
+  std::vector<double> utilities_;
   std::vector<RadioCount> perceived_;
   std::size_t reprice_touches_ = 0;
 

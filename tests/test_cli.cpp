@@ -297,6 +297,43 @@ TEST(CliMetrics, MetricsCsvIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.output, eight.output);
 }
 
+// The engine axis (--dynamics): the default collapses to best response, so
+// sweeps without the flag are untouched, and every learner's records are a
+// pure function of the task coordinates.
+constexpr const char* kDynamicsArgs =
+    "sweep --users 4,6 --channels 3,4 --radios 1,2 --rates powerlaw=1 "
+    "--replicates 3 --seed 7 --format csv";
+
+TEST(CliDynamics, DefaultAxisEqualsExplicitBestResponse) {
+  const std::string common = kDynamicsArgs;
+  const CliResult implicit = run_cli(common);
+  const CliResult explicit_axis = run_cli(common + " --dynamics best_response");
+  ASSERT_EQ(implicit.exit_code, 0);
+  ASSERT_EQ(explicit_axis.exit_code, 0);
+  EXPECT_EQ(implicit.output, explicit_axis.output);
+}
+
+TEST(CliDynamics, EveryEngineIsIdenticalAcrossThreadCounts) {
+  for (const char* engine :
+       {"log_linear:0.2:0.01", "trial_error:0.3", "distributed:0.3"}) {
+    const std::string common = std::string(kDynamicsArgs) + " --dynamics " +
+                               engine + " --metrics regret,occupancy_entropy";
+    const CliResult one = run_cli(common + " --threads 1");
+    const CliResult eight = run_cli(common + " --threads 8");
+    ASSERT_EQ(one.exit_code, 0) << engine;
+    ASSERT_EQ(eight.exit_code, 0) << engine;
+    EXPECT_EQ(one.output, eight.output) << engine;
+    EXPECT_NE(one.output.find(engine), std::string::npos) << engine;
+    EXPECT_NE(one.output.find("regret_mean"), std::string::npos) << engine;
+  }
+}
+
+TEST(CliDynamics, UnknownEngineNamesTheFlagAndExits2) {
+  const CliResult result = run_cli("sweep --dynamics warp_drive");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("--dynamics"), std::string::npos);
+}
+
 TEST(CliSharding, RejectsMalformedShardFlagsNamingTheFlag) {
   for (const char* shard : {"x", "1", "2/2", "3/2", "1/0", "a/b"}) {
     const CliResult result = run_cli(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,9 +58,59 @@ TEST(UtilityCache, MatchesFullRecomputeOnFigure1) {
   EXPECT_DOUBLE_EQ(cache.welfare(), game.welfare(matrix));
 }
 
-/// The regression the tentpole demands: a long randomized trajectory of
-/// single-radio deltas and whole-row rewrites must leave the incremental
-/// utilities in agreement with the full recompute.
+/// One applied mutation: its mover and the (channel, load delta) pairs.
+struct Mutation {
+  UserId user = 0;
+  std::vector<std::pair<ChannelId, RadioCount>> deltas;
+};
+
+/// One seeded random mutation through the cache (add / remove / move /
+/// set_row); mutations the matrix cannot take are skipped (no deltas).
+Mutation random_mutation(const GameModel& model, StrategyMatrix& matrix,
+                         UtilityCache& cache, Rng& rng) {
+  const std::size_t channels = model.num_channels();
+  Mutation mutation;
+  const UserId user = mutation.user =
+      static_cast<UserId>(rng.index(model.num_users()));
+  const ChannelId a = static_cast<ChannelId>(rng.index(channels));
+  const ChannelId b = static_cast<ChannelId>(rng.index(channels));
+  switch (rng.index(4)) {
+    case 0:
+      if (matrix.user_total(user) >= model.budget(user)) break;
+      cache.add_radio(matrix, user, a);
+      mutation.deltas = {{a, +1}};
+      break;
+    case 1:
+      if (matrix.at(user, a) <= 0) break;
+      cache.remove_radio(matrix, user, a);
+      mutation.deltas = {{a, -1}};
+      break;
+    case 2:
+      if (matrix.at(user, a) <= 0) break;
+      cache.move_radio(matrix, user, a, b);
+      if (a != b) mutation.deltas = {{a, -1}, {b, +1}};
+      break;
+    default: {
+      std::vector<RadioCount> row(channels, 0);
+      RadioCount budget = model.budget(user);
+      while (budget > 0 && rng.bernoulli(0.7)) {
+        ++row[rng.index(channels)];
+        --budget;
+      }
+      for (ChannelId c = 0; c < channels; ++c) {
+        if (row[c] != matrix.at(user, c)) {
+          mutation.deltas.emplace_back(c, row[c] - matrix.at(user, c));
+        }
+      }
+      cache.set_row(matrix, user, row);
+    }
+  }
+  return mutation;
+}
+
+/// A long randomized trajectory of single-radio deltas and whole-row
+/// rewrites must leave the incremental values in agreement with the full
+/// recompute.
 TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
   for (const auto& rate_fn : rate_families()) {
     const GameModel game(GameConfig(8, 6, 3), rate_fn);
@@ -67,50 +118,126 @@ TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
     UtilityCache cache(game, matrix);
     for (int step = 0; step < 4000; ++step) {
-      const UserId user = static_cast<UserId>(rng.index(8));
-      const ChannelId a = static_cast<ChannelId>(rng.index(6));
-      const ChannelId b = static_cast<ChannelId>(rng.index(6));
-      switch (rng.index(4)) {
-        case 0:
-          if (matrix.spare_radios(user) > 0) cache.add_radio(matrix, user, a);
-          break;
-        case 1:
-          if (matrix.at(user, a) > 0) cache.remove_radio(matrix, user, a);
-          break;
-        case 2:
-          if (matrix.at(user, a) > 0) cache.move_radio(matrix, user, a, b);
-          break;
-        case 3: {
-          // Random budget-respecting row rewrite.
-          std::vector<RadioCount> row(6, 0);
-          RadioCount budget = game.config().radios_per_user;
-          while (budget > 0 && rng.bernoulli(0.7)) {
-            ++row[rng.index(6)];
-            --budget;
-          }
-          cache.set_row(matrix, user, row);
-          break;
-        }
-      }
+      random_mutation(game, matrix, cache, rng);
     }
     EXPECT_LT(cache.max_drift(matrix), 1e-10) << rate_fn->name();
   }
 }
 
-TEST(UtilityCache, OccupantListsTrackMembership) {
+/// Models spanning every rate family x energy price x budget profile x
+/// valuation weights, all in the single collision domain.
+std::vector<GameModel> single_domain_models() {
+  std::vector<GameModel> models;
+  const std::vector<std::vector<RadioCount>> budgets = {
+      std::vector<RadioCount>(8, 3), {1, 3, 0, 2, 3, 1, 2, 3}};
+  const std::vector<std::vector<double>> weights = {
+      {}, {2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0}};
+  for (const auto& rate_fn : rate_families()) {
+    for (const double cost : {0.0, 0.2}) {
+      for (const auto& budget : budgets) {
+        for (const auto& weight : weights) {
+          models.emplace_back(6, budget,
+                              std::vector<std::shared_ptr<const RateFunction>>{
+                                  rate_fn},
+                              cost, weight);
+        }
+      }
+    }
+  }
+  return models;
+}
+
+std::size_t column_occupants(const StrategyMatrix& matrix, ChannelId c) {
+  std::size_t occupants = 0;
+  for (UserId i = 0; i < matrix.num_users(); ++i) {
+    if (matrix.at(i, c) > 0) ++occupants;
+  }
+  return occupants;
+}
+
+/// reprice_touches' definition, counted from the matrix BEFORE the change:
+/// per changed channel, the mover plus — when the per-radio share moves —
+/// every occupant (single domain), or the mover's closed neighborhood.
+std::size_t brute_force_touches(
+    const GameModel& model, const StrategyMatrix& before,
+    const Mutation& mutation) {
+  std::size_t touches = 0;
+  for (const auto& [c, delta] : mutation.deltas) {
+    if (model.topology()) {
+      touches += 1 + model.topology()->neighbors(mutation.user).size();
+      continue;
+    }
+    const RadioCount load = before.channel_load(c);
+    touches += 1;
+    if (model.per_radio(c, load + delta) != model.per_radio(c, load)) {
+      touches += column_occupants(before, c);
+    }
+  }
+  return touches;
+}
+
+/// The single-domain contract: utility(i) IS the model's formula, so it
+/// equals raw_utility bit for bit after any trajectory — no tolerance.
+TEST(UtilityCacheContract, SingleDomainUtilitiesEqualTheFullRecomputeExactly) {
+  for (const GameModel& model : single_domain_models()) {
+    Rng rng(2026);
+    StrategyMatrix matrix = random_partial_allocation(model, rng);
+    UtilityCache cache(model, matrix);
+    for (int step = 0; step < 600; ++step) {
+      random_mutation(model, matrix, cache, rng);
+      for (UserId i = 0; i < model.num_users(); ++i) {
+        ASSERT_EQ(cache.utility(i), model.raw_utility(matrix, i))
+            << "step " << step << " user " << i;
+      }
+    }
+    EXPECT_NEAR(cache.welfare(), model.raw_welfare(matrix), 1e-12);
+  }
+}
+
+/// Every mutation's reprice_touches delta matches the brute-force count,
+/// and every occupant count matches a column scan — in the single domain
+/// and under a ring topology alike.
+TEST(UtilityCacheContract, TouchesAndOccupantCountsMatchBruteForce) {
+  std::vector<GameModel> models = single_domain_models();
+  // Past load 2 this rate is 0, so the per-radio share stays flat and such
+  // changes move only the mover's utility.
+  models.emplace_back(GameConfig(8, 3, 3),
+                      std::make_shared<LinearDecayRate>(1.0, 0.5));
+  models.push_back(GameModel(
+      5, std::vector<RadioCount>(8, 3), {rate_families()[1]}, 0.1, {},
+      std::make_shared<const Topology>(Topology::ring(8, 1))));
+  for (const GameModel& model : models) {
+    Rng rng(77);
+    StrategyMatrix matrix = random_partial_allocation(model, rng);
+    UtilityCache cache(model, matrix);
+    for (int step = 0; step < 600; ++step) {
+      const StrategyMatrix before = matrix;
+      const std::size_t touches = cache.reprice_touches();
+      const Mutation mutation = random_mutation(model, matrix, cache, rng);
+      ASSERT_EQ(cache.reprice_touches() - touches,
+                brute_force_touches(model, before, mutation))
+          << "step " << step;
+      for (ChannelId c = 0; c < model.num_channels(); ++c) {
+        ASSERT_EQ(cache.occupant_count(c), column_occupants(matrix, c))
+            << "step " << step << " channel " << c;
+      }
+    }
+  }
+}
+
+TEST(UtilityCache, OccupantCountsTrackMembership) {
   const GameModel game = constant_game(3, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   UtilityCache cache(game, matrix);
-  EXPECT_TRUE(cache.occupants(0).empty());
+  EXPECT_EQ(cache.occupant_count(0), 0u);
   cache.add_radio(matrix, 1, 0);
-  ASSERT_EQ(cache.occupants(0).size(), 1u);
-  EXPECT_EQ(cache.occupants(0)[0], 1u);
+  EXPECT_EQ(cache.occupant_count(0), 1u);
   cache.add_radio(matrix, 1, 0);  // second radio, still one occupant
-  EXPECT_EQ(cache.occupants(0).size(), 1u);
+  EXPECT_EQ(cache.occupant_count(0), 1u);
   cache.remove_radio(matrix, 1, 0);
-  EXPECT_EQ(cache.occupants(0).size(), 1u);
+  EXPECT_EQ(cache.occupant_count(0), 1u);
   cache.remove_radio(matrix, 1, 0);
-  EXPECT_TRUE(cache.occupants(0).empty());
+  EXPECT_EQ(cache.occupant_count(0), 0u);
 }
 
 TEST(UtilityCache, InvalidMutationsThrowWithoutCorruptingTheCache) {
