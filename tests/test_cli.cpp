@@ -138,6 +138,17 @@ TEST(CliGoldenReports, SingleGameCommandsMatchByteForByte) {
   }
 }
 
+// `mrca help` writes the usage text to stderr (stdout stays empty) and
+// exits 0; the text is pinned byte for byte so every change to a command's
+// synopsis shows as a diff of tests/golden/cli/usage.txt.
+TEST(CliGoldenReports, UsageMatchesByteForByte) {
+  const std::string expected = read_golden("usage");
+  ASSERT_FALSE(expected.empty()) << "missing golden usage";
+  const CliResult result = run_cli("help");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, expected);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream text;
