@@ -4,9 +4,13 @@
 // byte-exact goldens of the single-game commands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cli_harness.h"
 #include "strict_json.h"
@@ -15,6 +19,12 @@ namespace {
 
 using mrca::testing::CliResult;
 using mrca::testing::run_cli;
+
+/// The error line a rejected command line prints before the usage text
+/// (which names every flag and command, so only this line can be checked).
+std::string first_line(const std::string& output) {
+  return output.substr(0, output.find('\n'));
+}
 
 TEST(CliNumericParsing, RejectsNonNumericAxisValue) {
   const CliResult result = run_cli("sweep --users abc");
@@ -32,7 +42,8 @@ TEST(CliNumericParsing, RejectsNegativePositionalUserCount) {
 }
 
 TEST(CliNumericParsing, RejectsTrailingJunkInSeed) {
-  const CliResult result = run_cli("solve 4 4 1 --seed 12x");
+  // dynamics reads --seed (solve rejects it before reading the value).
+  const CliResult result = run_cli("dynamics 4 4 1 --seed 12x");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("--seed"), std::string::npos);
 }
@@ -238,6 +249,20 @@ TEST(CliRateSpecs, RejectsUnknownSimMac) {
       "sweep --users 3 --channels 3 --radios 1 --sim csma");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("csma"), std::string::npos);
+
+  // simulate replays the rate spec's MAC through the DES, which models
+  // tdma and dcf only: any other spec names --rate before printing.
+  for (const char* rate : {"powerlaw=1", "geom=0.9", "linear=0.1", "dcf-opt"}) {
+    const CliResult sim =
+        run_cli(std::string("simulate 4 2 1 --rate ") + rate);
+    EXPECT_EQ(sim.exit_code, 2) << rate;
+    EXPECT_NE(first_line(sim.output).find("--rate"), std::string::npos)
+        << sim.output;
+    EXPECT_NE(first_line(sim.output).find(rate), std::string::npos)
+        << sim.output;
+    EXPECT_EQ(sim.output.find("equilibrium allocation"), std::string::npos)
+        << sim.output;
+  }
 }
 
 TEST(CliGoldenJson, SweepOutputIsStrictJson) {
@@ -282,6 +307,8 @@ TEST(CliMetrics, MetricColumnsAppearInCsvAndStayStrictInJson) {
   EXPECT_NE(csv.output.find("nash_ne_mean"), std::string::npos);
   EXPECT_NE(csv.output.find("poa_mean"), std::string::npos);
   EXPECT_NE(csv.output.find("theorem1_predicts_nash_mean"),
+            std::string::npos);
+  EXPECT_NE(csv.output.find("theorem1_exact_fallback_mean"),
             std::string::npos);
   const CliResult json = run_cli(common + " --format json");
   ASSERT_EQ(json.exit_code, 0);
@@ -385,15 +412,24 @@ TEST(CliRecords, WritesOneStrictJsonLinePerRun) {
 }
 
 TEST(CliSessionFlags, RejectedOutsideSweepNamingTheFlags) {
-  // Sweep-only flags must be rejected — not silently ignored — elsewhere.
-  for (const char* args :
-       {"merge a.json b.json --records out.jsonl",
-        "simulate 4 3 1 --shard 0/2", "solve 4 3 1 --progress"}) {
-    const CliResult result = run_cli(args);
-    EXPECT_EQ(result.exit_code, 2) << args;
-    EXPECT_NE(result.output.find("apply only to the sweep command"),
+  // Sweep-only flags must be rejected — not silently ignored — elsewhere,
+  // and the error names both the flag and the command.
+  struct Case {
+    const char* args;
+    const char* flag;
+    const char* command;
+  };
+  for (const Case& c :
+       {Case{"merge a.json b.json --records out.jsonl", "--records", "merge"},
+        Case{"simulate 4 3 1 --shard 0/2", "--shard", "simulate"},
+        Case{"solve 4 3 1 --progress", "--progress", "solve"}}) {
+    const CliResult result = run_cli(c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args;
+    const std::string error = first_line(result.output);
+    EXPECT_NE(error.find(c.flag), std::string::npos) << error;
+    EXPECT_NE(error.find(std::string(c.command) + " command"),
               std::string::npos)
-        << args;
+        << error;
   }
 }
 
@@ -405,15 +441,62 @@ TEST(CliRecords, UnwritablePathExits2NamingTheFlag) {
   EXPECT_NE(result.output.find("--records"), std::string::npos);
 }
 
-TEST(CliDeterminism, SimTierCsvIsIdenticalAcrossThreadCounts) {
-  const std::string common =
-      "sweep --users 3,4 --channels 3 --radios 1 --rates dcf "
-      "--replicates 2 --sim dcf --sim-seconds 0.1 --seed 11 --format csv";
-  const CliResult one = run_cli(common + " --threads 1");
-  const CliResult eight = run_cli(common + " --threads 8");
-  ASSERT_EQ(one.exit_code, 0);
-  ASSERT_EQ(eight.exit_code, 0);
-  EXPECT_EQ(one.output, eight.output);
+// A sweep's output is a pure function of its flags: 1 and 8 worker threads
+// write the same bytes. A `records` case compares the --records JSONL
+// stream instead of stdout and pins its line count (one row per run).
+struct ThreadFreeCase {
+  const char* name;
+  const char* args;
+  bool records;
+  std::size_t lines;
+  std::vector<std::string> must_contain;
+};
+
+TEST(CliDeterminism, SweepOutputIsIdenticalAcrossThreadCounts) {
+  const ThreadFreeCase cases[] = {
+      {"rates",
+       "--users 4,6 --channels 3,4 --radios 1,2 --rates tdma,powerlaw=1 "
+       "--replicates 3 --seed 7 --format csv",
+       false, 0, {"powerlaw"}},
+      {"sim_tier",
+       "--users 3,4 --channels 3 --radios 1 --rates dcf --replicates 2 "
+       "--sim dcf --sim-seconds 0.1 --seed 11 --format csv",
+       false, 0, {"sim_gap"}},
+      {"scenario",
+       "--users 4,6 --channels 3,4 --radios 1,2 "
+       "--scenario \"base;energy=0.2,0.5;het=2:1;budgets=1:3\" "
+       "--replicates 3 --seed 7 --format csv",
+       false, 0, {"energy=0.5", "budgets=1:3"}},
+      // 8 cells x 3 replicates, one self-describing row per run.
+      {"records",
+       "--users 4,6 --channels 3,4 --radios 1,2 --metrics nash "
+       "--replicates 3 --seed 7 --format csv",
+       true, 24, {"\"seed\":"}},
+  };
+  for (const ThreadFreeCase& c : cases) {
+    std::string outputs[2];
+    for (const int threads : {1, 8}) {
+      const std::string records = ::testing::TempDir() + "mrca_threads_" +
+                                  c.name + std::to_string(threads) + ".jsonl";
+      std::string args = std::string("sweep ") + c.args + " --threads " +
+                         std::to_string(threads);
+      if (c.records) args += " --records " + records;
+      const CliResult result = run_cli(args);
+      ASSERT_EQ(result.exit_code, 0) << c.name << ": " << result.output;
+      outputs[threads == 1 ? 0 : 1] =
+          c.records ? read_file(records) : result.output;
+    }
+    EXPECT_EQ(outputs[0], outputs[1]) << c.name;
+    for (const std::string& text : c.must_contain) {
+      EXPECT_NE(outputs[0].find(text), std::string::npos) << c.name << text;
+    }
+    if (c.records) {
+      EXPECT_EQ(static_cast<std::size_t>(
+                    std::count(outputs[0].begin(), outputs[0].end(), '\n')),
+                c.lines)
+          << c.name;
+    }
+  }
 }
 
 TEST(CliTopology, MalformedSpecsNameTheFlagAndExit2) {
@@ -469,6 +552,142 @@ TEST(CliTopology, TopologyCsvIsIdenticalAcrossThreadCounts) {
   ASSERT_EQ(one.exit_code, 0);
   ASSERT_EQ(eight.exit_code, 0);
   EXPECT_EQ(one.output, eight.output);
+}
+
+// The flag table's contract, read back through `mrca help`: each command's
+// synopsis lists exactly the flags it acts on, and every other flag given
+// to it exits 2 with an error naming the flag and the command — before any
+// game is built, so the whole matrix runs in about a second.
+struct HelpText {
+  std::map<std::string, std::set<std::string>> synopsis;  ///< [--flag] items
+  std::vector<std::string> flags;  ///< the `flags:` list, in order
+};
+
+HelpText parse_help(const std::string& text) {
+  HelpText help;
+  std::istringstream lines(text);
+  std::string line;
+  std::string command;
+  bool in_flag_list = false;
+  while (std::getline(lines, line)) {
+    if (line == "flags:") {
+      in_flag_list = true;
+    } else if (in_flag_list) {
+      if (line.rfind("  --", 0) != 0) break;
+      help.flags.push_back(line.substr(2, line.find(' ', 2) - 2));
+    } else if (line.rfind("  ", 0) == 0 && line[2] != ' ') {
+      command = line.substr(2, line.find(' ', 2) - 2);
+      help.synopsis[command];
+    } else if (line.rfind("   ", 0) != 0) {
+      command.clear();  // not a continuation of a command's block
+    }
+    if (in_flag_list || command.empty()) continue;
+    for (std::size_t at = line.find("[--"); at != std::string::npos;
+         at = line.find("[--", at + 1)) {
+      const std::size_t end = line.find_first_of(" ]", at + 1);
+      help.synopsis[command].insert(line.substr(at + 1, end - at - 1));
+    }
+  }
+  return help;
+}
+
+TEST(CliFlags, EveryFlagActsWhereItIsAccepted) {
+  const std::set<std::string> grid = {
+      "--seed",         "--users",           "--channels",   "--radios",
+      "--rates",        "--scenario",        "--dynamics",   "--metrics",
+      "--granularity",  "--order",           "--start",      "--replicates",
+      "--threads",      "--max-activations", "--sim",        "--sim-seconds",
+      "--sim-replicates"};
+  std::set<std::string> sweep = grid;
+  sweep.insert({"--format", "--records", "--shard", "--cells", "--progress",
+                "--progress-json"});
+  std::set<std::string> farm = grid;
+  farm.insert({"--format", "--records", "--shards", "--dir", "--jobs",
+               "--retries", "--backoff-ms", "--backoff-cap-ms",
+               "--watchdog-seconds", "--farm-seed", "--subdivide", "--resume",
+               "--inject-crash", "--inject-stall"});
+  const std::map<std::string, std::set<std::string>> accepts = {
+      {"solve", {"--rate"}},
+      {"verify", {"--rate"}},
+      {"dynamics", {"--rate", "--seed"}},
+      {"rates", {"--max-k"}},
+      {"simulate", {"--rate", "--seed", "--seconds"}},
+      {"sweep", sweep},
+      {"merge", {"--format"}},
+      {"farm", farm},
+  };
+  // Positional arguments each command accepts, so only the flag is wrong.
+  const std::map<std::string, std::string> operands = {
+      {"solve", "4 3 1"},   {"verify", "4 2 1 \"1,0|0,1|1,0|0,1\""},
+      {"dynamics", "4 3 1"}, {"rates", ""},
+      {"simulate", "4 3 1"}, {"sweep", ""},
+      {"merge", "a.json"},   {"farm", ""},
+  };
+
+  const CliResult help_run = run_cli("help");
+  ASSERT_EQ(help_run.exit_code, 0);
+  const HelpText help = parse_help(help_run.output);
+  ASSERT_EQ(help.synopsis.size(), accepts.size()) << help_run.output;
+  for (const auto& [command, expected] : accepts) {
+    EXPECT_EQ(help.synopsis.at(command), expected) << command;
+  }
+
+  // The hidden fault hooks a farm passes its children act in sweep only.
+  std::vector<std::string> universe = help.flags;
+  universe.insert(universe.end(), {"--crash-at-cell", "--stall-at-cell"});
+  std::size_t rejected = 0;
+  for (const auto& [command, accepted] : accepts) {
+    for (const std::string& flag : universe) {
+      if (accepted.count(flag) != 0 ||
+          (command == "sweep" && flag.find("-at-cell") != std::string::npos)) {
+        continue;
+      }
+      const std::string args =
+          command + " " + operands.at(command) + " " + flag + " 1";
+      const CliResult result = run_cli(args);
+      EXPECT_EQ(result.exit_code, 2) << args;
+      const std::string error = first_line(result.output);
+      EXPECT_NE(error.find(flag), std::string::npos) << args << ": " << error;
+      // farm names the sweep-only flags it manages itself.
+      EXPECT_TRUE(error.find("the " + command + " command") !=
+                      std::string::npos ||
+                  error.find("mrca " + command) != std::string::npos)
+          << args << ": " << error;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 200u);
+
+  struct Case {
+    const char* args;
+    const char* names;  ///< what the error line must name
+  };
+  const Case explicit_cases[] = {
+      // The misses this table closed: each exited 0, the flag ignored.
+      {"solve 4 2 1 --users 99 --metrics bogus --sim-seconds 3", "--users"},
+      {"rates --dynamics x", "the rates command"},
+      {"solve 4 3 1 --seed 2", "the solve command"},
+      {"rates --rate tdma", "the rates command"},
+      {"sweep --users 3 --rate dcf", "the sweep command"},
+      {"sweep --users 3 --rate bogus", "--rate"},
+      {"farm --rate tdma --shards 2", "the farm command"},
+      {"farm --users 3 --rate bogus", "--rate"},
+      // Each command declares its positional arity.
+      {"solve 4 3 1 5 6 7", "solve takes N C k"},
+      {"solve 4 3 1 5", "solve takes N C k"},
+      {"verify 4 2 1 \"1,0|0,1|1,0|0,1\" extra", "verify takes N C k MATRIX"},
+      {"verify 4 3 1", "verify takes N C k MATRIX"},
+      {"rates 5", "rates takes no positional arguments"},
+      {"sweep 5", "sweep takes no positional arguments"},
+      {"farm 5", "farm takes no positional arguments"},
+      {"merge", "merge takes FILE|DIR..."},
+  };
+  for (const Case& c : explicit_cases) {
+    const CliResult result = run_cli(c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args;
+    EXPECT_NE(first_line(result.output).find(c.names), std::string::npos)
+        << c.args << ": " << first_line(result.output);
+  }
 }
 
 }  // namespace

@@ -649,12 +649,15 @@ TEST(FarmCli, ResumeRejectsExplicitSweepFlags) {
 }
 
 TEST(CliGates, NewSweepFlagsAreRejectedOutsideSweep) {
-  for (const std::string flag : {"--cells 0:2", "--progress-json"}) {
-    const auto result = run_cli("solve 4 4 2 " + flag);
+  for (const std::string flag : {"--cells", "--progress-json"}) {
+    const auto result = run_cli("solve 4 4 2 " + flag + " 0:2");
     EXPECT_EQ(result.exit_code, 2) << flag;
-    EXPECT_NE(result.output.find("apply only to the sweep command"),
-              std::string::npos)
-        << result.output;
+    // The error line (the usage text after it names every flag) names both
+    // the flag and the command.
+    const std::string error =
+        result.output.substr(0, result.output.find('\n'));
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+    EXPECT_NE(error.find("solve command"), std::string::npos) << error;
   }
 }
 

@@ -1,80 +1,10 @@
 // mrca — command line interface to the channel-allocation library.
 //
-// Subcommands:
-//   solve    N C k [options]          run Algorithm 1, print + verify the NE
-//   verify   N C k MATRIX [options]   check a matrix against all 3 layers
-//   dynamics N C k [options]          best-response play from a random start
-//   rates    [options]                print R(k) tables for the MAC models
-//   simulate N C k [options]          NE + packet-level DES validation
-//   sweep    [options]                parallel batch experiments over a grid
-//   merge    FILE|DIR... [options]    combine sharded sweep JSON outputs
-//   farm     [options]                multi-process sweep with crash-resume
-//
-// Common options:
-//   --rate tdma|dcf|dcf-opt|powerlaw=<alpha>    rate function (default tdma)
-//   --seed <u64>                                RNG seed (default 1)
-//   --seconds <d>                               simulation horizon
-//   --max-k <int>                               table size for `rates`
-//
-// Sweep options (list values as comma lists or lo:hi[:step] ranges):
-//   --users / --channels / --radios             grid axes (e.g. 2:40 or 4,8)
-//   --rates tdma|powerlaw=<a>|geom=<d>|linear=<s>  comma list
-//   --scenario base|energy=<c>|het=<s:..>|budgets=<k:..>|weights=<w:..>
-//              |topology=<t>                    scenario axis (',' lists
-//                                               values, ';' separates kinds)
-//   --dynamics best_response|log_linear[:<T0>[:<Tend>]]
-//              |trial_error[:<eps>]|distributed[:<p>]
-//                                               dynamics-engine axis
-//                                               (comma list)
-//   --metrics nash,single_move,theorem1,poa,welfare_eff,pareto,fairness,
-//             convergence,distributed,regret,occupancy_entropy
-//                                               per-run analysis columns
-//   --granularity best|single|random-move       comma list
-//   --order rr|random                           comma list
-//   --start empty|random|partial|ne             comma list
-//   --replicates <n> --threads <n> --format table|csv|json
-//   --max-activations <n>
-//   --shard <i>/<n>                             run only shard i (0-based)
-//                                               of a deterministic n-way
-//                                               cell partition; JSON shard
-//                                               outputs recombine with
-//                                               `mrca merge` into exactly
-//                                               the non-sharded output
-//   --cells <b>:<e>                             run only the absolute cell
-//                                               range [b, e) — the seam the
-//                                               farm uses to re-plan exactly
-//                                               the missing cells of a
-//                                               crashed session
-//   --records <path>                            stream one JSONL row per
-//                                               finished run to <path>
-//                                               (written atomically: .tmp
-//                                               sibling, renamed on success)
-//   --progress                                  live progress on stderr
-//   --progress-json                             one strict-JSON progress
-//                                               line per update on stderr —
-//                                               what `mrca farm` parses from
-//                                               its children
-//
-// Farm options (everything not listed is forwarded to the shard children
-// as sweep flags):
-//   --shards <n> --dir <path>                   shard count + session dir
-//   --jobs <n>                                  children at once (0 = shards)
-//   --retries <n>                               relaunches per job after the
-//                                               first attempt (default 2)
-//   --backoff-ms / --backoff-cap-ms             retry backoff schedule
-//   --watchdog-seconds <n>                      kill children silent this
-//                                               long (0 = off)
-//   --farm-seed <u64>                           seeds backoff jitter only
-//   --subdivide                                 halve a failed job's range
-//                                               on retry
-//   --resume                                    re-plan the missing cells of
-//                                               an existing session dir
-//   --inject-crash / --inject-stall <c>:<a>     deterministic CI fault: the
-//                                               job owning cell c fails on
-//                                               launch attempt a
-//
-// MATRIX uses the canonical key format: rows '|', cells ',',
-// e.g. "1,1,0|0,1,1".
+// Every flag is one row of kFlags: its name, the commands it acts in, its
+// value placeholder and its help line. One parser (parse_args) reads that
+// table for every command, so a flag given to a command it has no effect
+// in is rejected, not ignored; `mrca help` is generated from the same rows
+// and from kCommands, which declares each command's positional arguments.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -104,100 +34,211 @@ namespace {
 
 using namespace mrca;
 
-struct CliOptions {
-  std::string rate = "tdma";
-  std::uint64_t seed = 1;
-  double seconds = 10.0;
-  int max_k = 10;
-  std::vector<std::string> positional;
-  // sweep-only options
-  std::string users_list = "4,8,16";
-  std::string channels_list = "4,8";
-  std::string radios_list = "1,2";
-  std::string rates_list = "tdma";
-  std::string scenario_list = "base";
-  std::string dynamics_list = "best_response";
-  std::string granularity_list = "best";
-  std::string order_list = "rr";
-  std::string start_list = "random";
-  std::string metrics_list;  ///< empty = no metric columns
-  std::size_t replicates = 1;
-  std::size_t threads = 1;
-  std::size_t max_activations = 100000;
-  std::string format = "table";
-  // packet-level validation tier (sweep only)
-  std::string sim_mac;  ///< empty = tier disabled
-  double sim_seconds = 1.0;
-  std::size_t sim_replicates = 1;
-  /// True when a --sim-* tuning flag appeared, so `sweep` can reject the
-  /// combination "tier tuned but never enabled" instead of ignoring it.
-  bool sim_flags_given = false;
-  /// True once --scenario appeared (repeat flags append groups).
-  bool scenario_given = false;
-  // streaming session options (sweep only)
-  std::string shard;         ///< "<i>/<n>", empty = run the full plan
-  std::string cells;         ///< "<b>:<e>" absolute range, empty = full plan
-  std::string records_path;  ///< empty = no JSONL record stream
-  bool progress = false;
-  bool progress_json = false;
-  // Deterministic fault hooks (hidden; CI/testing only): die or hang when
-  // the first record of the given ABSOLUTE cell is delivered.
-  std::optional<std::size_t> crash_at_cell;
-  std::optional<std::size_t> stall_at_cell;
+/// The commands, as the bits of a flag's command set.
+enum Command : unsigned {
+  kSolve = 1u << 0,
+  kVerify = 1u << 1,
+  kDynamics = 1u << 2,
+  kRates = 1u << 3,
+  kSimulate = 1u << 4,
+  kSweep = 1u << 5,
+  kMerge = 1u << 6,
+  kFarm = 1u << 7,
 };
+
+/// Not a command: marks a sweep flag that `farm` hands its shard children
+/// verbatim instead of reading it itself.
+constexpr unsigned kForwarded = 1u << 8;
+/// The sweep-grid flags: read by `sweep`, forwarded by `farm`.
+constexpr unsigned kGrid = kSweep | kFarm | kForwarded;
+
+struct CommandInfo {
+  const char* name;
+  Command bit;
+  const char* operands;  ///< positional synopsis, "" for none
+  std::size_t min_operands;
+  std::size_t max_operands;
+  const char* summary;  ///< help text under the synopsis, '\n'-separated
+};
+
+constexpr std::size_t kAnyCount = static_cast<std::size_t>(-1);
+
+constexpr CommandInfo kCommands[] = {
+    {"solve", kSolve, "N C k", 3, 3,
+     "run Algorithm 1, then print and verify the equilibrium"},
+    {"verify", kVerify, "N C k MATRIX", 4, 4,
+     "check MATRIX (rows '|', cells ',', e.g. \"1,1,0|0,1,1\") against\n"
+     "Theorem 1, single-move stability and the Nash oracle"},
+    {"dynamics", kDynamics, "N C k", 3, 3,
+     "best-response play from a random start"},
+    {"rates", kRates, "", 0, 0,
+     "print the total channel rate R(k) of the MAC models"},
+    {"simulate", kSimulate, "N C k", 3, 3,
+     "replay Algorithm 1's equilibrium through the packet-level\n"
+     "simulator; the rate spec picks its MAC (tdma or dcf only)"},
+    {"sweep", kSweep, "", 0, 0,
+     "parallel batch experiments over a grid\n"
+     "(L = comma list or lo:hi[:step] range)"},
+    {"merge", kMerge, "FILE|DIR...", 1, kAnyCount,
+     "combine shard JSON outputs into the non-sharded sweep's\n"
+     "aggregate; shards cover every cell once and share one spec\n"
+     "fingerprint; a directory stands for its *.json, sorted"},
+    {"farm", kFarm, "", 0, 0,
+     "run the sweep as N shard subprocesses with retry +\n"
+     "crash-resume; the sweep-grid flags go to every child;\n"
+     "`farm --resume --dir PATH` continues an interrupted\n"
+     "session from its artifacts"},
+};
+
+struct Flag {
+  const char* name;
+  unsigned commands;    ///< Command bits it acts in, plus kForwarded
+  const char* metavar;  ///< value placeholder; nullptr for a switch
+  const char* fallback;  ///< the value when the flag is absent; "" for none
+  const char* help;      ///< nullptr hides the flag from `mrca help`
+};
+
+constexpr Flag kFlags[] = {
+    {"--rate", kSolve | kVerify | kDynamics | kSimulate, "R", "tdma",
+     "rate spec of the game"},
+    {"--seed", kDynamics | kSimulate | kGrid, "S", "1", "RNG seed"},
+    {"--seconds", kSimulate, "T", "10", "simulated seconds"},
+    {"--max-k", kRates, "K", "10", "largest k in the tables"},
+    {"--users", kGrid, "L", "4,8,16", "grid axis N"},
+    {"--channels", kGrid, "L", "4,8", "grid axis |C|"},
+    {"--radios", kGrid, "L", "1,2", "grid axis k"},
+    {"--rates", kGrid, "L", "tdma", "comma list of rate specs"},
+    {"--scenario", kGrid, "S", "base", "scenario axis; repeats append"},
+    {"--dynamics", kGrid, "D", "best_response", "dynamics-engine axis"},
+    {"--metrics", kGrid, "M", "", "per-run analysis columns"},
+    {"--granularity", kGrid, "L", "best", "best|single|random-move"},
+    {"--order", kGrid, "L", "rr", "rr|random"},
+    {"--start", kGrid, "L", "random", "empty|random|partial|ne"},
+    {"--replicates", kGrid, "N", "1", "runs per cell"},
+    {"--threads", kGrid, "N", "1", "worker threads, 0 = one per core"},
+    {"--max-activations", kGrid, "N", "100000", "activation budget per run"},
+    {"--sim", kGrid, "dcf|tdma", "", "replay each run through the DES"},
+    {"--sim-seconds", kGrid, "T", "1", "simulated seconds per replay"},
+    {"--sim-replicates", kGrid, "N", "1", "replays per run"},
+    {"--format", kSweep | kMerge | kFarm, "table|csv|json", "table",
+     "output format"},
+    {"--records", kSweep | kFarm, "PATH", "",
+     "stream one JSONL row per run to PATH"},
+    {"--shard", kSweep, "I/N", "",
+     "run only shard I of an N-way cell partition"},
+    {"--cells", kSweep, "B:E", "", "run only the absolute cell range [B, E)"},
+    {"--progress", kSweep, nullptr, "", "live progress on stderr"},
+    {"--progress-json", kSweep, nullptr, "",
+     "one strict-JSON progress line per update on stderr"},
+    // Deterministic fault hooks the farm passes a child: die or hang when
+    // the first record of the given ABSOLUTE cell is delivered.
+    {"--crash-at-cell", kSweep, "C", "", nullptr},
+    {"--stall-at-cell", kSweep, "C", "", nullptr},
+    {"--shards", kFarm, "N", "1", "shard subprocesses"},
+    {"--dir", kFarm, "PATH", "mrca-farm", "session directory"},
+    {"--jobs", kFarm, "N", "0", "children at once, 0 = all shards"},
+    {"--retries", kFarm, "N", "2", "relaunches per job after the first"},
+    {"--backoff-ms", kFarm, "MS", "250", "first retry delay"},
+    {"--backoff-cap-ms", kFarm, "MS", "10000", "longest retry delay"},
+    {"--watchdog-seconds", kFarm, "S", "0",
+     "kill a child silent this long, 0 = off"},
+    {"--farm-seed", kFarm, "S", "1", "seeds the retry jitter only"},
+    {"--subdivide", kFarm, nullptr, "",
+     "halve a failed job's cell range on retry"},
+    {"--resume", kFarm, nullptr, "",
+     "re-plan the missing cells of the session"},
+    {"--inject-crash", kFarm, "C:A", "",
+     "test fault: cell C's job fails on launch attempt A"},
+    {"--inject-stall", kFarm, "C:A", "",
+     "test fault: cell C's job hangs on launch attempt A"},
+};
+
+/// The kCommands or kFlags row called `name`, or nullptr.
+template <typename Row, std::size_t N>
+const Row* find_row(const Row (&rows)[N], const std::string& name) {
+  for (const Row& row : rows) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+constexpr std::size_t kUsageWidth = 78;
+constexpr std::size_t kSynopsisIndent = 11;
+constexpr std::size_t kFlagHelpColumn = 27;
+
+/// The value languages, the one part of `mrca help` no table row states.
+constexpr const char* kLanguages =
+    "rate specs:         tdma | dcf | dcf-opt | powerlaw=<alpha>\n"
+    "                  | geom=<decay> | linear=<slope>\n"
+    "scenarios (sweep):  base | energy=<cost,..> | het=<scale:scale,..>\n"
+    "                  | budgets=<k:k:..,..> | weights=<w:w:..,..>\n"
+    "                  | topology=<complete | ring:<d> | grid:<W>x<H>:<d>\n"
+    "                  |           edges:<a>-<b>:..>\n"
+    "                  (';' separates kinds, e.g.\n"
+    "                  --scenario \"energy=0.1,0.3;het=2:1;topology=ring:2\")\n"
+    "dynamics (sweep):   comma list of best_response\n"
+    "                  | log_linear[:<T0>[:<Tend>]] (Glauber play over\n"
+    "                  the potential, geometric annealing T0 -> Tend)\n"
+    "                  | trial_error[:<eps>] (payoff-based learning,\n"
+    "                  exploration probability eps)\n"
+    "                  | distributed[:<p>] (the synchronous no-\n"
+    "                  coordinator protocol, activation probability p)\n"
+    "metrics (sweep):    comma list of nash | single_move | theorem1\n"
+    "                  | poa | welfare_eff | pareto | fairness\n"
+    "                  | convergence | distributed | regret\n"
+    "                  | occupancy_entropy, evaluated per run and\n"
+    "                  emitted as extra columns in every format\n";
+
+std::string flag_synopsis(const Flag& flag) {
+  std::string text = flag.name;
+  if (flag.metavar != nullptr) text += std::string(" ") + flag.metavar;
+  return text;
+}
+
+/// Each command's synopsis lists exactly the kFlags rows that act in it;
+/// the flag list after them is the rows' help lines.
+std::string usage_text() {
+  std::string text = "usage: mrca <command> [args]\n";
+  for (const CommandInfo& command : kCommands) {
+    std::string line = std::string("  ") + command.name;
+    line.resize(kSynopsisIndent, ' ');
+    line += command.operands;
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & command.bit) == 0 || flag.help == nullptr) continue;
+      std::string item = "[";  // += rather than +: GCC 12 -Wrestrict
+      item += flag_synopsis(flag);
+      item += ']';
+      if (line.size() + 1 + item.size() > kUsageWidth) {
+        text += line + '\n';
+        line.assign(kSynopsisIndent, ' ');
+      } else if (line.back() != ' ') {
+        line += ' ';
+      }
+      line += item;
+    }
+    text += line + '\n';
+    std::istringstream summary(command.summary);
+    while (std::getline(summary, line)) {
+      text += std::string(kSynopsisIndent, ' ') + line + '\n';
+    }
+  }
+  text += "flags:\n";
+  for (const Flag& flag : kFlags) {
+    if (flag.help == nullptr) continue;
+    std::string line = "  " + flag_synopsis(flag);
+    line.resize(std::max(line.size() + 1, kFlagHelpColumn), ' ');
+    line += flag.help;
+    if (*flag.fallback != '\0') {
+      line += std::string(" (default ") + flag.fallback + ')';
+    }
+    text += line + '\n';
+  }
+  return text + kLanguages;
+}
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: mrca <command> [args]\n"
-      "  solve    N C k [--rate R] [--seed S]\n"
-      "  verify   N C k MATRIX [--rate R]\n"
-      "  dynamics N C k [--rate R] [--seed S]\n"
-      "  rates    [--max-k K]\n"
-      "  simulate N C k [--rate R] [--seed S] [--seconds T]\n"
-      "  sweep    [--users L] [--channels L] [--radios L] [--rates L]\n"
-      "           [--scenario S] [--dynamics D] [--metrics M]\n"
-      "           [--granularity L] [--order L] [--start L]\n"
-      "           [--replicates N] [--seed S] [--threads N]\n"
-      "           [--max-activations N] [--format table|csv|json]\n"
-      "           [--sim dcf|tdma] [--sim-seconds T] [--sim-replicates N]\n"
-      "           [--shard I/N | --cells B:E] [--records PATH]\n"
-      "           [--progress | --progress-json]\n"
-      "           (L = comma list or lo:hi[:step] range)\n"
-      "  merge    FILE|DIR... [--format table|csv|json]\n"
-      "           combine shard JSON outputs (sweep --shard I/N --format\n"
-      "           json) into the aggregate the non-sharded sweep would\n"
-      "           have produced; shards must cover every cell exactly once\n"
-      "           and share one spec fingerprint; a directory argument\n"
-      "           merges every *.json inside it in sorted order\n"
-      "  farm     [sweep flags] --shards N [--dir PATH] [--jobs N]\n"
-      "           [--retries N] [--backoff-ms MS] [--backoff-cap-ms MS]\n"
-      "           [--watchdog-seconds S] [--farm-seed S] [--subdivide]\n"
-      "           [--records PATH] [--format table|csv|json]\n"
-      "           [--inject-crash C:A] [--inject-stall C:A]\n"
-      "           run the sweep as N shard subprocesses with retry +\n"
-      "           crash-resume; `farm --resume --dir PATH` continues an\n"
-      "           interrupted session from its artifacts\n"
-      "rate specs (all commands): tdma | dcf | dcf-opt | powerlaw=<alpha>\n"
-      "                         | geom=<decay> | linear=<slope>\n"
-      "scenarios (sweep):  base | energy=<cost,..> | het=<scale:scale,..>\n"
-      "                  | budgets=<k:k:..,..> | weights=<w:w:..,..>\n"
-      "                  | topology=<complete | ring:<d> | grid:<W>x<H>:<d>\n"
-      "                  |           edges:<a>-<b>:..>\n"
-      "                  (';' separates kinds, e.g.\n"
-      "                  --scenario \"energy=0.1,0.3;het=2:1;topology=ring:2\")\n"
-      "dynamics (sweep):   comma list of best_response\n"
-      "                  | log_linear[:<T0>[:<Tend>]] (Glauber play over\n"
-      "                  the potential, geometric annealing T0 -> Tend)\n"
-      "                  | trial_error[:<eps>] (payoff-based learning,\n"
-      "                  exploration probability eps)\n"
-      "                  | distributed[:<p>] (the synchronous no-\n"
-      "                  coordinator protocol, activation probability p)\n"
-      "metrics (sweep):    comma list of nash | single_move | theorem1\n"
-      "                  | poa | welfare_eff | pareto | fairness\n"
-      "                  | convergence | distributed | regret\n"
-      "                  | occupancy_entropy, evaluated per run and\n"
-      "                  emitted as extra columns in every format\n";
+  std::cerr << usage_text();
   std::exit(error.empty() ? 0 : 2);
 }
 
@@ -260,110 +301,104 @@ std::size_t parse_positive_count(const std::string& flag,
   return value;
 }
 
-CliOptions parse_options(int argc, char** argv, int first) {
-  CliOptions options;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto need_value = [&](const std::string& flag) -> std::string {
-      if (i + 1 >= argc) usage("missing value for " + flag);
-      return argv[++i];
-    };
-    if (arg == "--rate") {
-      options.rate = need_value(arg);
-    } else if (arg == "--seed") {
-      options.seed = parse_u64(arg, need_value(arg));
-    } else if (arg == "--seconds") {
-      options.seconds = parse_positive_double(arg, need_value(arg));
-    } else if (arg == "--max-k") {
-      const std::size_t max_k = parse_count(arg, need_value(arg));
-      if (max_k < 1) usage("value for --max-k must be >= 1");
-      options.max_k = static_cast<int>(max_k);
-    } else if (arg == "--users") {
-      options.users_list = need_value(arg);
-    } else if (arg == "--channels") {
-      options.channels_list = need_value(arg);
-    } else if (arg == "--radios") {
-      options.radios_list = need_value(arg);
-    } else if (arg == "--rates") {
-      options.rates_list = need_value(arg);
-    } else if (arg == "--scenario") {
-      // Repeatable: later flags append as extra ';'-separated groups.
-      const std::string value = need_value(arg);
-      if (options.scenario_given) {
-        options.scenario_list += ';' + value;
-      } else {
-        options.scenario_list = value;
-        options.scenario_given = true;
-      }
-    } else if (arg == "--dynamics") {
-      options.dynamics_list = need_value(arg);
-    } else if (arg == "--metrics") {
-      options.metrics_list = need_value(arg);
-    } else if (arg == "--granularity") {
-      options.granularity_list = need_value(arg);
-    } else if (arg == "--order") {
-      options.order_list = need_value(arg);
-    } else if (arg == "--start") {
-      options.start_list = need_value(arg);
-    } else if (arg == "--replicates") {
-      options.replicates = parse_positive_count(arg, need_value(arg));
-    } else if (arg == "--threads") {
-      options.threads = parse_count(arg, need_value(arg));
-    } else if (arg == "--max-activations") {
-      options.max_activations =
-          static_cast<std::size_t>(parse_u64(arg, need_value(arg)));
-    } else if (arg == "--format") {
-      options.format = need_value(arg);
-    } else if (arg == "--shard") {
-      options.shard = need_value(arg);
-    } else if (arg == "--cells") {
-      options.cells = need_value(arg);
-    } else if (arg == "--records") {
-      options.records_path = need_value(arg);
-      if (options.records_path.empty()) {
-        usage("missing path for --records");
-      }
-    } else if (arg == "--progress") {
-      options.progress = true;
-    } else if (arg == "--progress-json") {
-      options.progress_json = true;
-    } else if (arg == "--crash-at-cell") {
-      options.crash_at_cell = parse_count(arg, need_value(arg));
-    } else if (arg == "--stall-at-cell") {
-      options.stall_at_cell = parse_count(arg, need_value(arg));
-    } else if (arg == "--sim") {
-      options.sim_mac = need_value(arg);
-    } else if (arg == "--sim-seconds") {
-      options.sim_seconds = parse_positive_double(arg, need_value(arg));
-      options.sim_flags_given = true;
-    } else if (arg == "--sim-replicates") {
-      options.sim_replicates = parse_positive_count(arg, need_value(arg));
-      options.sim_flags_given = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      usage("unknown option " + arg);
-    } else {
-      options.positional.push_back(arg);
-    }
-  }
-  return options;
-}
-
-/// Single rate-spec language for every command: engine::RateSpec::parse,
-/// which accepts tdma | dcf | dcf-opt | powerlaw= | geom= | linear=.
-std::shared_ptr<const RateFunction> make_rate(const std::string& spec,
-                                              int max_load) {
+/// Runs a library parser over a flag's value: its invalid_argument becomes
+/// a usage error (exit 2) that names the flag.
+template <typename Parse>
+auto checked(const std::string& flag, const std::string& text, Parse parse)
+    -> decltype(parse(text)) {
   try {
-    return engine::RateSpec::parse(spec).make(max_load);
+    return parse(text);
   } catch (const std::invalid_argument& error) {
-    usage(error.what());
+    usage(std::string(error.what()) + " for " + flag);
   }
 }
 
-GameConfig parse_config(const CliOptions& options) {
-  if (options.positional.size() < 3) usage("expected N C k");
-  const std::size_t users = parse_count("N", options.positional[0]);
-  const std::size_t channels = parse_count("C", options.positional[1]);
-  const std::size_t radios = parse_count("k", options.positional[2]);
+/// One command line, checked against the tables.
+struct Args {
+  std::vector<std::string> positional;
+  /// Every given flag's values in command-line order ("" for a switch).
+  std::map<std::string, std::vector<std::string>> flags;
+  /// `farm` only: the kForwarded flags and their values verbatim, in
+  /// order — the sweep arguments of its shard children.
+  std::vector<std::string> forwarded;
+
+  bool has(const std::string& flag) const { return flags.count(flag) != 0; }
+
+  /// The flag's last value, or its kFlags fallback when it was not given.
+  std::string get(const std::string& flag) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? find_row(kFlags, flag)->fallback
+                             : it->second.back();
+  }
+
+  /// get(flag) through a typed parser (parse_u64, parse_count, ...).
+  template <typename T>
+  T value(const std::string& flag,
+          T (*parse)(const std::string&, const std::string&)) const {
+    return parse(flag, get(flag));
+  }
+
+  /// A path flag's value; an explicitly empty path is a usage error.
+  std::string path(const std::string& flag) const {
+    const std::string text = get(flag);
+    if (text.empty() && has(flag)) usage("missing path for " + flag);
+    return text;
+  }
+};
+
+/// The one flag parser: rejects unknown flags, flags that do not act in
+/// `command`, missing values and a wrong number of positional arguments.
+Args parse_args(const CommandInfo& command,
+                const std::vector<std::string>& tokens) {
+  Args args;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (token.rfind("--", 0) != 0) {
+      args.positional.push_back(token);
+      continue;
+    }
+    const Flag* flag = find_row(kFlags, token);
+    if (flag == nullptr) usage("unknown option " + token);
+    if ((flag->commands & command.bit) == 0) {
+      if (command.bit == kFarm && (flag->commands & kSweep) != 0) {
+        usage(token + " is managed by mrca farm and cannot be forwarded to "
+                      "the sweep children");
+      }
+      usage(token + " does not apply to the " + command.name + " command");
+    }
+    std::string value;
+    if (flag->metavar != nullptr) {
+      if (i + 1 == tokens.size()) usage("missing value for " + token);
+      value = tokens[++i];
+    }
+    if (command.bit == kFarm && (flag->commands & kForwarded) != 0) {
+      args.forwarded.push_back(token);
+      if (flag->metavar != nullptr) args.forwarded.push_back(value);
+    }
+    args.flags[token].push_back(std::move(value));
+  }
+  const std::size_t count = args.positional.size();
+  if (count < command.min_operands || count > command.max_operands) {
+    usage(std::string(command.name) + " takes " +
+          (command.max_operands == 0 ? std::string("no positional arguments")
+                                     : std::string(command.operands)) +
+          ", got " + std::to_string(count) + " positional argument(s)");
+  }
+  return args;
+}
+
+std::shared_ptr<const RateFunction> make_rate(const Args& args,
+                                              int max_load) {
+  return checked("--rate", args.get("--rate"),
+                 [max_load](const std::string& spec) {
+                   return engine::RateSpec::parse(spec).make(max_load);
+                 });
+}
+
+GameConfig parse_config(const Args& args) {
+  const std::size_t users = parse_count("N", args.positional[0]);
+  const std::size_t channels = parse_count("C", args.positional[1]);
+  const std::size_t radios = parse_count("k", args.positional[2]);
   return GameConfig(users, channels, static_cast<RadioCount>(radios));
 }
 
@@ -389,10 +424,9 @@ void report_state(const GameModel& game, const StrategyMatrix& matrix) {
   }
 }
 
-int cmd_solve(const CliOptions& options) {
-  const GameConfig config = parse_config(options);
-  const GameModel game(config,
-                       make_rate(options.rate, config.total_radios()));
+int cmd_solve(const Args& args) {
+  const GameConfig config = parse_config(args);
+  const GameModel game(config, make_rate(args, config.total_radios()));
   std::cout << "Algorithm 1 on " << config.describe() << " with "
             << game.rate_function(0).name() << ":\n\n";
   const StrategyMatrix ne = sequential_allocation(game);
@@ -401,22 +435,19 @@ int cmd_solve(const CliOptions& options) {
   return 0;
 }
 
-int cmd_verify(const CliOptions& options) {
-  if (options.positional.size() < 4) usage("verify needs N C k MATRIX");
-  const GameConfig config = parse_config(options);
-  const GameModel game(config,
-                       make_rate(options.rate, config.total_radios()));
-  const StrategyMatrix matrix =
-      parse_matrix(config, options.positional[3]);
+int cmd_verify(const Args& args) {
+  const GameConfig config = parse_config(args);
+  const GameModel game(config, make_rate(args, config.total_radios()));
+  const StrategyMatrix matrix = parse_matrix(config, args.positional[3]);
   report_state(game, matrix);
   return is_nash_equilibrium(game, matrix) ? 0 : 1;
 }
 
-int cmd_dynamics(const CliOptions& options) {
-  const GameConfig config = parse_config(options);
-  const GameModel game(config,
-                       make_rate(options.rate, config.total_radios()));
-  Rng rng(options.seed);
+int cmd_dynamics(const Args& args) {
+  const std::uint64_t seed = args.value("--seed", parse_u64);
+  const GameConfig config = parse_config(args);
+  const GameModel game(config, make_rate(args, config.total_radios()));
+  Rng rng(seed);
   const StrategyMatrix start = random_full_allocation(game, rng);
   std::cout << "random start:\n" << render_matrix(start) << '\n';
   DynamicsOptions dynamics;
@@ -430,14 +461,15 @@ int cmd_dynamics(const CliOptions& options) {
   return result.converged ? 0 : 1;
 }
 
-int cmd_rates(const CliOptions& options) {
+int cmd_rates(const Args& args) {
+  const std::size_t max_k = args.value("--max-k", parse_positive_count);
   const BianchiDcfModel basic(DcfParameters::bianchi_fhss());
   DcfParameters rts_params = DcfParameters::bianchi_fhss();
   rts_params.access_mode = DcfAccessMode::kRtsCts;
   const BianchiDcfModel rts(rts_params);
   const TdmaModel tdma{TdmaParameters{}};
   Table table({"k", "TDMA", "DCF basic", "DCF optimal", "DCF RTS/CTS"});
-  for (int k = 1; k <= options.max_k; ++k) {
+  for (int k = 1; k <= static_cast<int>(max_k); ++k) {
     table.add_row(
         {Table::fmt(k), Table::fmt(tdma.total_rate_bps(k) / 1e6, 4),
          Table::fmt(basic.saturation_throughput(k).throughput_bps / 1e6, 4),
@@ -450,18 +482,19 @@ int cmd_rates(const CliOptions& options) {
   return 0;
 }
 
-int cmd_simulate(const CliOptions& options) {
-  const GameConfig config = parse_config(options);
-  const GameModel game(config,
-                       make_rate(options.rate, config.total_radios()));
+int cmd_simulate(const Args& args) {
+  sim::NetworkOptions network;
+  // The DES models only these two MACs; any other rate spec would print a
+  // prediction for a different MAC than the one simulated.
+  network.mac = checked("--rate", args.get("--rate"),
+                        sim::parse_mac_kind);
+  network.duration_s = args.value("--seconds", parse_positive_double);
+  network.seed = args.value("--seed", parse_u64);
+  const GameConfig config = parse_config(args);
+  const GameModel game(config, make_rate(args, config.total_radios()));
   const StrategyMatrix ne = sequential_allocation(game);
   std::cout << "equilibrium allocation:\n"
             << render_matrix(ne) << render_loads(ne) << "\n\n";
-  sim::NetworkOptions network;
-  network.mac =
-      options.rate == "tdma" ? sim::MacKind::kTdma : sim::MacKind::kDcf;
-  network.duration_s = options.seconds;
-  network.seed = options.seed;
   const sim::NetworkResult measured = sim::simulate_network(ne, network);
   Table table({"user", "game prediction", "simulated [Mbit/s]"});
   for (UserId i = 0; i < config.num_users; ++i) {
@@ -471,7 +504,7 @@ int cmd_simulate(const CliOptions& options) {
   }
   table.print(std::cout);
   std::cout << "total simulated: " << measured.total_bps() / 1e6
-            << " Mbit/s over " << options.seconds << " s\n";
+            << " Mbit/s over " << network.duration_s << " s\n";
   return 0;
 }
 
@@ -506,91 +539,74 @@ std::vector<std::size_t> parse_size_list(const std::string& flag,
   return values;
 }
 
-template <typename T>
-std::vector<T> parse_enum_list(const std::string& text,
-                               T (*parse_one)(const std::string&)) {
-  std::vector<T> values;
+/// A comma list whose items go through one library parser each.
+template <typename Parse>
+auto parse_list(const std::string& flag, const std::string& text,
+                Parse parse_one) {
+  std::vector<decltype(parse_one(text))> values;
   std::istringstream stream(text);
   std::string item;
-  while (std::getline(stream, item, ',')) values.push_back(parse_one(item));
-  if (values.empty()) usage("empty list '" + text + "'");
+  while (std::getline(stream, item, ',')) {
+    values.push_back(checked(flag, item, parse_one));
+  }
+  if (values.empty()) usage("empty list '" + text + "' for " + flag);
   return values;
 }
 
-// The axis-value languages live in the library (they are also how the
-// sweep JSON header is parsed back); the CLI wrappers only translate a
-// parse failure into the usage + exit-2 convention.
-ResponseGranularity parse_granularity(const std::string& text) {
-  try {
-    return engine::parse_response_granularity(text);
-  } catch (const std::invalid_argument& error) {
-    usage(error.what());
-  }
-}
-
-ActivationOrder parse_order(const std::string& text) {
-  try {
-    return engine::parse_activation_order(text);
-  } catch (const std::invalid_argument& error) {
-    usage(error.what());
-  }
-}
-
-engine::SweepStart parse_start(const std::string& text) {
-  try {
-    return engine::parse_sweep_start(text);
-  } catch (const std::invalid_argument& error) {
-    usage(error.what());
-  }
-}
-
-engine::RateSpec parse_rate_spec(const std::string& text) {
-  return engine::RateSpec::parse(text);
+engine::SweepFormat parse_format(const Args& args) {
+  return checked("--format", args.get("--format"),
+                 engine::parse_sweep_format);
 }
 
 /// Builds the sweep grid from the parsed flags — shared by `sweep` (which
 /// executes it) and `farm` (which needs the identical plan and fingerprint
 /// for job planning and artifact validation).
-engine::SweepSpec build_sweep_spec(const CliOptions& options) {
+engine::SweepSpec build_sweep_spec(const Args& args) {
   engine::SweepSpec spec;
-  spec.users = parse_size_list("--users", options.users_list);
-  spec.channels = parse_size_list("--channels", options.channels_list);
+  spec.users = parse_size_list("--users", args.get("--users"));
+  spec.channels = parse_size_list("--channels", args.get("--channels"));
   spec.radios.clear();
-  for (const std::size_t k : parse_size_list("--radios", options.radios_list)) {
+  for (const std::size_t k :
+       parse_size_list("--radios", args.get("--radios"))) {
     spec.radios.push_back(static_cast<RadioCount>(k));
   }
-  spec.rates = parse_enum_list(options.rates_list, parse_rate_spec);
-  try {
-    spec.scenarios = engine::ScenarioSpec::parse_list(options.scenario_list);
-  } catch (const std::invalid_argument& error) {
-    usage(std::string(error.what()) + " for --scenario");
-  }
-  try {
-    spec.dynamics = DynamicsSpec::parse_list(options.dynamics_list);
-  } catch (const std::invalid_argument& error) {
-    usage(std::string(error.what()) + " for --dynamics");
-  }
-  if (!options.metrics_list.empty()) {
-    try {
-      spec.metrics = MetricSet::parse_list(options.metrics_list);
-    } catch (const std::invalid_argument& error) {
-      usage(std::string(error.what()) + " for --metrics");
+  spec.rates = parse_list("--rates", args.get("--rates"),
+                          engine::RateSpec::parse);
+  // Repeated --scenario flags append as extra ';'-separated groups.
+  std::string scenarios = args.get("--scenario");
+  if (args.has("--scenario")) {
+    const std::vector<std::string>& groups = args.flags.at("--scenario");
+    scenarios = groups.front();
+    for (std::size_t i = 1; i < groups.size(); ++i) {
+      scenarios += ';' + groups[i];
     }
   }
-  spec.granularities =
-      parse_enum_list(options.granularity_list, parse_granularity);
-  spec.orders = parse_enum_list(options.order_list, parse_order);
-  spec.starts = parse_enum_list(options.start_list, parse_start);
-  spec.replicates = options.replicates;
-  spec.base_seed = options.seed;
-  spec.max_activations = options.max_activations;
-  if (!options.sim_mac.empty()) {
+  spec.scenarios =
+      checked("--scenario", scenarios, engine::ScenarioSpec::parse_list);
+  spec.dynamics = checked("--dynamics", args.get("--dynamics"),
+                          DynamicsSpec::parse_list);
+  const std::string metrics = args.get("--metrics");
+  if (!metrics.empty()) {
+    spec.metrics = checked("--metrics", metrics, MetricSet::parse_list);
+  }
+  spec.granularities = parse_list("--granularity",
+                                  args.get("--granularity"),
+                                  engine::parse_response_granularity);
+  spec.orders = parse_list("--order", args.get("--order"),
+                           engine::parse_activation_order);
+  spec.starts = parse_list("--start", args.get("--start"),
+                           engine::parse_sweep_start);
+  spec.replicates = args.value("--replicates", parse_positive_count);
+  spec.base_seed = args.value("--seed", parse_u64);
+  spec.max_activations = static_cast<std::size_t>(
+      args.value("--max-activations", parse_u64));
+  if (args.has("--sim")) {
     engine::SimTierSpec tier;
-    tier.mac = sim::parse_mac_kind(options.sim_mac);
-    tier.duration_s = options.sim_seconds;
-    tier.replicates = options.sim_replicates;
+    tier.mac = checked("--sim", args.get("--sim"), sim::parse_mac_kind);
+    tier.duration_s = args.value("--sim-seconds", parse_positive_double);
+    tier.replicates = args.value("--sim-replicates", parse_positive_count);
     spec.sim_tier = tier;
-  } else if (options.sim_flags_given) {
+  } else if (args.has("--sim-seconds") || args.has("--sim-replicates")) {
     usage("--sim-seconds/--sim-replicates have no effect without "
           "--sim dcf|tdma");
   }
@@ -598,14 +614,18 @@ engine::SweepSpec build_sweep_spec(const CliOptions& options) {
 }
 
 /// Builds + validates the plan (shared `sweep`/`farm` entry error).
-engine::SweepPlan build_sweep_plan(const CliOptions& options) {
+engine::SweepPlan build_sweep_plan(const Args& args) {
   const engine::SweepPlan plan =
-      engine::SweepPlan::build(build_sweep_spec(options));
+      engine::SweepPlan::build(build_sweep_spec(args));
   if (plan.total_cells() == 0) {
     usage("the grid has no valid (N, C, k) combination: every radios value "
           "exceeds every channels value (model requires k <= |C|)");
   }
   return plan;
+}
+
+std::size_t sweep_threads(const Args& args) {
+  return args.value("--threads", parse_count);
 }
 
 /// Hidden deterministic fault hook for farm/CI testing: dies (or hangs,
@@ -634,32 +654,30 @@ class FaultSink final : public engine::RunSink {
   bool stall_;
 };
 
-int cmd_sweep(const CliOptions& options) {
-  if (!options.positional.empty()) {
-    usage("sweep takes no positional arguments; use --users/--channels/"
-          "--radios (got '" + options.positional.front() + "')");
-  }
-  if (!options.shard.empty() && !options.cells.empty()) {
+int cmd_sweep(const Args& args) {
+  if (args.has("--shard") && args.has("--cells")) {
     usage("--shard and --cells are mutually exclusive");
   }
-  if (options.progress && options.progress_json) {
+  if (args.has("--progress") && args.has("--progress-json")) {
     usage("--progress and --progress-json are mutually exclusive");
   }
-  const engine::SweepFormat format =
-      engine::parse_sweep_format(options.format);
+  const engine::SweepFormat format = parse_format(args);
+  const std::string records_path = args.path("--records");
+  engine::SessionOptions session_options;
+  session_options.threads = sweep_threads(args);
 
-  engine::SweepPlan plan = build_sweep_plan(options);
-  if (!options.shard.empty()) {
+  engine::SweepPlan plan = build_sweep_plan(args);
+  if (args.has("--shard")) {
     // "<i>/<n>", 0-based: shard 0/3, 1/3, 2/3 partition the plan's cells.
-    const std::size_t slash = options.shard.find('/');
+    const std::string shard = args.get("--shard");
+    const std::size_t slash = shard.find('/');
     if (slash == std::string::npos) {
-      usage("invalid value '" + options.shard +
+      usage("invalid value '" + shard +
             "' for --shard (expected <index>/<count>, e.g. 0/3)");
     }
-    const std::size_t index =
-        parse_count("--shard", options.shard.substr(0, slash));
+    const std::size_t index = parse_count("--shard", shard.substr(0, slash));
     const std::size_t count =
-        parse_positive_count("--shard", options.shard.substr(slash + 1));
+        parse_positive_count("--shard", shard.substr(slash + 1));
     if (index >= count) {
       usage("shard index " + std::to_string(index) +
             " out of range for --shard with " + std::to_string(count) +
@@ -667,16 +685,17 @@ int cmd_sweep(const CliOptions& options) {
     }
     plan = plan.shard(index, count);
   }
-  if (!options.cells.empty()) {
-    const std::size_t colon = options.cells.find(':');
+  if (args.has("--cells")) {
+    const std::string cells = args.get("--cells");
+    const std::size_t colon = cells.find(':');
     if (colon == std::string::npos) {
-      usage("invalid value '" + options.cells +
+      usage("invalid value '" + cells +
             "' for --cells (expected <begin>:<end>, e.g. 0:12)");
     }
     const auto begin = static_cast<std::size_t>(
-        parse_u64("--cells", options.cells.substr(0, colon)));
+        parse_u64("--cells", cells.substr(0, colon)));
     const auto end = static_cast<std::size_t>(
-        parse_u64("--cells", options.cells.substr(colon + 1)));
+        parse_u64("--cells", cells.substr(colon + 1)));
     if (begin > end || end > plan.total_cells()) {
       usage("--cells range [" + std::to_string(begin) + ", " +
             std::to_string(end) + ") is not contained in [0, " +
@@ -685,29 +704,22 @@ int cmd_sweep(const CliOptions& options) {
     plan = plan.slice(begin, end);
   }
 
-  // Fault hooks: hidden flags first, then the env fallback so the farm's
-  // CI job can poison one shard of an otherwise flag-identical fleet.
-  std::optional<std::size_t> crash_cell = options.crash_at_cell;
-  if (!crash_cell && !options.stall_at_cell) {
-    if (const char* env = std::getenv("MRCA_CRASH_AT_CELL")) {
-      crash_cell = parse_count("MRCA_CRASH_AT_CELL", env);
-    }
-  }
-
   engine::AggregatingSink aggregate;
   std::vector<engine::RunSink*> sinks;
   std::optional<FaultSink> fault;
-  if (crash_cell) {
-    sinks.push_back(&fault.emplace(*crash_cell, /*stall=*/false));
-  } else if (options.stall_at_cell) {
-    sinks.push_back(&fault.emplace(*options.stall_at_cell, /*stall=*/true));
+  if (args.has("--crash-at-cell")) {
+    sinks.push_back(&fault.emplace(args.value("--crash-at-cell", parse_count),
+                                   /*stall=*/false));
+  } else if (args.has("--stall-at-cell")) {
+    sinks.push_back(&fault.emplace(args.value("--stall-at-cell", parse_count),
+                                   /*stall=*/true));
   }
   sinks.push_back(&aggregate);
   // Records stream to a ".tmp" sibling, renamed only on clean completion:
   // a crashed or killed sweep can never leave a torn file under the final
   // name, which is what makes farm record shards trustworthy.
   const std::string records_tmp =
-      options.records_path.empty() ? "" : options.records_path + ".tmp";
+      records_path.empty() ? "" : records_path + ".tmp";
   std::ofstream records_file;
   std::optional<engine::RecordSink> records;
   if (!records_tmp.empty()) {
@@ -718,15 +730,13 @@ int cmd_sweep(const CliOptions& options) {
     sinks.push_back(&records.emplace(records_file));
   }
   std::optional<engine::ProgressSink> progress;
-  if (options.progress || options.progress_json) {
+  if (args.has("--progress") || args.has("--progress-json")) {
     sinks.push_back(&progress.emplace(
         std::cerr, std::chrono::milliseconds(100),
-        options.progress_json ? engine::ProgressSink::Format::kJson
-                              : engine::ProgressSink::Format::kHuman));
+        args.has("--progress-json") ? engine::ProgressSink::Format::kJson
+                                    : engine::ProgressSink::Format::kHuman));
   }
 
-  engine::SessionOptions session_options;
-  session_options.threads = options.threads;
   const engine::SessionStats stats =
       engine::run_session(plan, sinks, session_options);
   if (records_file.is_open()) {
@@ -736,7 +746,7 @@ int cmd_sweep(const CliOptions& options) {
                 << "' failed\n";
       return 2;
     }
-    std::filesystem::rename(records_tmp, options.records_path);
+    std::filesystem::rename(records_tmp, records_path);
   }
   engine::SweepResult result = std::move(aggregate).take_result();
   result.threads_used = stats.threads_used;
@@ -759,17 +769,13 @@ int cmd_sweep(const CliOptions& options) {
   return 0;
 }
 
-int cmd_merge(const CliOptions& options) {
-  if (options.positional.empty()) {
-    usage("merge needs at least one shard JSON file or directory");
-  }
-  const engine::SweepFormat format =
-      engine::parse_sweep_format(options.format);
+int cmd_merge(const Args& args) {
+  const engine::SweepFormat format = parse_format(args);
   // A directory argument stands for every *.json inside it, sorted by name
   // (deterministic order) — the shape a farm session directory has. The
   // farm.json manifest is session metadata, not a shard, so it is skipped.
   std::vector<std::string> paths;
-  for (const std::string& arg : options.positional) {
+  for (const std::string& arg : args.positional) {
     std::error_code ec;
     if (!std::filesystem::is_directory(arg, ec)) {
       paths.push_back(arg);
@@ -822,21 +828,6 @@ int cmd_merge(const CliOptions& options) {
               << " runs merged from " << shards.size() << " shard(s)\n";
   }
   return 0;
-}
-
-/// Re-enters the normal flag parser over an owned argument vector — how
-/// `farm` validates the sweep flags it forwards (and the ones a manifest
-/// restores) with byte-identical error behavior to `mrca sweep` itself.
-CliOptions parse_sweep_args(const std::vector<std::string>& args) {
-  std::vector<std::string> storage;
-  storage.reserve(args.size() + 2);
-  storage.emplace_back("mrca");
-  storage.emplace_back("sweep");
-  storage.insert(storage.end(), args.begin(), args.end());
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& arg : storage) argv.push_back(arg.data());
-  return parse_options(static_cast<int>(argv.size()), argv.data(), 2);
 }
 
 /// The path farm children are launched from: this very binary.
@@ -896,84 +887,48 @@ void write_farm_manifest(const std::string& dir,
   std::filesystem::rename(tmp, path);
 }
 
-int cmd_farm(int argc, char** argv) {
-  std::string dir = "mrca-farm";
-  std::size_t shards = 1;
-  bool shards_given = false;
-  std::size_t jobs = 0;
-  std::size_t retries = 2;
-  std::uint64_t backoff_ms = 250;
-  std::uint64_t backoff_cap_ms = 10000;
-  std::uint64_t watchdog_seconds = 0;
-  std::uint64_t farm_seed = 1;
-  bool subdivide = false;
-  bool resume = false;
-  std::string records_path;
-  std::string format_text = "table";
-  std::optional<engine::FaultInjection> inject;
-  std::vector<std::string> sweep_args;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto need_value = [&](const std::string& flag) -> std::string {
-      if (i + 1 >= argc) usage("missing value for " + flag);
-      return argv[++i];
-    };
-    if (arg == "--shards") {
-      shards = parse_positive_count(arg, need_value(arg));
-      shards_given = true;
-    } else if (arg == "--dir") {
-      dir = need_value(arg);
-      if (dir.empty()) usage("missing path for --dir");
-    } else if (arg == "--jobs") {
-      jobs = parse_count(arg, need_value(arg));
-    } else if (arg == "--retries") {
-      retries = parse_count(arg, need_value(arg));
-    } else if (arg == "--backoff-ms") {
-      backoff_ms = parse_u64(arg, need_value(arg));
-    } else if (arg == "--backoff-cap-ms") {
-      backoff_cap_ms = parse_u64(arg, need_value(arg));
-    } else if (arg == "--watchdog-seconds") {
-      watchdog_seconds = parse_u64(arg, need_value(arg));
-    } else if (arg == "--farm-seed") {
-      farm_seed = parse_u64(arg, need_value(arg));
-    } else if (arg == "--subdivide") {
-      subdivide = true;
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--records") {
-      records_path = need_value(arg);
-      if (records_path.empty()) usage("missing path for --records");
-    } else if (arg == "--format") {
-      format_text = need_value(arg);
-    } else if (arg == "--inject-crash") {
-      inject = parse_injection(arg, need_value(arg),
-                               engine::FaultInjection::Kind::kCrash);
-    } else if (arg == "--inject-stall") {
-      inject = parse_injection(arg, need_value(arg),
-                               engine::FaultInjection::Kind::kStall);
-    } else if (arg == "--shard" || arg == "--cells" || arg == "--progress" ||
-               arg == "--progress-json" || arg == "--crash-at-cell" ||
-               arg == "--stall-at-cell") {
-      usage(arg + " is managed by mrca farm and cannot be forwarded to the "
-                  "sweep children");
-    } else {
-      sweep_args.push_back(arg);
+int cmd_farm(const Args& args, const char* argv0) {
+  engine::FarmSpec farm;
+  farm.cli_path = self_cli_path(argv0);
+  farm.dir = args.path("--dir");
+  farm.shards = args.value("--shards", parse_positive_count);
+  farm.max_parallel = args.value("--jobs", parse_count);
+  farm.max_attempts = args.value("--retries", parse_count) + 1;
+  farm.backoff_base = std::chrono::milliseconds(static_cast<std::int64_t>(
+      args.value("--backoff-ms", parse_u64)));
+  farm.backoff_cap = std::chrono::milliseconds(static_cast<std::int64_t>(
+      args.value("--backoff-cap-ms", parse_u64)));
+  farm.watchdog = std::chrono::seconds(static_cast<std::int64_t>(
+      args.value("--watchdog-seconds", parse_u64)));
+  farm.seed = args.value("--farm-seed", parse_u64);
+  farm.subdivide = args.has("--subdivide");
+  farm.resume = args.has("--resume");
+  farm.records_path = args.path("--records");
+  if (args.has("--inject-crash") && args.has("--inject-stall")) {
+    usage("--inject-crash and --inject-stall are mutually exclusive");
+  }
+  if (args.has("--inject-crash")) {
+    farm.inject =
+        parse_injection("--inject-crash", args.get("--inject-crash"),
+                        engine::FaultInjection::Kind::kCrash);
+  } else if (args.has("--inject-stall")) {
+    if (farm.watchdog.count() == 0) {
+      usage("--inject-stall hangs a child forever without --watchdog-seconds");
     }
+    farm.inject =
+        parse_injection("--inject-stall", args.get("--inject-stall"),
+                        engine::FaultInjection::Kind::kStall);
   }
-  const engine::SweepFormat format = engine::parse_sweep_format(format_text);
-  if (inject && inject->kind == engine::FaultInjection::Kind::kStall &&
-      watchdog_seconds == 0) {
-    usage("--inject-stall hangs a child forever without --watchdog-seconds");
-  }
+  const engine::SweepFormat format = parse_format(args);
 
+  farm.sweep_args = args.forwarded;
   std::string manifest_fingerprint;
-  if (resume) {
-    if (!sweep_args.empty()) {
-      usage("farm --resume restores the sweep flags from '" + dir +
-            "/farm.json'; drop '" + sweep_args.front() + "'");
+  if (farm.resume) {
+    if (!farm.sweep_args.empty()) {
+      usage("farm --resume restores the sweep flags from '" + farm.dir +
+            "/farm.json'; drop '" + farm.sweep_args.front() + "'");
     }
-    const std::string manifest_path = dir + "/farm.json";
+    const std::string manifest_path = farm.dir + "/farm.json";
     std::ifstream in(manifest_path);
     if (!in) {
       usage("farm: no session manifest '" + manifest_path +
@@ -987,7 +942,7 @@ int cmd_farm(int argc, char** argv) {
           manifest.at("fingerprint").as_string("fingerprint");
       for (const JsonValue& item :
            manifest.at("sweep_args").as_array("sweep_args")) {
-        sweep_args.push_back(item.as_string("sweep_args"));
+        farm.sweep_args.push_back(item.as_string("sweep_args"));
       }
       // The same positive-count rule --shards has.
       const std::size_t manifest_shards =
@@ -995,57 +950,34 @@ int cmd_farm(int argc, char** argv) {
       if (manifest_shards == 0) {
         throw std::invalid_argument("'shards' must be >= 1");
       }
-      if (!shards_given) shards = manifest_shards;
+      if (!args.has("--shards")) farm.shards = manifest_shards;
     } catch (const std::invalid_argument& error) {
       usage("farm: manifest '" + manifest_path + "' is malformed (" +
             error.what() + ")");
     }
   }
 
-  const CliOptions sweep_options = parse_sweep_args(sweep_args);
-  if (!sweep_options.positional.empty()) {
-    usage("farm: unexpected positional argument '" +
-          sweep_options.positional.front() + "'");
+  // The children's view of the sweep flags: forwarded ones always pass;
+  // a hand-edited manifest is the only way to carry any other flag.
+  const Args sweep = parse_args(*find_row(kCommands, "sweep"), farm.sweep_args);
+  for (const auto& given : sweep.flags) {
+    if ((find_row(kFlags, given.first)->commands & kForwarded) == 0) {
+      usage("farm: the session manifest carries farm-managed sweep flags");
+    }
   }
-  // A hand-edited manifest is the only way these can be set here; reject
-  // them the same way the forwarding loop does.
-  if (!sweep_options.shard.empty() || !sweep_options.cells.empty() ||
-      !sweep_options.records_path.empty() || sweep_options.progress ||
-      sweep_options.progress_json || sweep_options.crash_at_cell ||
-      sweep_options.stall_at_cell) {
-    usage("farm: the session manifest carries farm-managed sweep flags");
-  }
-  const engine::SweepPlan plan = build_sweep_plan(sweep_options);
+  sweep_threads(sweep);  // a bad value fails here, not in every child
+  const engine::SweepPlan plan = build_sweep_plan(sweep);
   const std::string fingerprint = plan.spec().fingerprint();
-  if (resume && manifest_fingerprint != fingerprint) {
+  if (farm.resume && manifest_fingerprint != fingerprint) {
     usage("farm: manifest fingerprint '" + manifest_fingerprint +
           "' does not match the plan rebuilt from its own sweep_args ('" +
           fingerprint + "') — manifest edited?");
   }
 
-  engine::FarmSpec farm;
-  farm.cli_path = self_cli_path(argv[0]);
-  farm.dir = dir;
-  farm.sweep_args = sweep_args;
-  farm.shards = shards;
-  farm.max_parallel = jobs;
-  farm.max_attempts = retries + 1;
-  farm.backoff_base =
-      std::chrono::milliseconds(static_cast<std::int64_t>(backoff_ms));
-  farm.backoff_cap =
-      std::chrono::milliseconds(static_cast<std::int64_t>(backoff_cap_ms));
-  farm.watchdog =
-      std::chrono::seconds(static_cast<std::int64_t>(watchdog_seconds));
-  farm.seed = farm_seed;
-  farm.subdivide = subdivide;
-  farm.resume = resume;
-  farm.inject = inject;
-  farm.records_path = records_path;
-
-  if (!resume) {
-    std::filesystem::create_directories(dir);
-    write_farm_manifest(dir, fingerprint, plan.total_cells(), shards,
-                        sweep_args);
+  if (!farm.resume) {
+    std::filesystem::create_directories(farm.dir);
+    write_farm_manifest(farm.dir, fingerprint, plan.total_cells(),
+                        farm.shards, farm.sweep_args);
   }
 
   // Failures (a job out of attempts, an unmergeable directory) throw and
@@ -1069,31 +1001,23 @@ int cmd_farm(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  if (name == "help" || name == "--help") usage();
+  const CommandInfo* command = find_row(kCommands, name);
+  if (command == nullptr) usage("unknown command '" + name + "'");
   try {
-    // farm owns its flag namespace (--shards, --retries, ...) and forwards
-    // the rest verbatim, so it parses argv itself.
-    if (command == "farm") return cmd_farm(argc, argv);
-    const CliOptions options = parse_options(argc, argv, 2);
-    // The checked-seam convention: a flag with no effect is a mistake to
-    // reject, not to ignore (cf. --sim-seconds without --sim).
-    if (command != "sweep" &&
-        (!options.shard.empty() || !options.cells.empty() ||
-         !options.records_path.empty() || options.progress ||
-         options.progress_json || options.crash_at_cell.has_value() ||
-         options.stall_at_cell.has_value())) {
-      usage("--shard/--cells/--records/--progress/--progress-json apply "
-            "only to the sweep command");
+    const Args args = parse_args(*command, {argv + 2, argv + argc});
+    switch (command->bit) {
+      case kSolve: return cmd_solve(args);
+      case kVerify: return cmd_verify(args);
+      case kDynamics: return cmd_dynamics(args);
+      case kRates: return cmd_rates(args);
+      case kSimulate: return cmd_simulate(args);
+      case kSweep: return cmd_sweep(args);
+      case kMerge: return cmd_merge(args);
+      case kFarm: return cmd_farm(args, argv[0]);
     }
-    if (command == "solve") return cmd_solve(options);
-    if (command == "verify") return cmd_verify(options);
-    if (command == "dynamics") return cmd_dynamics(options);
-    if (command == "rates") return cmd_rates(options);
-    if (command == "simulate") return cmd_simulate(options);
-    if (command == "sweep") return cmd_sweep(options);
-    if (command == "merge") return cmd_merge(options);
-    if (command == "help" || command == "--help") usage();
-    usage("unknown command '" + command + "'");
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 2;
