@@ -1,10 +1,12 @@
 // End-to-end tests of the mrca CLI binary: checked numeric-flag parsing
 // (malformed values must name the flag and exit non-zero), the unified
-// rate-spec language, golden strict-JSON output of `mrca sweep`, and
-// byte-exact goldens of the single-game commands.
+// rate-spec language, golden strict-JSON output of `mrca sweep`,
+// byte-exact goldens of the single-game commands, and the paper's
+// experiments (experiments/*.args) pinned against their outputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -229,6 +231,86 @@ TEST(CliGoldenReports, EngineSweepMatchesByteForByte) {
       "--replicates 2 --seed 1 --format csv");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(result.output, expected);
+}
+
+// Each figure or claim of the paper is one `mrca` command line in
+// experiments/<name>.args, pinned byte for byte (with its exit code) by
+// experiments/<name>.txt. This table and the .args files must name the
+// same set, so no experiment goes unrun.
+struct PaperExperiment {
+  const char* name;
+  int exit_code;
+};
+
+constexpr PaperExperiment kPaperExperiments[] = {
+    {"fig3_rate_models", 0},  {"fig3_dcf_sim", 0},
+    {"tdma_sim", 0},          {"algorithm1", 0},
+    {"fig4_exception", 0},    {"fig5_no_exception", 0},
+    {"theorem1_gap", 1},      {"poa", 0},
+    {"convergence_async", 0}, {"convergence_distributed", 0},
+    {"convergence_scale", 0}, {"het_channels", 0},
+    {"energy", 0},            {"end_to_end", 0},
+};
+
+std::vector<std::string> split(const std::string& text, char separator) {
+  std::vector<std::string> fields;
+  std::istringstream in(text);
+  std::string field;
+  while (std::getline(in, field, separator)) fields.push_back(field);
+  return fields;
+}
+
+/// The verification gate of a sweep experiment: in a CSV with a
+/// `nash_ne_mean` column, every cell's runs all ended in a verified NE.
+void expect_every_cell_is_nash(const std::string& name,
+                               const std::string& output) {
+  const std::vector<std::string> lines = split(output, '\n');
+  if (lines.empty()) return;
+  const std::vector<std::string> header = split(lines.front(), ',');
+  const auto column = std::find(header.begin(), header.end(), "nash_ne_mean");
+  if (column == header.end()) return;
+  const auto index = static_cast<std::size_t>(column - header.begin());
+  for (std::size_t row = 1; row < lines.size(); ++row) {
+    const std::vector<std::string> fields = split(lines[row], ',');
+    ASSERT_EQ(fields.size(), header.size()) << name << " row " << row;
+    EXPECT_EQ(fields[index], "1") << name << " row " << row;
+  }
+}
+
+TEST(PaperExperiments, MatchTheirGoldensByteForByte) {
+  std::set<std::string> listed;
+  for (const PaperExperiment& experiment : kPaperExperiments) {
+    listed.insert(experiment.name);
+  }
+  std::set<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(MRCA_EXPERIMENTS_DIR)) {
+    if (entry.path().extension() == ".args") {
+      on_disk.insert(entry.path().stem().string());
+    }
+  }
+  EXPECT_EQ(listed, on_disk);
+
+  const std::string dir = std::string(MRCA_EXPERIMENTS_DIR) + "/";
+  for (const PaperExperiment& experiment : kPaperExperiments) {
+    const std::string name = experiment.name;
+    std::string args = read_file(dir + name + ".args");
+    if (!args.empty() && args.back() == '\n') args.pop_back();
+    const std::string expected = read_file(dir + name + ".txt");
+    ASSERT_FALSE(args.empty()) << "missing " << name << ".args";
+    ASSERT_FALSE(expected.empty()) << "missing " << name << ".txt";
+    const CliResult result = run_cli(args);
+    EXPECT_EQ(result.exit_code, experiment.exit_code) << name;
+    EXPECT_EQ(result.output, expected) << name;
+    expect_every_cell_is_nash(name, result.output);
+    if (name == "theorem1_gap") {
+      // The smallest matrix the printed Theorem 1 accepts that is not a
+      // Nash equilibrium (README "Reproduction findings").
+      EXPECT_NE(result.output.find("Theorem 1 predicate:   satisfied"),
+                std::string::npos);
+      EXPECT_NE(result.output.find("NOT an equilibrium"), std::string::npos);
+    }
+  }
 }
 
 TEST(CliRateSpecs, SweepAcceptsTheBianchiTables) {
