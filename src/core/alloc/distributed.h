@@ -11,8 +11,8 @@
 //   change (checked exactly), or after max_rounds.
 //
 // With p = 1 users can oscillate in lockstep (classic load-balancing
-// herding); small p trades convergence speed for stability. The
-// `bench_convergence` harness sweeps p.
+// herding); small p trades convergence speed for stability.
+// experiments/convergence_distributed sweeps p.
 //
 // The protocol runs against the unified GameModel, so it covers every
 // scenario axis (per-channel rates, per-user budgets, energy price): an

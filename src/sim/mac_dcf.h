@@ -13,9 +13,9 @@
 //   - on collision the window doubles, up to CW_min * 2^max_backoff_stage
 //     (binary exponential backoff, Bianchi's W and m).
 //
-// Validation: bench_sim_validation and the test suite compare the measured
-// saturation throughput and collision probability against the Bianchi
-// fixed-point model for the same parameters.
+// Validation: experiments/fig3_dcf_sim compares the measured saturation
+// throughput, and the test suite also the collision probability, against
+// the Bianchi fixed-point model for the same parameters.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Exhaustive audit of Theorem 1 against ground truth (the best-response
 // oracle) over every full-deployment strategy matrix of small games.
 //
-// Findings encoded here (also reported at larger scale by
-// bench_theorem1_audit and stated in README "Reproduction findings"):
+// Findings encoded here (stated in README "Reproduction findings"; the
+// smallest counterexample is pinned by experiments/theorem1_gap):
 //   - NECESSITY holds: every true Nash equilibrium satisfies the printed
 //     conditions (the lemmas' proofs are constructive and sound).
 //   - SUFFICIENCY has a gap: the printed exception clause admits matrices
@@ -67,9 +67,20 @@ AuditCounts audit(const GameModel& game) {
   return counts;
 }
 
-class TheoremAuditConstant
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, std::size_t, RadioCount>> {};
+using AuditGame = std::tuple<std::size_t, std::size_t, RadioCount>;
+
+// (users, channels, radios) of every audited game.
+const AuditGame kAuditGames[] = {
+    {3, 2, 2},  // loads (3,3)
+    {4, 3, 2},  // the README example
+    {3, 3, 2},  // loads (2,2,2)
+    {5, 3, 1},  // singleton users
+    {2, 3, 3},  // heavy stacking space
+    {4, 4, 2},
+    {3, 4, 3},
+};
+
+class TheoremAuditConstant : public ::testing::TestWithParam<AuditGame> {};
 
 TEST_P(TheoremAuditConstant, NecessityExactSufficiencyDocumented) {
   const auto& [users, channels, radios] = GetParam();
@@ -88,14 +99,8 @@ TEST_P(TheoremAuditConstant, NecessityExactSufficiencyDocumented) {
                                   static_cast<int>(counts.false_accepts));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SmallGames, TheoremAuditConstant,
-    ::testing::Values(std::make_tuple(3u, 2u, 2),   // loads (3,3)
-                      std::make_tuple(4u, 3u, 2),   // the README example
-                      std::make_tuple(3u, 3u, 2),   // loads (2,2,2)
-                      std::make_tuple(5u, 3u, 1),   // singleton users
-                      std::make_tuple(2u, 3u, 3),   // heavy stacking space
-                      std::make_tuple(4u, 4u, 2)));
+INSTANTIATE_TEST_SUITE_P(SmallGames, TheoremAuditConstant,
+                         ::testing::ValuesIn(kAuditGames));
 
 TEST(TheoremAudit, DocumentedCounterexampleIsAFalseAccept) {
   const GameModel game = mrca::testing::constant_game(4, 3, 2);
@@ -108,20 +113,23 @@ TEST(TheoremAudit, DocumentedCounterexampleIsAFalseAccept) {
 TEST(TheoremAudit, DecreasingRateNecessityStillHolds) {
   // The lemmas only use non-increasing monotonicity, so necessity must
   // survive a strictly decreasing rate function too.
-  const GameModel game = mrca::testing::power_law_game(3, 3, 2, 1.0);
-  std::size_t nash_seen = 0;
-  for_each_strategy_matrix(
-      game.config(),
-      [&](const StrategyMatrix& matrix) {
-        if (is_nash_equilibrium(game, matrix)) {
-          ++nash_seen;
-          EXPECT_TRUE(check_theorem1(matrix).predicts_nash())
-              << matrix.key();
-        }
-        return true;
-      },
-      /*full_deployment_only=*/true);
-  EXPECT_GT(nash_seen, 0u);
+  for (const auto& [users, channels, radios] : kAuditGames) {
+    const GameModel game =
+        mrca::testing::power_law_game(users, channels, radios, 1.0);
+    std::size_t nash_seen = 0;
+    for_each_strategy_matrix(
+        game.config(),
+        [&](const StrategyMatrix& matrix) {
+          if (is_nash_equilibrium(game, matrix)) {
+            ++nash_seen;
+            EXPECT_TRUE(check_theorem1(matrix).predicts_nash())
+                << game.config().describe() << " " << matrix.key();
+          }
+          return true;
+        },
+        /*full_deployment_only=*/true);
+    EXPECT_GT(nash_seen, 0u) << game.config().describe();
+  }
 }
 
 TEST(TheoremAudit, SpreadMatricesAreAlwaysTrueAccepts) {

@@ -32,8 +32,8 @@ every commit:
                         stream types only via <iosfwd>, and no include
                         path escapes src/ via "..".
   R5 header-consumer    Every src/ header is reached by the quoted-include
-                        closure of tools/, examples/, bench/ or perfbench/
-                        (a reached header's own .cpp is followed too, since
+                        closure of tools/, examples/ or perfbench/ (a
+                        reached header's own .cpp is followed too, since
                         it links in). Reaching the mrca.h umbrella counts
                         for the umbrella alone, so a header only the
                         umbrella and tests include is dead weight in src/.
@@ -271,7 +271,7 @@ def check_include_hygiene(path: Path, rel: str, text: str) -> list[Finding]:
 # --------------------------------------------------------------------------
 # R5: every src/ header has a non-test consumer
 
-CONSUMER_DIRS = ("tools", "examples", "bench", "perfbench")
+CONSUMER_DIRS = ("tools", "examples", "perfbench")
 # The linter's own C++ fixtures live under tools/ but are nobody's consumer.
 LINT_FIXTURES = Path("tools/mrca_lint/fixtures")
 UMBRELLA = "mrca.h"
