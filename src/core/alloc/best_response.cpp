@@ -10,12 +10,15 @@
 namespace mrca {
 namespace {
 
-/// Per-run scratch: the flat scan kernels and the dirty-channel list are
-/// reused across millions of activations with zero per-activation
-/// allocation.
+/// Per-run scratch: the flat scan kernels, the DP tables and the
+/// dirty-channel list are reused across millions of activations with zero
+/// per-activation allocation.
 struct ScanScratch {
   detail::ScanBuffers buffers;
   std::vector<ChannelId> dirty;
+  /// The best-response arm's last computed gain, response.utility -
+  /// current; the single-move arms leave it untouched.
+  double gain = 0.0;
 };
 
 /// Applies the user's response; returns true if the allocation changed.
@@ -47,7 +50,10 @@ bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
       // Raw units on both sides (cache tracks raw; the DP is weight-free):
       // weighted models walk bit-identical trajectories to the base game.
       const double current = cache.utility(user);
-      BestResponse response = model.best_response(strategies, user);
+      const BestResponse response = detail::best_response(
+          strategies, user, static_cast<std::size_t>(model.budget(user)),
+          rate_at, model.radio_cost(), load_at, scratch.buffers);
+      scratch.gain = response.utility - current;
       const bool improved = response.utility > current + options.tolerance;
       if (improved) cache.set_row(strategies, user, response.strategy);
       cache.note_scan(user, improved);
@@ -111,6 +117,10 @@ DynamicsResult run_response_dynamics(const GameModel& model,
   }
   const std::size_t users = model.config().num_users;
   DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  result.canonical_best_response =
+      options.granularity == ResponseGranularity::kBestResponse &&
+      options.order == ActivationOrder::kRoundRobin &&
+      options.tolerance == kUtilityTolerance;
   StrategyMatrix& state = result.final_state;
   UtilityCache cache(model, state);
   if (options.use_dirty_channel_pruning) cache.enable_scan_pruning();
@@ -120,6 +130,17 @@ DynamicsResult run_response_dynamics(const GameModel& model,
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(cache.welfare());
   }
+
+  // Bookkeeping of the improving activation just counted.
+  const auto record_improvement = [&] {
+    ++result.improving_steps;
+    if (scratch.gain >= kEpsilonNe) {
+      result.eps_ne_activation = result.activations;
+    }
+    if (options.record_welfare_trace) {
+      result.welfare_trace.push_back(cache.welfare());
+    }
+  };
 
   // A streak of `users` quiet activations triggers an exact verification
   // pass over every user; convergence is declared only when that pass finds
@@ -134,11 +155,8 @@ DynamicsResult run_response_dynamics(const GameModel& model,
     next_user = (next_user + 1) % users;
     ++result.activations;
     if (activate(model, state, user, options, rng, cache, scratch)) {
-      ++result.improving_steps;
+      record_improvement();
       quiet_streak = 0;
-      if (options.record_welfare_trace) {
-        result.welfare_trace.push_back(cache.welfare());
-      }
       continue;
     }
     ++quiet_streak;
@@ -154,10 +172,7 @@ DynamicsResult run_response_dynamics(const GameModel& model,
       ++result.activations;
       if (activate(model, state, verify, options, rng, cache, scratch)) {
         any_improvement = true;
-        ++result.improving_steps;
-        if (options.record_welfare_trace) {
-          result.welfare_trace.push_back(cache.welfare());
-        }
+        record_improvement();
         break;
       }
     }

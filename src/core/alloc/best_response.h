@@ -69,6 +69,17 @@ struct DynamicsResult {
   /// stop" column every dynamics engine reports, whether or not a welfare
   /// trace was recorded.
   double final_welfare = 0.0;
+  /// Activation index of the last improving step whose gain
+  /// `response.utility - current` reached kEpsilonNe (0 when none did):
+  /// the run's own epsilon-NE time. Recorded at best-response granularity
+  /// only.
+  std::size_t eps_ne_activation = 0;
+  /// True when the run was round-robin exact best response at the default
+  /// tolerance — the deterministic play the `convergence` metric would
+  /// replay from the same start, which may therefore read
+  /// eps_ne_activation instead (metrics.h). Only run_response_dynamics
+  /// sets it.
+  bool canonical_best_response = false;
 };
 
 /// Runs the dynamics from `start` until stable or the activation budget is

@@ -31,6 +31,7 @@
 // user's last completed scan and is unchanged since.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -52,15 +53,20 @@ inline double share(double rate, RadioCount own, RadioCount load) {
 }
 
 /// Reusable per-scan scratch: the user's dense row, the loads it
-/// perceives, and the three flat share kernels every candidate benefit is
-/// assembled from. Hoisting this out of the scan lets a dynamics driver
-/// run millions of activations with zero per-activation allocation.
+/// perceives, the three flat share kernels every candidate benefit is
+/// assembled from, and the best-response DP's tables. Hoisting this out of
+/// the scan lets a dynamics driver run millions of activations with zero
+/// per-activation allocation.
 struct ScanBuffers {
   std::vector<RadioCount> own;     // user's row, densified
   std::vector<RadioCount> load;    // load the user perceives per channel
+                                   // (the DP: the opponents' load)
   std::vector<double> before;      // share at the current allocation
   std::vector<double> gain_to;     // share after adding one radio
   std::vector<double> gain_from;   // share after removing one radio
+  std::vector<double> dp_gain;           // best_response's gain table
+  std::vector<double> dp_value;          // best_response's value table
+  std::vector<std::uint32_t> dp_choice;  // best_response's choice table
 
   void resize(std::size_t channels) {
     own.resize(channels);
@@ -314,30 +320,31 @@ std::vector<SingleChange> improving_changes_pruned(
 /// `budget`: maximize sum_c f_c(x_c), f_c(x) = x * R_c(L_c + x) / (L_c + x)
 /// - cost * x, with L_c the opponents' load on channel c (global or
 /// neighborhood-perceived, per `load_at`), subject to sum_c x_c <= budget.
-/// O(|C| * budget^2) DP over flat row-major tables, no concavity
+/// O(|C| * budget^2) DP over flat row-major tables in `buf`, no concavity
 /// assumption — an oracle over every deviation including partial
 /// deployment.
 template <typename RateAt, typename LoadAt>
 BestResponse best_response(const StrategyMatrix& strategies, UserId user,
                            std::size_t budget, RateAt rate_at, double cost,
-                           LoadAt load_at) {
+                           LoadAt load_at, ScanBuffers& buf) {
   const std::size_t channels = strategies.num_channels();
   const std::size_t width = budget + 1;
 
   // Opponents' load per channel.
-  std::vector<RadioCount> own(channels);
-  strategies.copy_row(user, own);
-  std::vector<RadioCount> opponent_load(channels);
+  buf.own.resize(channels);
+  strategies.copy_row(user, buf.own);
+  buf.load.resize(channels);
   for (ChannelId c = 0; c < channels; ++c) {
-    opponent_load[c] = load_at(c) - own[c];
+    buf.load[c] = load_at(c) - buf.own[c];
   }
 
   // gain[c*width + x]: user's utility from placing x radios on channel c.
-  std::vector<double> gain(channels * width, 0.0);
+  buf.dp_gain.resize(channels * width);
   for (ChannelId c = 0; c < channels; ++c) {
-    double* gain_row = gain.data() + c * width;
+    double* gain_row = buf.dp_gain.data() + c * width;
+    gain_row[0] = 0.0;
     for (std::size_t x = 1; x <= budget; ++x) {
-      const RadioCount load = opponent_load[c] + static_cast<RadioCount>(x);
+      const RadioCount load = buf.load[c] + static_cast<RadioCount>(x);
       gain_row[x] = static_cast<double>(x) / static_cast<double>(load) *
                         rate_at(c, load) -
                     cost * static_cast<double>(x);
@@ -345,14 +352,19 @@ BestResponse best_response(const StrategyMatrix& strategies, UserId user,
   }
 
   // value[c*width + b]: best achievable total from channels c..end with b
-  // radios. choice[c*width + b]: the optimal count placed on channel c.
-  std::vector<double> value((channels + 1) * width, 0.0);
-  std::vector<std::uint32_t> choice(channels * width, 0);
+  // radios (the row past the last channel is all zero). choice[c*width +
+  // b]: the optimal count placed on channel c.
+  buf.dp_value.resize((channels + 1) * width);
+  std::fill_n(buf.dp_value.data() + channels * width, width, 0.0);
+  buf.dp_choice.resize(channels * width);
+  const double* gain = buf.dp_gain.data();
+  double* value = buf.dp_value.data();
+  std::uint32_t* choice = buf.dp_choice.data();
   for (ChannelId c = channels; c-- > 0;) {
-    const double* gain_row = gain.data() + c * width;
-    const double* next_row = value.data() + (c + 1) * width;
-    double* value_row = value.data() + c * width;
-    std::uint32_t* choice_row = choice.data() + c * width;
+    const double* gain_row = gain + c * width;
+    const double* next_row = value + (c + 1) * width;
+    double* value_row = value + c * width;
+    std::uint32_t* choice_row = choice + c * width;
     for (std::size_t b = 0; b <= budget; ++b) {
       double best_value = -1e300;  // utilities go negative under a cost
       std::size_t best_x = 0;

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/alloc/distributed.h"
-#include "core/alloc/utility_cache.h"
 #include "core/analysis/efficiency.h"
 #include "core/analysis/lemmas.h"
 #include "core/analysis/nash.h"
@@ -26,6 +25,17 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kMaxParetoEnumeration = 2e5;
 
 double to01(bool value) { return value ? 1.0 : 0.0; }
+
+/// The convergence metric's replay: default DynamicsOptions, whose budget
+/// bounds the epsilon-NE time.
+constexpr std::size_t kReplayBudget = DynamicsOptions{}.max_activations;
+
+/// `play`'s epsilon-NE time if it converged within kReplayBudget, else NaN.
+double eps_ne_time(const DynamicsResult& play) {
+  return play.converged && play.activations <= kReplayBudget
+             ? static_cast<double>(play.eps_ne_activation)
+             : kNaN;
+}
 
 std::vector<Metric> make_builtins() {
   std::vector<Metric> metrics;
@@ -126,43 +136,27 @@ std::vector<Metric> make_builtins() {
             context.model.budget_fairness(state)};
       }});
 
-  // Convergence time to an epsilon-NE: deterministic round-robin
-  // best-response replay from the run's own start, reporting the number of
-  // activations after which the observed unilateral gain stays below
-  // epsilon = 1e-2 (0 when the start already is an epsilon-NE; once the
-  // replay converges, the closing quiet pass proves every gain is below
-  // tolerance <= epsilon for good). NaN if the replay exhausts its budget.
+  // Convergence time to an epsilon-NE: the number of activations of
+  // deterministic round-robin best-response play from the run's own start
+  // after which every unilateral gain stays below kEpsilonNe (0 when the
+  // start already is an epsilon-NE; once play converges, the closing quiet
+  // pass proves every gain is below tolerance <= epsilon for good). NaN if
+  // that play exhausts the default activation budget. A canonical run
+  // (DynamicsResult::canonical_best_response) that converged, or spent at
+  // least that budget, walked exactly this play as far as the play goes,
+  // so its own record is read; any other run is replayed.
   metrics.push_back(Metric{
       "convergence",
       {"eps_ne_time"},
       [](const MetricContext& context) {
-        constexpr double kEpsilon = 1e-2;
-        constexpr std::size_t kMaxActivations = 100000;
-        const GameModel& model = context.model;
-        const std::size_t users = model.num_users();
-        StrategyMatrix state = context.start;
-        UtilityCache cache(model, state);
-        std::size_t activations = 0;
-        std::size_t last_above_eps = 0;
-        std::size_t quiet = 0;
-        UserId user = 0;
-        while (quiet < users) {
-          if (activations >= kMaxActivations) {
-            return std::vector<double>{kNaN};
-          }
-          ++activations;
-          const BestResponse response = model.best_response(state, user);
-          const double gain = response.utility - cache.utility(user);
-          if (gain >= kEpsilon) last_above_eps = activations;
-          if (gain > kUtilityTolerance) {
-            cache.set_row(state, user, response.strategy);
-            quiet = 0;
-          } else {
-            ++quiet;
-          }
-          user = (user + 1) % static_cast<UserId>(users);
-        }
-        return std::vector<double>{static_cast<double>(last_above_eps)};
+        const DynamicsResult& run = context.dynamics;
+        const bool run_is_replay =
+            run.canonical_best_response &&
+            (run.converged || run.activations >= kReplayBudget);
+        return std::vector<double>{
+            run_is_replay ? eps_ne_time(run)
+                          : eps_ne_time(run_response_dynamics(
+                                context.model, context.start))};
       }});
 
   // The §3 distributed protocol replayed from the run's OWN start, on its

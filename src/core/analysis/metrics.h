@@ -80,7 +80,10 @@ struct MetricContext {
   /// protocol against the same initial conditions the dynamics saw).
   const StrategyMatrix& start;
   /// The finished dynamics run; `dynamics.final_state` is the converged
-  /// (or budget-exhausted) allocation most metrics score.
+  /// (or budget-exhausted) allocation most metrics score. It must be the
+  /// run from `start` on `model`: `convergence` reads a canonical run's
+  /// own record (DynamicsResult::canonical_best_response) in place of
+  /// replaying best-response play from `start`.
   const DynamicsResult& dynamics;
   /// Pure per-run seed for stochastic metrics.
   std::uint64_t seed;

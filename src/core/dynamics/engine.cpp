@@ -1,27 +1,15 @@
 #include "core/dynamics/engine.h"
 
-#include <array>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "common/format.h"
 #include "core/alloc/distributed.h"
 
 namespace mrca {
 namespace {
-
-/// Shortest decimal form that parses back to the same double — the spec
-/// string is an axis value, so name() must round-trip through parse().
-std::string shortest_double(double value) {
-  std::array<char, 32> buffer{};
-  const auto [end, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-  if (ec != std::errc{}) {
-    throw std::logic_error("DynamicsSpec: double formatting failed");
-  }
-  return std::string(buffer.data(), end);
-}
 
 /// Strict double parse: the whole token, finite, no trailing junk.
 double parse_option(const std::string& token, const std::string& spec) {
@@ -143,12 +131,12 @@ std::string DynamicsSpec::name() const {
     case Kind::kBestResponse:
       return "best_response";
     case Kind::kLogLinear:
-      return "log_linear:" + shortest_double(temp_start) + ':' +
-             shortest_double(temp_end);
+      return "log_linear:" + round_trip_double(temp_start) + ':' +
+             round_trip_double(temp_end);
     case Kind::kTrialError:
-      return "trial_error:" + shortest_double(exploration);
+      return "trial_error:" + round_trip_double(exploration);
     case Kind::kDistributed:
-      return "distributed:" + shortest_double(activation_probability);
+      return "distributed:" + round_trip_double(activation_probability);
   }
   throw std::logic_error("DynamicsSpec: unknown kind");
 }

@@ -445,17 +445,24 @@ BestResponse GameModel::best_response(const StrategyMatrix& strategies,
                                       UserId user) const {
   check_matrix(strategies);
   check_user(user);
+  detail::ScanBuffers buffers;
+  return best_response_unchecked(strategies, user, buffers);
+}
+
+BestResponse GameModel::best_response_unchecked(
+    const StrategyMatrix& strategies, UserId user,
+    detail::ScanBuffers& buffers) const {
+  const auto budget = static_cast<std::size_t>(budgets_[user]);
   if (topology_) {
     return detail::best_response(
-        strategies, user, static_cast<std::size_t>(budgets_[user]),
-        ModelRate{this}, cost_, [&](ChannelId c) {
+        strategies, user, budget, ModelRate{this}, cost_,
+        [&](ChannelId c) {
           return perceived_load_unchecked(strategies, user, c);
-        });
+        },
+        buffers);
   }
-  return detail::best_response(strategies, user,
-                               static_cast<std::size_t>(budgets_[user]),
-                               ModelRate{this}, cost_,
-                               global_load(strategies));
+  return detail::best_response(strategies, user, budget, ModelRate{this},
+                               cost_, global_load(strategies), buffers);
 }
 
 std::optional<SingleChange> GameModel::best_single_change(
@@ -493,9 +500,11 @@ std::vector<SingleChange> GameModel::improving_changes_for_user(
 bool GameModel::is_nash_equilibrium(const StrategyMatrix& strategies,
                                     double tolerance) const {
   validate(strategies);
+  detail::ScanBuffers buffers;
   for (UserId user = 0; user < config_.num_users; ++user) {
     const double current = raw_utility_unchecked(strategies, user);
-    if (best_response(strategies, user).utility > current + tolerance) {
+    if (best_response_unchecked(strategies, user, buffers).utility >
+        current + tolerance) {
       return false;
     }
   }

@@ -40,6 +40,10 @@
 
 namespace mrca {
 
+namespace detail {
+struct ScanBuffers;
+}  // namespace detail
+
 class GameModel {
  public:
   /// Uniform budgets and a single shared rate function — the paper's game,
@@ -218,6 +222,10 @@ class GameModel {
   void check_matrix(const StrategyMatrix& strategies) const;
   /// O(1) budget check for ONE user (the per-activation subset).
   void check_user_budget(const StrategyMatrix& strategies, UserId user) const;
+  /// best_response without the checks, its DP tables in `buffers`.
+  BestResponse best_response_unchecked(const StrategyMatrix& strategies,
+                                       UserId user,
+                                       detail::ScanBuffers& buffers) const;
   /// Closed-neighborhood load; requires topology_ set. O(degree).
   RadioCount perceived_load_unchecked(const StrategyMatrix& strategies,
                                       UserId user, ChannelId channel) const;

@@ -96,4 +96,10 @@ struct GameConfig {
 /// rounding error yet far below any real utility difference.
 inline constexpr double kUtilityTolerance = 1e-9;
 
+/// The epsilon of the epsilon-Nash equilibrium the `convergence` metric
+/// times: a unilateral gain of at least this much still counts as an
+/// incentive to deviate. Far above kUtilityTolerance, so every such gain is
+/// an improving step of the dynamics.
+inline constexpr double kEpsilonNe = 1e-2;
+
 }  // namespace mrca

@@ -1,20 +1,13 @@
 #include "engine/scenario.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
 
-namespace mrca::engine {
+#include "common/format.h"
 
-std::string round_trip_double(double value) {
-  std::array<char, 32> buffer;
-  const auto [end, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-  return ec == std::errc{} ? std::string(buffer.data(), end)
-                           : std::string("nan");
-}
+namespace mrca::engine {
 
 namespace {
 

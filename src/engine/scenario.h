@@ -35,12 +35,6 @@
 
 namespace mrca::engine {
 
-/// Shortest decimal representation that round-trips the double exactly
-/// (std::to_chars shortest form). The one formatter behind every spec
-/// name (RateSpec, ScenarioSpec), so parse(name()) stays the identity and
-/// distinct specs never collide as CSV/JSON keys.
-std::string round_trip_double(double value);
-
 struct ScenarioSpec {
   enum class Kind {
     kBase,

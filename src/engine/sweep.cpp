@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/format.h"
 #include "common/rng.h"
 #include "mac/bianchi.h"
 #include "engine/session.h"

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -11,20 +10,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/format.h"
 #include "common/json.h"
 #include "common/table.h"
 #include "engine/session.h"
 
 namespace mrca::engine {
 namespace {
-
-/// 17 significant digits round-trip any double exactly. Non-finite values
-/// print as inf/nan (fine for CSV; the JSON writer uses json_number).
-std::string full_precision(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
 
 /// Writes `"<prefix><key>":{...}`.
 void append_stats_json(std::ostringstream& out, const char* prefix,

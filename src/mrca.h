@@ -11,6 +11,7 @@
 //   assert(mrca::is_nash_equilibrium(game, ne));
 #pragma once
 
+#include "common/format.h"       // IWYU pragma: export
 #include "common/rng.h"          // IWYU pragma: export
 #include "common/solvers.h"      // IWYU pragma: export
 #include "common/stats.h"        // IWYU pragma: export

@@ -7,6 +7,8 @@
 // time. No UtilityCache, no scan pruning, no shared scratch buffers — so a
 // cached engine that agrees with its reference has its whole incremental
 // machinery checked against an independent evaluation.
+// reference_eps_ne_time is the one exception: the `convergence` metric's
+// former replay loop, kept verbatim, cache and all.
 #pragma once
 
 #include <cmath>
@@ -17,6 +19,7 @@
 
 #include "common/rng.h"
 #include "core/alloc/best_response.h"
+#include "core/alloc/utility_cache.h"
 #include "core/analysis/deviation.h"
 #include "core/analysis/nash.h"
 #include "core/dynamics/engine.h"
@@ -248,6 +251,42 @@ inline DynamicsResult reference_trial_error_dynamics(
   }
   result.final_welfare = model.raw_welfare(state);
   return result;
+}
+
+/// Reference for the `convergence` metric's eps_ne_time: the hand-written
+/// round-robin best-response replay from `start` that once defined the
+/// metric, kept verbatim (its own loop, its own epsilon and budget
+/// literals) so the metric's reading of the run's record is checked
+/// against an independent copy of the play.
+inline double reference_eps_ne_time(const GameModel& model,
+                                    const StrategyMatrix& start) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kEpsilon = 1e-2;
+  constexpr std::size_t kMaxActivations = 100000;
+  const std::size_t users = model.num_users();
+  StrategyMatrix state = start;
+  UtilityCache cache(model, state);
+  std::size_t activations = 0;
+  std::size_t last_above_eps = 0;
+  std::size_t quiet = 0;
+  UserId user = 0;
+  while (quiet < users) {
+    if (activations >= kMaxActivations) {
+      return kNaN;
+    }
+    ++activations;
+    const BestResponse response = model.best_response(state, user);
+    const double gain = response.utility - cache.utility(user);
+    if (gain >= kEpsilon) last_above_eps = activations;
+    if (gain > kUtilityTolerance) {
+      cache.set_row(state, user, response.strategy);
+      quiet = 0;
+    } else {
+      ++quiet;
+    }
+    user = (user + 1) % static_cast<UserId>(users);
+  }
+  return static_cast<double>(last_above_eps);
 }
 
 }  // namespace mrca::testing

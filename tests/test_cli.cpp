@@ -233,6 +233,26 @@ TEST(CliGoldenReports, EngineSweepMatchesByteForByte) {
   EXPECT_EQ(result.output, expected);
 }
 
+// The convergence metric's eps_ne_time column on every path it takes: the
+// round-robin best-response runs that converged within the 12-activation
+// budget read their own trajectory, while the unconverged ones, the other
+// granularity, the random order and the other three engines replay
+// best-response play from the run's start.
+TEST(CliGoldenReports, ConvergenceSweepMatchesByteForByte) {
+  const std::string expected = read_golden("sweep_convergence");
+  ASSERT_FALSE(expected.empty()) << "missing golden sweep_convergence";
+  const CliResult result = run_cli(
+      "sweep --users 7 --channels 4 --radios 2 --rates powerlaw=1 "
+      "--dynamics best_response,log_linear,trial_error,distributed "
+      "--granularity best,single --order rr,random --start empty,random,ne "
+      "--scenario \"base;energy=0.2;het=2:1;budgets=1:2;weights=2:1;"
+      "topology=ring:1\" "
+      "--metrics convergence,nash --max-activations 12 --replicates 2 "
+      "--seed 3 --format csv");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, expected);
+}
+
 // Each figure or claim of the paper is one `mrca` command line in
 // experiments/<name>.args, pinned byte for byte (with its exit code) by
 // experiments/<name>.txt. This table and the .args files must name the

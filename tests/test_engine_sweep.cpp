@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <iomanip>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/format.h"
 #include "core/analysis/efficiency.h"
 #include "engine/sweep_io.h"
 #include "engine/thread_pool.h"
@@ -227,6 +232,54 @@ TEST(SweepIo, JsonNumberEmitsNullForNonFiniteValues) {
             "null");
   EXPECT_EQ(engine::json_number(std::numeric_limits<double>::quiet_NaN()),
             "null");
+}
+
+/// The writers' former number formatter, kept as the oracle: one stream
+/// per value, 17 significant digits.
+std::string stream_precision_17(double value) {
+  std::ostringstream out;
+  out << std::setprecision(17) << value;
+  return out.str();
+}
+
+// full_precision (every CSV number cell) and json_number format into a
+// stack buffer; both must spell every double exactly as the stream did,
+// non-finite values included (JSON maps those to null instead).
+TEST(SweepIo, NumberFormattersMatchTheStreamOracle) {
+  using limits = std::numeric_limits<double>;
+  const double values[] = {0.0,
+                           -0.0,
+                           limits::denorm_min(),
+                           -limits::denorm_min(),
+                           limits::min(),
+                           limits::max(),
+                           -limits::max(),
+                           9007199254740993.0,  // 2^53 + 1, rounds to 2^53
+                           std::nextafter(9007199254740992.0, 1e300),
+                           0.1,
+                           1.0 / 3.0,
+                           -2.0 / 3.0,
+                           1e300,
+                           1e-300,
+                           123456789012345680.0,
+                           1.5,
+                           limits::infinity(),
+                           -limits::infinity(),
+                           limits::quiet_NaN(),
+                           -limits::quiet_NaN()};
+  for (const double value : values) {
+    const std::string oracle = stream_precision_17(value);
+    EXPECT_EQ(full_precision(value), oracle) << oracle;
+    EXPECT_EQ(engine::json_number(value),
+              std::isfinite(value) ? oracle : "null")
+        << oracle;
+    // The spec-name formatter's shortest form parses back exactly.
+    if (std::isfinite(value)) {
+      EXPECT_EQ(std::strtod(round_trip_double(value).c_str(), nullptr),
+                value)
+          << oracle;
+    }
+  }
 }
 
 TEST(RateSpecRoundTrip, DcfTableSpecsParseAndBuild) {

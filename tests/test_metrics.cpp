@@ -11,6 +11,7 @@
 #include <string>
 
 #include "mrca.h"
+#include "reference_dynamics.h"
 #include "strict_json.h"
 
 namespace mrca {
@@ -413,6 +414,133 @@ TEST(ConvergenceMetric, RunsOnEveryScenarioKindInASweep) {
         << cell.cell.scenario.name();
     EXPECT_GE(cell.metric_stats[0].mean(), 0.0);
   }
+}
+
+bool same_value(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+double eps_ne_time_of(const GameModel& model, const StrategyMatrix& start,
+                      const DynamicsResult& run) {
+  return MetricSet::parse_list("convergence")
+      .compute(MetricContext{model, start, run, 42})
+      .at(0);
+}
+
+// The metric against its former definition, the hand-written replay kept
+// in reference_dynamics.h, on random small games of every scenario kind:
+// for the canonical runs that read their own record and for every run
+// shape that must replay — the other granularities, random order, a
+// non-default tolerance, an unconverged run on a short budget, and the
+// three learner engines.
+TEST(ConvergenceMetric, MatchesTheReferenceReplayOnEveryPath) {
+  const std::vector<std::string> scenarios = {
+      "base", "energy=0.2", "het=2:1", "budgets=1:2", "weights=2:1",
+      "topology=ring:1"};
+  Rng rng(20061);
+  std::size_t canonical_runs = 0;
+  std::size_t short_budget_runs = 0;
+  std::size_t late_small_gain_runs = 0;
+  for (int trial = 0; trial < 36; ++trial) {
+    const std::string& scenario = scenarios[trial % scenarios.size()];
+    // Every fourth game crowds its channels, so late improving steps gain
+    // less than epsilon and the epsilon-NE time precedes the last one.
+    const bool crowded = trial % 4 == 3;
+    const std::size_t users = crowded ? 16 + rng.index(16) : 3 + rng.index(6);
+    const std::size_t channels = crowded ? 2 + rng.index(2) : 2 + rng.index(4);
+    const auto radios = static_cast<RadioCount>(1 + rng.index(2));
+    const GameModel model = ScenarioSpec::parse(scenario).make_model(
+        users, channels, radios,
+        std::make_shared<PowerLawRate>(1.0, rng.uniform(0.2, 1.5)));
+    const StrategyMatrix start = trial % 3 == 0
+                                     ? model.empty_strategy()
+                                 : trial % 3 == 1
+                                     ? random_full_allocation(model, rng)
+                                     : random_partial_allocation(model, rng);
+    const double expected = testing::reference_eps_ne_time(model, start);
+    const std::string where = scenario + " trial " + std::to_string(trial);
+
+    const DynamicsResult canonical = run_response_dynamics(model, start);
+    ASSERT_TRUE(canonical.canonical_best_response) << where;
+    canonical_runs += canonical.converged ? 1 : 0;
+    // A converged round-robin run's last improving step is followed by
+    // exactly one quiet pass of `users` activations.
+    late_small_gain_runs +=
+        canonical.eps_ne_activation + users < canonical.activations ? 1 : 0;
+    EXPECT_TRUE(same_value(eps_ne_time_of(model, start, canonical), expected))
+        << where;
+
+    DynamicsOptions short_budget;
+    short_budget.max_activations = 1 + rng.index(users);
+    const DynamicsResult cut = run_response_dynamics(model, start,
+                                                     short_budget);
+    short_budget_runs += cut.converged ? 0 : 1;
+    EXPECT_TRUE(same_value(eps_ne_time_of(model, start, cut), expected))
+        << where;
+
+    std::vector<DynamicsOptions> replayed(4);
+    replayed[0].granularity = ResponseGranularity::kBestSingleMove;
+    replayed[1].granularity = ResponseGranularity::kRandomImprovingMove;
+    replayed[2].order = ActivationOrder::kUniformRandom;
+    replayed[3].tolerance = 1e-6;
+    for (const DynamicsOptions& options : replayed) {
+      Rng run_rng(rng.next_u64());
+      const DynamicsResult run =
+          run_response_dynamics(model, start, options, &run_rng);
+      EXPECT_FALSE(run.canonical_best_response) << where;
+      EXPECT_TRUE(same_value(eps_ne_time_of(model, start, run), expected))
+          << where;
+    }
+    for (const std::string learner :
+         {"log_linear", "trial_error", "distributed"}) {
+      Rng run_rng(rng.next_u64());
+      const DynamicsResult run = run_dynamics(
+          DynamicsSpec::parse(learner), model, start, {}, &run_rng);
+      EXPECT_FALSE(run.canonical_best_response) << where << ' ' << learner;
+      EXPECT_TRUE(same_value(eps_ne_time_of(model, start, run), expected))
+          << where << ' ' << learner;
+    }
+  }
+  // The reuse path, the short-budget fallback and improving steps below
+  // epsilon after the epsilon-NE time were all hit.
+  EXPECT_EQ(canonical_runs, 36u);
+  EXPECT_GT(short_budget_runs, 0u);
+  EXPECT_GT(late_small_gain_runs, 0u);
+}
+
+// A canonical run is read, not replayed: a record doctored with a value no
+// replay could produce comes back verbatim, and a canonical run that
+// exhausted the default budget (or converged past it) is NaN without
+// replaying. A run that is not canonical is replayed whatever it records.
+TEST(ConvergenceMetric, CanonicalRunsReadTheirOwnRecord) {
+  const GameModel model(GameConfig(5, 4, 2), decaying_rate());
+  const StrategyMatrix empty = model.empty_strategy();
+  DynamicsResult doctored = run_response_dynamics(model, empty);
+  ASSERT_TRUE(doctored.canonical_best_response);
+  ASSERT_TRUE(doctored.converged);
+  const double honest = eps_ne_time_of(model, empty, doctored);
+  EXPECT_EQ(honest, testing::reference_eps_ne_time(model, empty));
+
+  doctored.eps_ne_activation = 12345;
+  EXPECT_EQ(eps_ne_time_of(model, empty, doctored), 12345.0);
+
+  const std::size_t budget = DynamicsOptions{}.max_activations;
+  doctored.converged = false;
+  doctored.activations = budget;
+  EXPECT_TRUE(std::isnan(eps_ne_time_of(model, empty, doctored)));
+  doctored.converged = true;
+  doctored.activations = budget + 1;
+  EXPECT_TRUE(std::isnan(eps_ne_time_of(model, empty, doctored)));
+  doctored.activations = budget;
+  EXPECT_EQ(eps_ne_time_of(model, empty, doctored), 12345.0);
+
+  // Unconverged below the budget: the run is only a prefix of the play.
+  doctored.converged = false;
+  doctored.activations = budget - 1;
+  EXPECT_EQ(eps_ne_time_of(model, empty, doctored), honest);
+  doctored.canonical_best_response = false;
+  doctored.converged = true;
+  EXPECT_EQ(eps_ne_time_of(model, empty, doctored), honest);
 }
 
 TEST(CellMetricCache, MemoizesModelValuesOncePerKey) {

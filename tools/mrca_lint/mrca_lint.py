@@ -37,6 +37,11 @@ every commit:
                         it links in). Reaching the mrca.h umbrella counts
                         for the umbrella alone, so a header only the
                         umbrella and tests include is dead weight in src/.
+  R6 thread-local       No thread_local anywhere under src/. Per-run scratch
+                        is passed explicitly (as the dynamics driver's
+                        ScanScratch is): hidden per-thread state outlives
+                        the pool tasks that fill it, and no determinism
+                        rule above can see what it carries between tasks.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 Run as:  python3 tools/mrca_lint/mrca_lint.py --root .
@@ -323,10 +328,25 @@ def check_header_consumers(root: Path, subdir: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R6: no thread_local state
+
+THREAD_LOCAL = re.compile(r"\bthread_local\b")
+
+
+def check_thread_local(path: Path, text: str) -> list[Finding]:
+    return [Finding(
+        "thread-local", path, _lines_of(match.start(), text),
+        "thread_local state outlives the pool task that fills it and "
+        "escapes the determinism rules. Pass per-run scratch explicitly "
+        "(as the dynamics driver's ScanScratch is).")
+        for match in THREAD_LOCAL.finditer(text)]
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 RULES_HELP = ("banned-entropy", "unordered-iter", "seed-provenance",
-              "include-hygiene", "header-consumer")
+              "include-hygiene", "header-consumer", "thread-local")
 
 
 def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
@@ -352,6 +372,7 @@ def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
         text = stripped[path]
         findings += check_banned_entropy(path, rel, text)
         findings += check_seed_provenance(path, rel, text)
+        findings += check_thread_local(path, text)
         findings += check_include_hygiene(
             path, rel, path.read_text(encoding="utf-8"))
     for pair_name, files in sorted(pairs.items()):

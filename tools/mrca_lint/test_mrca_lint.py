@@ -81,9 +81,17 @@ class ViolationFixtures(unittest.TestCase):
                          ["orphan.h", "umbrella_only.h"])
         self.assertIn("umbrella does not count", hits[0].message)
 
+    def test_thread_local(self):
+        hits = findings_by(self.findings, rule="thread-local")
+        # Two declarations; the comment and the string literal never count.
+        self.assertEqual([(f.path.name, f.line) for f in hits],
+                         [("bad_thread_local.cpp", 9),
+                          ("bad_thread_local.cpp", 11)])
+        self.assertIn("ScanScratch", hits[0].message)
+
     def test_total_findings_accounted_for(self):
         # No rule may fire where the fixtures did not seed a violation.
-        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2)
+        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2 + 2)
 
 
 class CleanFixtures(unittest.TestCase):
