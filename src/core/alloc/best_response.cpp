@@ -44,7 +44,9 @@ bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
     return model.rate(c, load);
   };
   const auto load_at = [&](ChannelId c) { return cache.load_seen(user, c); };
-  const bool partial = plan == UtilityCache::ScanPlan::kDirtyChannels;
+  const std::vector<ChannelId>* dirty =
+      plan == UtilityCache::ScanPlan::kDirtyChannels ? &scratch.dirty
+                                                     : nullptr;
   switch (options.granularity) {
     case ResponseGranularity::kBestResponse: {
       // Raw units on both sides (cache tracks raw; the DP is weight-free):
@@ -62,15 +64,9 @@ bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
     case ResponseGranularity::kBestSingleMove: {
       const bool has_spare =
           strategies.user_total(user) < model.budget(user);
-      const auto change =
-          partial ? detail::best_single_change_pruned(
-                        strategies, user, options.tolerance, rate_at,
-                        model.radio_cost(), has_spare, load_at,
-                        scratch.dirty, scratch.buffers)
-                  : detail::best_single_change(
-                        strategies, user, options.tolerance, rate_at,
-                        model.radio_cost(), has_spare, load_at,
-                        scratch.buffers);
+      const auto change = detail::best_single_change(
+          strategies, user, options.tolerance, rate_at, model.radio_cost(),
+          has_spare, load_at, dirty, scratch.buffers);
       if (change) cache.apply(strategies, *change);
       cache.note_scan(user, change.has_value());
       return change.has_value();
@@ -81,15 +77,9 @@ bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
       // sees the same set and consumes the same Rng stream.
       const bool has_spare =
           strategies.user_total(user) < model.budget(user);
-      const std::vector<SingleChange> improving =
-          partial ? detail::improving_changes_pruned(
-                        strategies, user, options.tolerance, rate_at,
-                        model.radio_cost(), has_spare, load_at,
-                        scratch.dirty, scratch.buffers)
-                  : detail::improving_changes(
-                        strategies, user, options.tolerance, rate_at,
-                        model.radio_cost(), has_spare, load_at,
-                        scratch.buffers);
+      const std::vector<SingleChange> improving = detail::improving_changes(
+          strategies, user, options.tolerance, rate_at, model.radio_cost(),
+          has_spare, load_at, dirty, scratch.buffers);
       if (improving.empty()) {
         cache.note_scan(user, false);
         return false;
@@ -116,7 +106,7 @@ DynamicsResult run_response_dynamics(const GameModel& model,
         "run_response_dynamics: this configuration requires an Rng");
   }
   const std::size_t users = model.config().num_users;
-  DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  DynamicsResult result{.final_state = start};
   result.canonical_best_response =
       options.granularity == ResponseGranularity::kBestResponse &&
       options.order == ActivationOrder::kRoundRobin &&

@@ -59,7 +59,7 @@ struct DynamicsResult {
   /// Activations that changed the allocation.
   std::size_t improving_steps = 0;
   StrategyMatrix final_state;
-  std::vector<double> welfare_trace;
+  std::vector<double> welfare_trace{};
   /// Activations resolved as proven O(1) no-ops by dirty-channel pruning
   /// (0 on unpruned runs).
   std::size_t scan_skips = 0;

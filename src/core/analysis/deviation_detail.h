@@ -224,95 +224,51 @@ void scan_single_changes_pruned(const StrategyMatrix& strategies, UserId user,
   }
 }
 
+/// The full enumeration when `dirty` is null, otherwise the pruned one over
+/// that dirty-channel list (see scan_single_changes_pruned for its validity
+/// contract). Either way the candidates above tolerance are exactly the
+/// full scan's, in its relative order.
+template <typename RateAt, typename LoadAt, typename Consider>
+void scan_changes(const StrategyMatrix& strategies, UserId user,
+                  RateAt rate_at, double cost, bool has_spare, LoadAt load_at,
+                  const std::vector<ChannelId>* dirty, ScanBuffers& buf,
+                  Consider&& consider) {
+  if (dirty != nullptr) {
+    scan_single_changes_pruned(strategies, user, rate_at, cost, has_spare,
+                               load_at, *dirty, buf,
+                               std::forward<Consider>(consider));
+  } else {
+    scan_single_changes(strategies, user, rate_at, cost, has_spare, load_at,
+                        buf, std::forward<Consider>(consider));
+  }
+}
+
 template <typename RateAt, typename LoadAt>
-std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,
-                                               UserId user, double tolerance,
-                                               RateAt rate_at, double cost,
-                                               bool has_spare, LoadAt load_at,
-                                               ScanBuffers& buf) {
+std::optional<SingleChange> best_single_change(
+    const StrategyMatrix& strategies, UserId user, double tolerance,
+    RateAt rate_at, double cost, bool has_spare, LoadAt load_at,
+    const std::vector<ChannelId>* dirty, ScanBuffers& buf) {
   std::optional<SingleChange> best;
-  scan_single_changes(strategies, user, rate_at, cost, has_spare, load_at,
-                      buf, [&](const SingleChange& candidate) {
-                        if (candidate.benefit <= tolerance) return;
-                        if (!best || candidate.benefit > best->benefit) {
-                          best = candidate;
-                        }
-                      });
+  scan_changes(strategies, user, rate_at, cost, has_spare, load_at, dirty,
+               buf, [&](const SingleChange& candidate) {
+                 if (candidate.benefit <= tolerance) return;
+                 if (!best || candidate.benefit > best->benefit) {
+                   best = candidate;
+                 }
+               });
   return best;
 }
 
 template <typename RateAt, typename LoadAt>
-std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,
-                                               UserId user, double tolerance,
-                                               RateAt rate_at, double cost,
-                                               bool has_spare, LoadAt load_at) {
-  ScanBuffers buf;
-  return best_single_change(strategies, user, tolerance, rate_at, cost,
-                            has_spare, load_at, buf);
-}
-
-/// best_single_change over the pruned candidate set (see
-/// scan_single_changes_pruned for the validity contract).
-template <typename RateAt, typename LoadAt>
-std::optional<SingleChange> best_single_change_pruned(
+std::vector<SingleChange> improving_changes(
     const StrategyMatrix& strategies, UserId user, double tolerance,
     RateAt rate_at, double cost, bool has_spare, LoadAt load_at,
-    std::span<const ChannelId> dirty, ScanBuffers& buf) {
-  std::optional<SingleChange> best;
-  scan_single_changes_pruned(strategies, user, rate_at, cost, has_spare,
-                             load_at, dirty, buf,
-                             [&](const SingleChange& candidate) {
-                               if (candidate.benefit <= tolerance) return;
-                               if (!best || candidate.benefit > best->benefit) {
-                                 best = candidate;
-                               }
-                             });
-  return best;
-}
-
-template <typename RateAt, typename LoadAt>
-std::vector<SingleChange> improving_changes(const StrategyMatrix& strategies,
-                                            UserId user, double tolerance,
-                                            RateAt rate_at, double cost,
-                                            bool has_spare, LoadAt load_at,
-                                            ScanBuffers& buf) {
+    const std::vector<ChannelId>* dirty, ScanBuffers& buf) {
   std::vector<SingleChange> result;
-  scan_single_changes(strategies, user, rate_at, cost, has_spare, load_at,
-                      buf, [&](const SingleChange& candidate) {
-                        if (candidate.benefit > tolerance) {
-                          result.push_back(candidate);
-                        }
-                      });
-  return result;
-}
-
-template <typename RateAt, typename LoadAt>
-std::vector<SingleChange> improving_changes(const StrategyMatrix& strategies,
-                                            UserId user, double tolerance,
-                                            RateAt rate_at, double cost,
-                                            bool has_spare, LoadAt load_at) {
-  ScanBuffers buf;
-  return improving_changes(strategies, user, tolerance, rate_at, cost,
-                           has_spare, load_at, buf);
-}
-
-/// improving_changes over the pruned candidate set. A candidate the full
-/// scan would list but this one omits was <= tolerance at the user's last
-/// completed scan and is unchanged, so it would not be listed either way;
-/// the surviving candidates appear in the full scan's relative order.
-template <typename RateAt, typename LoadAt>
-std::vector<SingleChange> improving_changes_pruned(
-    const StrategyMatrix& strategies, UserId user, double tolerance,
-    RateAt rate_at, double cost, bool has_spare, LoadAt load_at,
-    std::span<const ChannelId> dirty, ScanBuffers& buf) {
-  std::vector<SingleChange> result;
-  scan_single_changes_pruned(strategies, user, rate_at, cost, has_spare,
-                             load_at, dirty, buf,
-                             [&](const SingleChange& candidate) {
-                               if (candidate.benefit > tolerance) {
-                                 result.push_back(candidate);
-                               }
-                             });
+  scan_changes(strategies, user, rate_at, cost, has_spare, load_at, dirty,
+               buf, [&](const SingleChange& candidate) {
+                 if (candidate.benefit > tolerance) result.push_back(candidate);
+               });
   return result;
 }
 

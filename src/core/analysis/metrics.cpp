@@ -7,11 +7,11 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "core/alloc/distributed.h"
 #include "core/analysis/efficiency.h"
 #include "core/analysis/lemmas.h"
 #include "core/analysis/nash.h"
 #include "core/analysis/pareto.h"
+#include "core/dynamics/engine.h"
 
 namespace mrca {
 namespace {
@@ -29,6 +29,10 @@ double to01(bool value) { return value ? 1.0 : 0.0; }
 /// The convergence metric's replay: default DynamicsOptions, whose budget
 /// bounds the epsilon-NE time.
 constexpr std::size_t kReplayBudget = DynamicsOptions{}.max_activations;
+
+/// The distributed metric's round budget: the §3 protocol at the spec's
+/// default p, replayed for at most this many rounds.
+constexpr std::size_t kDistributedMetricRounds = 10000;
 
 /// `play`'s epsilon-NE time if it converged within kReplayBudget, else NaN.
 double eps_ne_time(const DynamicsResult& play) {
@@ -167,11 +171,13 @@ std::vector<Metric> make_builtins() {
       {"dist_converged", "dist_rounds", "dist_moves"},
       [](const MetricContext& context) {
         Rng rng(context.seed);
-        const DistributedResult result = run_distributed_allocation(
-            context.model, context.start, DistributedOptions{}, rng);
-        return std::vector<double>{to01(result.converged),
-                                   static_cast<double>(result.rounds),
-                                   static_cast<double>(result.total_moves)};
+        const DynamicsResult result = run_distributed_dynamics(
+            DynamicsSpec{.kind = DynamicsSpec::Kind::kDistributed},
+            context.model, context.start,
+            DynamicsOptions{.max_activations = kDistributedMetricRounds}, rng);
+        return std::vector<double>{
+            to01(result.converged), static_cast<double>(result.activations),
+            static_cast<double>(result.improving_steps)};
       }});
 
   // Regret as welfare-trace area: sum over the trace of how far the

@@ -3,10 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "common/format.h"
-#include "core/alloc/distributed.h"
 
 namespace mrca {
 namespace {
@@ -45,74 +43,13 @@ void require_probability(double value, const char* what,
   }
 }
 
-DynamicsResult run_best_response_engine(const DynamicsSpec& /*spec*/,
-                                        const GameModel& model,
-                                        const StrategyMatrix& start,
-                                        const DynamicsOptions& options,
-                                        Rng* rng) {
-  // Verbatim delegation: same cache, same pruning, same Rng stream — a
-  // best_response cell is bit-identical to calling the driver directly.
-  return run_response_dynamics(model, start, options, rng);
-}
-
-DynamicsResult run_distributed_engine(const DynamicsSpec& spec,
-                                      const GameModel& model,
-                                      const StrategyMatrix& start,
-                                      const DynamicsOptions& options,
-                                      Rng& rng) {
-  DistributedOptions dist;
-  dist.activation_probability = spec.activation_probability;
-  // One protocol round is one "activation" in the portfolio's accounting
-  // (each round gives every user a chance to act).
-  dist.max_rounds = options.max_activations;
-  dist.tolerance = options.tolerance;
-  DistributedResult outcome =
-      run_distributed_allocation(model, start, dist, rng);
-  DynamicsResult result{outcome.converged, outcome.rounds,
-                        outcome.total_moves, std::move(outcome.final_state),
-                        {}, 0, 0};
-  result.final_welfare = model.raw_welfare(result.final_state);
-  return result;
-}
-
-Rng& require_rng(Rng* rng, const char* engine) {
+Rng& require_rng(Rng* rng, DynamicsSpec::Kind kind) {
   if (rng == nullptr) {
     throw std::invalid_argument("run_dynamics: engine '" +
-                                std::string(engine) + "' requires an Rng");
+                                dynamics_engine(kind).name +
+                                "' requires an Rng");
   }
   return *rng;
-}
-
-std::vector<DynamicsEngine> make_engines() {
-  std::vector<DynamicsEngine> engines;
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kBestResponse, "best_response",
-      run_best_response_engine});
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kLogLinear, "log_linear",
-      [](const DynamicsSpec& spec, const GameModel& model,
-         const StrategyMatrix& start, const DynamicsOptions& options,
-         Rng* rng) {
-        return run_log_linear_dynamics(spec, model, start, options,
-                                       require_rng(rng, "log_linear"));
-      }});
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kTrialError, "trial_error",
-      [](const DynamicsSpec& spec, const GameModel& model,
-         const StrategyMatrix& start, const DynamicsOptions& options,
-         Rng* rng) {
-        return run_trial_error_dynamics(spec, model, start, options,
-                                        require_rng(rng, "trial_error"));
-      }});
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kDistributed, "distributed",
-      [](const DynamicsSpec& spec, const GameModel& model,
-         const StrategyMatrix& start, const DynamicsOptions& options,
-         Rng* rng) {
-        return run_distributed_engine(spec, model, start, options,
-                                      require_rng(rng, "distributed"));
-      }});
-  return engines;
 }
 
 std::string known_engines() {
@@ -221,7 +158,12 @@ std::vector<DynamicsSpec> DynamicsSpec::parse_list(const std::string& text) {
 }
 
 const std::vector<DynamicsEngine>& dynamics_engines() {
-  static const std::vector<DynamicsEngine> engines = make_engines();
+  static const std::vector<DynamicsEngine> engines = {
+      {DynamicsSpec::Kind::kBestResponse, "best_response"},
+      {DynamicsSpec::Kind::kLogLinear, "log_linear"},
+      {DynamicsSpec::Kind::kTrialError, "trial_error"},
+      {DynamicsSpec::Kind::kDistributed, "distributed"},
+  };
   return engines;
 }
 
@@ -243,7 +185,20 @@ const DynamicsEngine& dynamics_engine(const std::string& name) {
 DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
                             const StrategyMatrix& start,
                             const DynamicsOptions& options, Rng* rng) {
-  return dynamics_engine(spec.kind).run(spec, model, start, options, rng);
+  switch (spec.kind) {
+    case DynamicsSpec::Kind::kBestResponse:
+      return run_response_dynamics(model, start, options, rng);
+    case DynamicsSpec::Kind::kLogLinear:
+      return run_log_linear_dynamics(spec, model, start, options,
+                                     require_rng(rng, spec.kind));
+    case DynamicsSpec::Kind::kTrialError:
+      return run_trial_error_dynamics(spec, model, start, options,
+                                      require_rng(rng, spec.kind));
+    case DynamicsSpec::Kind::kDistributed:
+      return run_distributed_dynamics(spec, model, start, options,
+                                      require_rng(rng, spec.kind));
+  }
+  throw std::logic_error("run_dynamics: unknown kind");
 }
 
 }  // namespace mrca

@@ -6,15 +6,15 @@
 // question (ROADMAP "Dynamics portfolio") is which dynamics reach which
 // equilibria, how fast, and at what welfare. This subsystem answers it the
 // same way scenarios and metrics became comparable: a DynamicsSpec is a
-// parsed value ("log_linear:0.5:0.01"), a DynamicsEngine is a named entry
-// in a registry mirroring MetricSet::builtins(), and run_dynamics()
-// dispatches a (model, start, options, rng) run to the chosen engine. Four
-// engines ship:
+// parsed value ("log_linear:0.5:0.01"), and run_dynamics() switches on its
+// kind to hand a (model, start, options, rng) run to that engine. Every
+// engine reports through the one DynamicsResult contract. Four engines
+// ship:
 //
-//   best_response  the existing driver (core/alloc/best_response.h),
-//                  wrapped verbatim — cache, dirty-channel pruning and Rng
+//   best_response  run_response_dynamics (core/alloc/best_response.h),
+//                  called directly — cache, dirty-channel pruning and Rng
 //                  stream untouched, so trajectories are bit-identical to
-//                  calling run_response_dynamics directly.
+//                  calling it outside the portfolio.
 //   log_linear     Glauber / simulated-annealing play over the exact
 //                  potential: one uniformly random user per step samples
 //                  among {stay} ∪ {single-radio changes} with Gibbs weights
@@ -29,8 +29,11 @@
 //                  realized utility, keeps the change if it improved and
 //                  reverts otherwise.
 //   distributed    the paper's §3 synchronous no-coordinator protocol
-//                  (core/alloc/distributed.h) behind the same interface;
-//                  one protocol round is reported as one activation.
+//                  (distributed.cpp); one protocol round is one activation
+//                  and one applied change is one improving step.
+//
+// Adding an engine is a DynamicsSpec::Kind arm (name/parse), a row in
+// dynamics_engines() and a run_dynamics switch arm.
 //
 // Determinism contract: every engine draws ONLY from the Rng it is handed.
 // The sweep session seeds that Rng with derive_dynamics_seed(base_seed,
@@ -39,7 +42,6 @@
 // axis.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,44 +100,46 @@ struct DynamicsSpec {
   friend bool operator==(const DynamicsSpec&, const DynamicsSpec&) = default;
 };
 
-/// One registered engine: a registry name plus the run entry point.
+/// One engine's kind and its CLI name, e.g. "log_linear" (the spec's
+/// options ride in the DynamicsSpec, not the name).
 struct DynamicsEngine {
   DynamicsSpec::Kind kind = DynamicsSpec::Kind::kBestResponse;
-  /// Registry/CLI name, e.g. "log_linear" (the spec's options ride in the
-  /// DynamicsSpec, not the name).
   std::string name;
-  /// Runs the engine. `rng` may be null only for engine/option
-  /// combinations that draw no randomness (round-robin best_response);
-  /// every other engine throws std::invalid_argument on a null Rng.
-  std::function<DynamicsResult(const DynamicsSpec&, const GameModel&,
-                               const StrategyMatrix&, const DynamicsOptions&,
-                               Rng*)>
-      run;
 };
 
-/// The engine registry, in Kind order (mirrors MetricSet::builtins()).
+/// Every engine, in Kind order.
 const std::vector<DynamicsEngine>& dynamics_engines();
 
-/// Registry lookups. The string overload throws std::invalid_argument
+/// Engine lookups. The string overload throws std::invalid_argument
 /// listing the known engines on a miss (the CLI surfaces this verbatim).
 const DynamicsEngine& dynamics_engine(DynamicsSpec::Kind kind);
 const DynamicsEngine& dynamics_engine(const std::string& name);
 
-/// Dispatches one run to the spec's engine. This is the sweep session's
-/// single entry point into the portfolio.
+/// Runs the spec's engine. This is the sweep session's single entry point
+/// into the portfolio. `rng` may be null only for configurations that draw
+/// no randomness (round-robin best_response); every other engine throws
+/// std::invalid_argument on a null Rng.
 DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
                             const StrategyMatrix& start,
                             const DynamicsOptions& options, Rng* rng);
 
-/// The two learners, exposed for direct tests and benches (run_dynamics is
-/// the normal entry point). Both honor DynamicsOptions' activation budget,
-/// tolerance and welfare trace.
+/// The other three engines, exposed for direct tests, benches and metrics
+/// (run_dynamics is the normal entry point). All honor DynamicsOptions'
+/// activation budget and tolerance; the two learners also record the
+/// welfare trace.
 DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
                                        const GameModel& model,
                                        const StrategyMatrix& start,
                                        const DynamicsOptions& options,
                                        Rng& rng);
 DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
+                                        const GameModel& model,
+                                        const StrategyMatrix& start,
+                                        const DynamicsOptions& options,
+                                        Rng& rng);
+/// The §3 protocol with p = spec.activation_probability; throws
+/// std::invalid_argument unless p is in (0, 1].
+DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
                                         const GameModel& model,
                                         const StrategyMatrix& start,
                                         const DynamicsOptions& options,

@@ -33,7 +33,7 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
                                        Rng& rng) {
   model.validate(start);
   const std::size_t users = model.num_users();
-  DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  DynamicsResult result{.final_state = start};
   StrategyMatrix& state = result.final_state;
   UtilityCache cache(model, state);
   if (options.record_welfare_trace) {

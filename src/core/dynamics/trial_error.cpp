@@ -53,7 +53,7 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
   model.validate(start);
   const std::size_t users = model.num_users();
   const std::size_t channels = model.config().num_channels;
-  DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  DynamicsResult result{.final_state = start};
   StrategyMatrix& state = result.final_state;
   UtilityCache cache(model, state);
   if (options.record_welfare_trace) {

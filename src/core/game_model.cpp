@@ -469,32 +469,38 @@ std::optional<SingleChange> GameModel::best_single_change(
     const StrategyMatrix& strategies, UserId user, double tolerance) const {
   check_matrix(strategies);
   check_user(user);
+  detail::ScanBuffers buffers;
+  const bool has_spare = strategies.user_total(user) < budgets_[user];
   if (topology_) {
     return detail::best_single_change(
-        strategies, user, tolerance, ModelRate{this}, cost_,
-        strategies.user_total(user) < budgets_[user], [&](ChannelId c) {
+        strategies, user, tolerance, ModelRate{this}, cost_, has_spare,
+        [&](ChannelId c) {
           return perceived_load_unchecked(strategies, user, c);
-        });
+        },
+        nullptr, buffers);
   }
-  return detail::best_single_change(
-      strategies, user, tolerance, ModelRate{this}, cost_,
-      strategies.user_total(user) < budgets_[user], global_load(strategies));
+  return detail::best_single_change(strategies, user, tolerance,
+                                    ModelRate{this}, cost_, has_spare,
+                                    global_load(strategies), nullptr, buffers);
 }
 
 std::vector<SingleChange> GameModel::improving_changes_for_user(
     const StrategyMatrix& strategies, UserId user, double tolerance) const {
   check_matrix(strategies);
   check_user(user);
+  detail::ScanBuffers buffers;
+  const bool has_spare = strategies.user_total(user) < budgets_[user];
   if (topology_) {
     return detail::improving_changes(
-        strategies, user, tolerance, ModelRate{this}, cost_,
-        strategies.user_total(user) < budgets_[user], [&](ChannelId c) {
+        strategies, user, tolerance, ModelRate{this}, cost_, has_spare,
+        [&](ChannelId c) {
           return perceived_load_unchecked(strategies, user, c);
-        });
+        },
+        nullptr, buffers);
   }
-  return detail::improving_changes(
-      strategies, user, tolerance, ModelRate{this}, cost_,
-      strategies.user_total(user) < budgets_[user], global_load(strategies));
+  return detail::improving_changes(strategies, user, tolerance,
+                                   ModelRate{this}, cost_, has_spare,
+                                   global_load(strategies), nullptr, buffers);
 }
 
 bool GameModel::is_nash_equilibrium(const StrategyMatrix& strategies,

@@ -17,7 +17,6 @@
 #include "common/stats.h"        // IWYU pragma: export
 #include "common/table.h"        // IWYU pragma: export
 #include "core/alloc/best_response.h"   // IWYU pragma: export
-#include "core/alloc/distributed.h"     // IWYU pragma: export
 #include "core/alloc/random_alloc.h"    // IWYU pragma: export
 #include "core/alloc/sequential.h"      // IWYU pragma: export
 #include "core/alloc/utility_cache.h"   // IWYU pragma: export

@@ -79,7 +79,7 @@ inline DynamicsResult reference_response_dynamics(
     const GameModel& model, const StrategyMatrix& start,
     const DynamicsOptions& options, Rng* rng) {
   const std::size_t users = model.num_users();
-  DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  DynamicsResult result{.final_state = start};
   StrategyMatrix& state = result.final_state;
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(model.raw_welfare(state));
@@ -129,7 +129,7 @@ inline DynamicsResult reference_log_linear_dynamics(
     const DynamicsSpec& spec, const GameModel& model,
     const StrategyMatrix& start, const DynamicsOptions& options, Rng& rng) {
   const std::size_t users = model.num_users();
-  DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  DynamicsResult result{.final_state = start};
   StrategyMatrix& state = result.final_state;
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(model.raw_welfare(state));
@@ -191,7 +191,7 @@ inline DynamicsResult reference_trial_error_dynamics(
     const StrategyMatrix& start, const DynamicsOptions& options, Rng& rng) {
   const std::size_t users = model.num_users();
   const std::size_t channels = model.num_channels();
-  DynamicsResult result{false, 0, 0, start, {}, 0, 0};
+  DynamicsResult result{.final_state = start};
   StrategyMatrix& state = result.final_state;
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(model.raw_welfare(state));

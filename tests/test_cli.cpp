@@ -253,6 +253,22 @@ TEST(CliGoldenReports, ConvergenceSweepMatchesByteForByte) {
   EXPECT_EQ(result.output, expected);
 }
 
+// The `distributed` metric replays the §3 protocol from each run's start
+// with its fixed 10,000-round budget; its three columns, next to the
+// distributed engine's own counts under a 300-activation budget, are
+// pinned over the budget, energy, heterogeneous and ring scenarios.
+TEST(CliGoldenReports, DistributedSweepMatchesByteForByte) {
+  const std::string expected = read_golden("sweep_distributed");
+  ASSERT_FALSE(expected.empty()) << "missing golden sweep_distributed";
+  const CliResult result = run_cli(
+      "sweep --users 3,5,8 --channels 3,4 --radios 1,2 "
+      "--scenario \"base;energy=0.2;het=2:1;budgets=1:2;topology=ring:1\" "
+      "--dynamics best_response,distributed:1 --max-activations 300 "
+      "--metrics distributed,nash --replicates 2 --seed 5 --format csv");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, expected);
+}
+
 // Each figure or claim of the paper is one `mrca` command line in
 // experiments/<name>.args, pinned byte for byte (with its exit code) by
 // experiments/<name>.txt. This table and the .args files must name the

@@ -1,5 +1,3 @@
-#include "core/alloc/distributed.h"
-
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +6,7 @@
 #include "common/rng.h"
 #include "core/alloc/random_alloc.h"
 #include "core/analysis/nash.h"
+#include "core/dynamics/engine.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -16,18 +15,26 @@ namespace {
 using testing::constant_game;
 using testing::power_law_game;
 
+/// The §3 protocol's spec at activation probability `p`.
+DynamicsSpec distributed(double p) {
+  return DynamicsSpec{.kind = DynamicsSpec::Kind::kDistributed,
+                      .activation_probability = p};
+}
+
+/// A budget of `budget` protocol rounds (one round is one activation).
+DynamicsOptions rounds(std::size_t budget) {
+  return DynamicsOptions{.max_activations = budget};
+}
+
 TEST(Distributed, RejectsBadActivationProbability) {
   const GameModel game = constant_game(2, 2, 1);
   Rng rng(1);
-  DistributedOptions options;
-  options.activation_probability = 0.0;
-  EXPECT_THROW(
-      run_distributed_allocation(game, game.empty_strategy(), options, rng),
-      std::invalid_argument);
-  options.activation_probability = 1.5;
-  EXPECT_THROW(
-      run_distributed_allocation(game, game.empty_strategy(), options, rng),
-      std::invalid_argument);
+  EXPECT_THROW(run_distributed_dynamics(distributed(0.0), game,
+                                        game.empty_strategy(), {}, rng),
+               std::invalid_argument);
+  EXPECT_THROW(run_distributed_dynamics(distributed(1.5), game,
+                                        game.empty_strategy(), {}, rng),
+               std::invalid_argument);
 }
 
 TEST(Distributed, StableStartTerminatesInOneRound) {
@@ -35,11 +42,11 @@ TEST(Distributed, StableStartTerminatesInOneRound) {
   const auto stable = StrategyMatrix::from_rows(
       game.config(), {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}});
   Rng rng(2);
-  const DistributedResult result =
-      run_distributed_allocation(game, stable, {}, rng);
+  const DynamicsResult result = run_distributed_dynamics(
+      distributed(0.3), game, stable, rounds(10000), rng);
   EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.rounds, 1u);
-  EXPECT_EQ(result.total_moves, 0u);
+  EXPECT_EQ(result.activations, 1u);
+  EXPECT_EQ(result.improving_steps, 0u);
   EXPECT_TRUE(result.final_state == stable);
 }
 
@@ -49,56 +56,48 @@ TEST(Distributed, ConvergedStateIsSingleMoveStable) {
   for (int trial = 0; trial < 20; ++trial) {
     Rng rng = master.split();
     const StrategyMatrix start = random_full_allocation(game, rng);
-    DistributedOptions options;
-    options.activation_probability = 0.3;
-    options.max_rounds = 5000;
-    const DistributedResult result =
-        run_distributed_allocation(game, start, options, rng);
+    const DynamicsResult result = run_distributed_dynamics(
+        distributed(0.3), game, start, rounds(5000), rng);
     ASSERT_TRUE(result.converged) << "trial " << trial;
     EXPECT_TRUE(is_single_move_stable(game, result.final_state));
   }
 }
 
+// Seed purity, through the engine and through the run_dynamics switch.
 TEST(Distributed, SeedDeterminism) {
   const GameModel game = constant_game(4, 4, 2);
   Rng start_rng(44);
   const StrategyMatrix start = random_full_allocation(game, start_rng);
-  DistributedOptions options;
-  options.activation_probability = 0.5;
   Rng a(7);
   Rng b(7);
-  const auto result_a = run_distributed_allocation(game, start, options, a);
-  const auto result_b = run_distributed_allocation(game, start, options, b);
+  const auto result_a =
+      run_distributed_dynamics(distributed(0.5), game, start, rounds(10000), a);
+  const auto result_b =
+      run_dynamics(distributed(0.5), game, start, rounds(10000), &b);
   EXPECT_TRUE(result_a.final_state == result_b.final_state);
-  EXPECT_EQ(result_a.rounds, result_b.rounds);
-  EXPECT_EQ(result_a.total_moves, result_b.total_moves);
+  EXPECT_EQ(result_a.activations, result_b.activations);
+  EXPECT_EQ(result_a.improving_steps, result_b.improving_steps);
 }
 
 TEST(Distributed, DeploysSparesFromEmptyStart) {
   const GameModel game = constant_game(4, 5, 3);
   Rng rng(8);
-  DistributedOptions options;
-  options.activation_probability = 0.4;
-  options.max_rounds = 5000;
-  const DistributedResult result =
-      run_distributed_allocation(game, game.empty_strategy(), options, rng);
+  const DynamicsResult result = run_distributed_dynamics(
+      distributed(0.4), game, game.empty_strategy(), rounds(5000), rng);
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(result.final_state.all_radios_deployed());
 }
 
 TEST(Distributed, LockstepActivationCanOscillateButIsBounded) {
   // p = 1: all users move simultaneously on stale information — classic
-  // herding. The run must respect max_rounds and report honestly whether
-  // the final state happens to be stable.
+  // herding. The run must respect its round budget and report honestly
+  // whether the final state happens to be stable.
   const GameModel game = constant_game(4, 4, 2);
   Rng rng(9);
   const StrategyMatrix start = random_full_allocation(game, rng);
-  DistributedOptions options;
-  options.activation_probability = 1.0;
-  options.max_rounds = 200;
-  const DistributedResult result =
-      run_distributed_allocation(game, start, options, rng);
-  EXPECT_LE(result.rounds, 200u);
+  const DynamicsResult result =
+      run_distributed_dynamics(distributed(1.0), game, start, rounds(200), rng);
+  EXPECT_LE(result.activations, 200u);
   if (result.converged) {
     EXPECT_TRUE(is_single_move_stable(game, result.final_state));
   }
@@ -116,11 +115,8 @@ TEST_P(DistributedSweep, Converges) {
   const GameModel game(GameConfig(6, 5, 3), rate);
   Rng rng(seed);
   const StrategyMatrix start = random_full_allocation(game, rng);
-  DistributedOptions options;
-  options.activation_probability = probability;
-  options.max_rounds = 20000;
-  const DistributedResult result =
-      run_distributed_allocation(game, start, options, rng);
+  const DynamicsResult result = run_distributed_dynamics(
+      distributed(probability), game, start, rounds(20000), rng);
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(is_single_move_stable(game, result.final_state));
   // Stability here implies full deployment (a spare radio always has an
