@@ -4,13 +4,24 @@
 
 namespace mrca {
 
+bool StabilityCheck::holds(const GameModel& model,
+                           const StrategyMatrix& strategies,
+                           double tolerance) {
+  const std::size_t users = strategies.num_users();
+  if (next_ >= users) next_ = 0;
+  for (std::size_t scanned = 0; scanned < users; ++scanned) {
+    if (model.best_single_change(strategies, next_, tolerance, buffers_)) {
+      return false;
+    }
+    if (++next_ == users) next_ = 0;
+  }
+  return true;
+}
+
 bool is_single_move_stable(const GameModel& model,
                            const StrategyMatrix& strategies,
                            double tolerance) {
-  for (UserId user = 0; user < strategies.num_users(); ++user) {
-    if (model.best_single_change(strategies, user, tolerance)) return false;
-  }
-  return true;
+  return StabilityCheck().holds(model, strategies, tolerance);
 }
 
 bool is_nash_equilibrium(const GameModel& model,

@@ -3,7 +3,12 @@
 // Three layers of rigor:
 //   1. check_theorem1 (lemmas.h) — the paper's printed predicate, O(N*C^2).
 //   2. is_single_move_stable — no user can gain by relocating, deploying or
-//      parking ONE radio. O(N*C^2) with O(1) incremental benefits.
+//      parking ONE radio. O(N*C^2) with O(1) incremental benefits. Engines
+//      that test it periodically own one StabilityCheck per run instead:
+//      the same verdict, but the scan resumes at the user whose improving
+//      change refuted the previous check and reuses one scratch set, so a
+//      run that stays unstable pays about one user scan per check rather
+//      than a rescan from user 0.
 //   3. is_nash_equilibrium — no user can gain by ANY unilateral strategy
 //      change (Definition 1), via the exact best-response DP. O(N*C*k^2).
 // Layer 3 implies layer 2. The test suite quantifies agreement between all
@@ -16,14 +21,38 @@
 #include <vector>
 
 #include "core/analysis/deviation.h"
+#include "core/analysis/deviation_detail.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
 namespace mrca {
 
+/// Layer 2 as a resumable check a dynamics run owns. holds() scans users in
+/// cyclic order from the cursor and returns false at the first user with an
+/// improving single change, leaving the cursor on that user; a full clean
+/// cycle returns true. The verdict is a for-all over users, so it never
+/// depends on where the cycle starts, and the check draws no randomness.
+/// A cursor past the end of a smaller game restarts at user 0.
+class StabilityCheck {
+ public:
+  bool holds(const GameModel& model, const StrategyMatrix& strategies,
+             double tolerance = kUtilityTolerance);
+
+  /// The check's scan scratch, lent to its owner's own scans between
+  /// checks (holds() overwrites it).
+  detail::ScanBuffers& buffers() noexcept { return buffers_; }
+  /// The user the next holds() scans first.
+  UserId cursor() const noexcept { return next_; }
+
+ private:
+  detail::ScanBuffers buffers_;
+  UserId next_ = 0;
+};
+
 /// True when no single-radio change (move/deploy/park) improves any user's
 /// utility by more than `tolerance`. Model-generic: per-channel rates,
 /// per-user budgets and the energy price all flow through the shared scan.
+/// A one-shot StabilityCheck.
 bool is_single_move_stable(const GameModel& model,
                            const StrategyMatrix& strategies,
                            double tolerance = kUtilityTolerance);

@@ -47,6 +47,8 @@ DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
   StrategyMatrix& state = result.final_state;
   const std::size_t users = model.config().num_users;
 
+  // One stability check per run; its scratch also serves the plan scans.
+  StabilityCheck stability;
   std::vector<SingleChange> planned;
   planned.reserve(users);
   while (result.activations < options.max_activations) {
@@ -54,7 +56,7 @@ DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
     // Termination test against the *current* state: if nobody has an
     // improving single change, the protocol is stable regardless of who
     // activates.
-    if (is_single_move_stable(model, state, options.tolerance)) {
+    if (stability.holds(model, state, options.tolerance)) {
       result.converged = true;
       break;
     }
@@ -62,8 +64,8 @@ DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
     planned.clear();
     for (UserId user = 0; user < users; ++user) {
       if (!rng.bernoulli(spec.activation_probability)) continue;
-      const auto change =
-          model.best_single_change(state, user, options.tolerance);
+      const auto change = model.best_single_change(
+          state, user, options.tolerance, stability.buffers());
       if (change) planned.push_back(*change);
     }
     // Commit phase: apply simultaneously-decided changes. A planned change
@@ -85,7 +87,7 @@ DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
     }
   }
   if (!result.converged) {
-    result.converged = is_single_move_stable(model, state, options.tolerance);
+    result.converged = stability.holds(model, state, options.tolerance);
   }
   result.final_welfare = model.raw_welfare(state);
   return result;

@@ -45,7 +45,9 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
   const auto rate_at = [&](ChannelId c, RadioCount load) {
     return model.rate(c, load);
   };
-  detail::ScanBuffers buffers;
+  // One stability check per run; its scratch also serves the Gibbs scans.
+  StabilityCheck stability;
+  detail::ScanBuffers& buffers = stability.buffers();
   std::vector<SingleChange> candidates;
   std::vector<double> weights;
   UserId user = 0;
@@ -54,7 +56,7 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
   const auto load_at = [&](ChannelId c) { return cache.load_seen(user, c); };
   while (result.activations < budget) {
     if (result.activations % users == 0 &&
-        is_single_move_stable(model, state, options.tolerance)) {
+        stability.holds(model, state, options.tolerance)) {
       result.converged = true;
       break;
     }

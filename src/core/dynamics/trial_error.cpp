@@ -61,10 +61,11 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
   }
 
   const std::size_t budget = options.max_activations;
+  StabilityCheck stability;
   std::vector<ChannelId> occupied;
   while (result.activations < budget) {
     if (result.activations % users == 0 &&
-        is_single_move_stable(model, state, options.tolerance)) {
+        stability.holds(model, state, options.tolerance)) {
       result.converged = true;
       break;
     }

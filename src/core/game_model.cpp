@@ -467,9 +467,15 @@ BestResponse GameModel::best_response_unchecked(
 
 std::optional<SingleChange> GameModel::best_single_change(
     const StrategyMatrix& strategies, UserId user, double tolerance) const {
+  detail::ScanBuffers buffers;
+  return best_single_change(strategies, user, tolerance, buffers);
+}
+
+std::optional<SingleChange> GameModel::best_single_change(
+    const StrategyMatrix& strategies, UserId user, double tolerance,
+    detail::ScanBuffers& buffers) const {
   check_matrix(strategies);
   check_user(user);
-  detail::ScanBuffers buffers;
   const bool has_spare = strategies.user_total(user) < budgets_[user];
   if (topology_) {
     return detail::best_single_change(

@@ -191,6 +191,11 @@ class GameModel {
   std::optional<SingleChange> best_single_change(
       const StrategyMatrix& strategies, UserId user,
       double tolerance = kUtilityTolerance) const;
+  /// As above, the scan's scratch in `buffers`: callers that scan many
+  /// users reuse one set instead of allocating one per call.
+  std::optional<SingleChange> best_single_change(
+      const StrategyMatrix& strategies, UserId user, double tolerance,
+      detail::ScanBuffers& buffers) const;
 
   /// All strictly-improving single-radio changes of ONE user.
   std::vector<SingleChange> improving_changes_for_user(

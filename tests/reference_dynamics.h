@@ -253,6 +253,39 @@ inline DynamicsResult reference_trial_error_dynamics(
   return result;
 }
 
+/// Reference for run_distributed_dynamics: the same rounds, activation
+/// draws and commit order, with a fresh stateless check each round and
+/// every plan scanned through the model's checked member.
+inline DynamicsResult reference_distributed_dynamics(
+    const DynamicsSpec& spec, const GameModel& model,
+    const StrategyMatrix& start, const DynamicsOptions& options, Rng& rng) {
+  DynamicsResult result{.final_state = start};
+  StrategyMatrix& state = result.final_state;
+  while (result.activations < options.max_activations) {
+    ++result.activations;
+    if (is_single_move_stable(model, state, options.tolerance)) {
+      result.converged = true;
+      break;
+    }
+    std::vector<SingleChange> planned;
+    for (UserId user = 0; user < model.num_users(); ++user) {
+      if (!rng.bernoulli(spec.activation_probability)) continue;
+      const auto change =
+          model.best_single_change(state, user, options.tolerance);
+      if (change) planned.push_back(*change);
+    }
+    for (const SingleChange& change : planned) {
+      apply_change(state, change);
+      ++result.improving_steps;
+    }
+  }
+  if (!result.converged) {
+    result.converged = is_single_move_stable(model, state, options.tolerance);
+  }
+  result.final_welfare = model.raw_welfare(state);
+  return result;
+}
+
 /// Reference for the `convergence` metric's eps_ne_time: the hand-written
 /// round-robin best-response replay from `start` that once defined the
 /// metric, kept verbatim (its own loop, its own epsilon and budget

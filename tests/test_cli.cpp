@@ -269,6 +269,22 @@ TEST(CliGoldenReports, DistributedSweepMatchesByteForByte) {
   EXPECT_EQ(result.output, expected);
 }
 
+// The `single_move` metric's column under every engine, on the base game,
+// an interference ring and an energy price. The 16-activation budget stops
+// some learner runs short of stability, so both verdicts are pinned.
+TEST(CliGoldenReports, SingleMoveSweepMatchesByteForByte) {
+  const std::string expected = read_golden("sweep_single_move");
+  ASSERT_FALSE(expected.empty()) << "missing golden sweep_single_move";
+  const CliResult result = run_cli(
+      "sweep --users 4,7 --channels 3,4 --radios 2 --rates powerlaw=1 "
+      "--dynamics best_response,log_linear,trial_error,distributed "
+      "--scenario \"base;topology=ring:2;energy=0.2\" "
+      "--metrics single_move,nash --max-activations 16 --replicates 2 "
+      "--seed 11 --format csv");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, expected);
+}
+
 // Each figure or claim of the paper is one `mrca` command line in
 // experiments/<name>.args, pinned byte for byte (with its exit code) by
 // experiments/<name>.txt. This table and the .args files must name the

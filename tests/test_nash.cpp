@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 
 #include "common/rng.h"
 #include "core/alloc/random_alloc.h"
+#include "reference_dynamics.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -16,6 +18,7 @@ using testing::constant_game;
 using testing::figure1_rows;
 using testing::matrix_of;
 using testing::power_law_game;
+using testing::reference_models;
 
 TEST(EnumerateRows, CountsMatchStarsAndBars) {
   // Rows with sum <= k over C channels: C(k + C, C).
@@ -130,6 +133,103 @@ TEST(IsNash, StabilityLayersAgreeOrNestOnEnumeration) {
   });
   ::testing::Test::RecordProperty("single_move_stable_but_not_nash",
                                   static_cast<int>(stable_not_nash));
+}
+
+/// Layer 2 by its definition: no user has any improving single change.
+bool no_improving_change(const GameModel& model,
+                         const StrategyMatrix& strategies) {
+  for (UserId user = 0; user < model.num_users(); ++user) {
+    if (!model.improving_changes_for_user(strategies, user).empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(StabilityCheck, OneCheckAgreesWithBruteForceAcrossMutations) {
+  // One check lives through every game in turn (so games of 7, 5 and 8
+  // users inherit each other's cursors) and through a walk of single-radio
+  // mutations on each: a random user's uniformly random change, or on odd
+  // steps an improving one, so the walk also reaches stable states.
+  StabilityCheck check;
+  std::size_t stable = 0;
+  std::size_t unstable = 0;
+  std::size_t wraps = 0;
+  Rng rng(2718);
+  for (const GameModel& model : reference_models()) {
+    StrategyMatrix state = random_full_allocation(model, rng);
+    for (int step = 0; step < 300; ++step) {
+      const UserId before = check.cursor();
+      const bool holds = check.holds(model, state);
+      ASSERT_EQ(holds, no_improving_change(model, state)) << state.key();
+      EXPECT_EQ(is_single_move_stable(model, state), holds);
+      ASSERT_LT(check.cursor(), model.num_users());
+      if (holds) {
+        ++stable;
+      } else {
+        ++unstable;
+        // The cursor rests on the witness.
+        EXPECT_FALSE(
+            model.improving_changes_for_user(state, check.cursor()).empty());
+        if (before < model.num_users() && check.cursor() < before) ++wraps;
+      }
+      const auto user = static_cast<UserId>(rng.index(model.num_users()));
+      const double tolerance = step % 2 == 1
+                                   ? kUtilityTolerance
+                                   : -std::numeric_limits<double>::infinity();
+      const std::vector<SingleChange> changes =
+          model.improving_changes_for_user(state, user, tolerance);
+      if (!changes.empty()) {
+        testing::apply_change(state, changes[rng.index(changes.size())]);
+      }
+    }
+  }
+  EXPECT_GT(stable, 0u);
+  EXPECT_GT(unstable, 0u);
+  EXPECT_GT(wraps, 0u);
+}
+
+TEST(StabilityCheck, WrapsAroundToAWitnessBelowTheCursor) {
+  // Constant rate, one radio each: a parked user gains by deploying onto
+  // the idle channel; the two deployed users sit alone and are content.
+  const GameModel game = constant_game(3, 3, 1);
+  StabilityCheck check;
+  EXPECT_FALSE(check.holds(game, matrix_of(game, {{1, 0, 0},
+                                                  {0, 1, 0},
+                                                  {0, 0, 0}})));
+  EXPECT_EQ(check.cursor(), 2u);
+  // Only user 0, below the cursor, is unstable now.
+  const auto below = matrix_of(game, {{0, 0, 0}, {0, 1, 0}, {0, 0, 1}});
+  EXPECT_FALSE(check.holds(game, below));
+  EXPECT_EQ(check.cursor(), 0u);
+  // A clean cycle holds and leaves the cursor where it started.
+  EXPECT_TRUE(check.holds(game, matrix_of(game, {{1, 0, 0},
+                                                 {0, 1, 0},
+                                                 {0, 0, 1}})));
+  EXPECT_EQ(check.cursor(), 0u);
+}
+
+TEST(StabilityCheck, CursorFromALargerGameRestartsAtUserZero) {
+  const GameModel small = constant_game(2, 2, 1);
+  const auto small_unstable = matrix_of(small, {{0, 0}, {0, 1}});
+  const auto small_stable = matrix_of(small, {{1, 0}, {0, 1}});
+  for (const std::size_t users : {3u, 4u}) {
+    // The last user of the larger game is its only witness, leaving the
+    // cursor at (3 users) or past (4 users) the small game's user count.
+    const GameModel large = constant_game(users, users, 1);
+    StrategyMatrix parked_last = large.empty_strategy();
+    for (UserId user = 0; user + 1 < users; ++user) {
+      parked_last.add_radio(user, user);
+    }
+    for (const bool stable : {false, true}) {
+      StabilityCheck check;
+      ASSERT_FALSE(check.holds(large, parked_last));
+      ASSERT_EQ(check.cursor(), users - 1);
+      EXPECT_EQ(check.holds(small, stable ? small_stable : small_unstable),
+                stable);
+      EXPECT_EQ(check.cursor(), 0u);
+    }
+  }
 }
 
 TEST(EnumerateNash, FlatAllocationsInNoConflictRegime) {

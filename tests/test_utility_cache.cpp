@@ -23,13 +23,8 @@ using testing::constant_game;
 using testing::figure1_rows;
 using testing::matrix_of;
 using testing::power_law_game;
-
-std::vector<std::shared_ptr<const RateFunction>> rate_families() {
-  return {std::make_shared<ConstantRate>(1.0),
-          std::make_shared<PowerLawRate>(1.0, 1.0),
-          std::make_shared<GeometricDecayRate>(1.0, 0.8),
-          std::make_shared<LinearDecayRate>(1.0, 0.05)};
-}
+using testing::rate_families;
+using testing::reference_models;
 
 TEST(RateTable, BitIdenticalToFunctionOverTabulatedRange) {
   for (const auto& rate_fn : rate_families()) {
@@ -291,28 +286,7 @@ TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
 
 /// End-to-end: every cached engine must walk the exact trajectory of its
 /// full-recompute reference (tests/reference_dynamics.h) — same states,
-/// counts and Rng draws — on the base game of every rate family and on
-/// every scenario axis, interference topology included.
-std::vector<GameModel> reference_models() {
-  std::vector<GameModel> models;
-  for (const auto& rate_fn : rate_families()) {
-    models.emplace_back(GameConfig(7, 5, 3), rate_fn);
-  }
-  const std::vector<std::shared_ptr<const RateFunction>> mixed = {
-      std::make_shared<ConstantRate>(3.0),
-      std::make_shared<PowerLawRate>(1.5, 1.0),
-      std::make_shared<GeometricDecayRate>(1.0, 0.7),
-      std::make_shared<ConstantRate>(0.5)};
-  models.emplace_back(4, std::vector<RadioCount>(5, 2), mixed);
-  models.push_back(GameModel(5, {1, 4, 2, 5, 3}, {rate_families()[0]}));
-  models.emplace_back(GameConfig(5, 4, 2),
-                      std::make_shared<PowerLawRate>(1.0, 0.5), 0.2);
-  models.push_back(GameModel(
-      4, std::vector<RadioCount>(8, 2), {rate_families()[1]}, 0.05, {},
-      std::make_shared<const Topology>(Topology::ring(8, 1))));
-  return models;
-}
-
+/// counts and Rng draws — on testing::reference_models().
 void expect_same_run(const DynamicsResult& cached,
                      const DynamicsResult& reference) {
   EXPECT_TRUE(cached.final_state == reference.final_state);
@@ -375,6 +349,45 @@ TEST(UtilityCache, LearnersMatchTheirFullRecomputeReferences) {
     }
   }
   EXPECT_GT(accepted_changes, 0u);  // the runs actually moved
+}
+
+// The §3 protocol keeps no cache, but its run-owned stability check and
+// shared plan scratch must leave every field exactly as the stateless,
+// allocate-per-scan reference computes it, welfare bits included.
+TEST(UtilityCache, DistributedMatchesItsFullRecomputeReference) {
+  std::size_t moves = 0;
+  std::size_t unconverged = 0;
+  for (const char* name : {"distributed:0.3", "distributed:1"}) {
+    const DynamicsSpec spec = DynamicsSpec::parse(name);
+    for (const GameModel& model : reference_models()) {
+      Rng start_rng(606);
+      for (int trial = 0; trial < 3; ++trial) {
+        const StrategyMatrix start = random_full_allocation(model, start_rng);
+        DynamicsOptions options;
+        options.max_activations = 2 * model.num_users();
+        Rng rng_a(31);
+        Rng rng_b(31);
+        const DynamicsResult run =
+            run_distributed_dynamics(spec, model, start, options, rng_a);
+        const DynamicsResult reference =
+            testing::reference_distributed_dynamics(spec, model, start,
+                                                    options, rng_b);
+        EXPECT_TRUE(run.final_state == reference.final_state) << name;
+        EXPECT_EQ(run.converged, reference.converged) << name;
+        EXPECT_EQ(run.activations, reference.activations) << name;
+        EXPECT_EQ(run.improving_steps, reference.improving_steps) << name;
+        EXPECT_EQ(run.final_welfare, reference.final_welfare) << name;
+        EXPECT_EQ(run.scan_skips, reference.scan_skips) << name;
+        EXPECT_EQ(run.reprice_touches, reference.reprice_touches) << name;
+        EXPECT_EQ(run.welfare_trace, reference.welfare_trace) << name;
+        EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64()) << name;
+        moves += run.improving_steps;
+        unconverged += run.converged ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(moves, 0u);        // the protocol actually moved
+  EXPECT_GT(unconverged, 0u);  // and some runs stopped on the round budget
 }
 
 }  // namespace

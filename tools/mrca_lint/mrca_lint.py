@@ -42,6 +42,11 @@ every commit:
                         ScanScratch is): hidden per-thread state outlives
                         the pool tasks that fill it, and no determinism
                         rule above can see what it carries between tasks.
+  R7 hot-loop-scratch   No call to the stateless is_single_move_stable()
+                        under src/core/dynamics/ or src/core/alloc/. It
+                        rescans every user from user 0 with fresh scratch;
+                        an engine owns one StabilityCheck per run, which
+                        resumes at the last witness and reuses its buffers.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 Run as:  python3 tools/mrca_lint/mrca_lint.py --root .
@@ -343,10 +348,29 @@ def check_thread_local(path: Path, text: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R7: engines check stability through scratch the run owns
+
+STATELESS_CHECK = re.compile(r"\bis_single_move_stable\s*\(")
+R7_DIRS = ("src/core/dynamics/", "src/core/alloc/")
+
+
+def check_hot_loop_scratch(path: Path, rel: str, text: str) -> list[Finding]:
+    if not rel.startswith(R7_DIRS):
+        return []
+    return [Finding(
+        "hot-loop-scratch", path, _lines_of(match.start(), text),
+        "is_single_move_stable() rescans every user with fresh scratch on "
+        "each call. An engine owns one StabilityCheck per run and calls "
+        "its holds(), which resumes at the last witness.")
+        for match in STATELESS_CHECK.finditer(text)]
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 RULES_HELP = ("banned-entropy", "unordered-iter", "seed-provenance",
-              "include-hygiene", "header-consumer", "thread-local")
+              "include-hygiene", "header-consumer", "thread-local",
+              "hot-loop-scratch")
 
 
 def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
@@ -373,6 +397,7 @@ def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
         findings += check_banned_entropy(path, rel, text)
         findings += check_seed_provenance(path, rel, text)
         findings += check_thread_local(path, text)
+        findings += check_hot_loop_scratch(path, rel, text)
         findings += check_include_hygiene(
             path, rel, path.read_text(encoding="utf-8"))
     for pair_name, files in sorted(pairs.items()):

@@ -89,9 +89,18 @@ class ViolationFixtures(unittest.TestCase):
                           ("bad_thread_local.cpp", 11)])
         self.assertIn("ScanScratch", hits[0].message)
 
+    def test_hot_loop_scratch(self):
+        hits = findings_by(self.findings, rule="hot-loop-scratch")
+        # Two stateless calls in the engine; holds(), the comment, the
+        # string and the same call in a tools/ file never count.
+        self.assertEqual([(f.path.name, f.line) for f in hits],
+                         [("bad_stability.cpp", 12),
+                          ("bad_stability.cpp", 15)])
+        self.assertIn("StabilityCheck", hits[0].message)
+
     def test_total_findings_accounted_for(self):
         # No rule may fire where the fixtures did not seed a violation.
-        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2 + 2)
+        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2 + 2 + 2)
 
 
 class CleanFixtures(unittest.TestCase):
