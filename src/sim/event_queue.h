@@ -4,12 +4,17 @@
 // number), which the MAC layer relies on: a frame's end-of-transmission
 // event is always scheduled before any same-tick transmission start, so
 // back-to-back airtime does not read as a collision.
+//
+// Handlers live in a vector of slots that fired and cancelled events hand
+// back for reuse, so a long run allocates only while the number of pending
+// events grows. An EventId names a slot and the slot's generation, which
+// advances each time the slot is released: an id whose event has fired or
+// been cancelled never matches again, even after its slot is reused.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/sim_time.h"
@@ -49,16 +54,27 @@ class EventQueue {
     }
   };
 
+  struct Slot {
+    std::function<void()> handler;
+    /// Starts at 1 so that no id equals kInvalidEvent.
+    std::uint32_t generation = 1;
+  };
+
+  static std::uint32_t slot_of(EventId id) noexcept {
+    return static_cast<std::uint32_t>(id);
+  }
+  static std::uint32_t generation_of(EventId id) noexcept {
+    return static_cast<std::uint32_t>(id >> 32);
+  }
+  bool pending(EventId id) const noexcept;
+  void release(std::uint32_t slot);
   void drop_cancelled() const;
 
+  // Heap entries of cancelled events stay until they surface and are
+  // skipped (lazy deletion); firing order comes only from (time, seq).
   mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  // Lookup-only (schedule/cancel/extract by id — never iterated): firing
-  // order comes exclusively from the (time, seq) heap, so the hash map's
-  // internal order cannot reach results. mrca_lint's unordered-iter rule
-  // keeps it that way; switch to std::map if iteration ever becomes
-  // necessary.
-  std::unordered_map<EventId, std::function<void()>> handlers_;
-  EventId next_id_ = 1;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
 };

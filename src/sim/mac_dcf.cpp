@@ -5,11 +5,53 @@
 
 namespace mrca::sim {
 
+BackoffTimer::BackoffTimer(Simulator& simulator, Medium& medium)
+    : simulator_(simulator) {
+  medium.attach(this);
+}
+
+void BackoffTimer::attach(DcfStation* station) {
+  stations_.push_back(station);
+}
+
+void BackoffTimer::request(SimTime expiry) {
+  if (event_ != kInvalidEvent) {
+    if (event_time_ <= expiry) return;
+    simulator_.cancel(event_);
+  }
+  event_time_ = expiry;
+  event_ = simulator_.schedule_at(expiry, [this] { fire(); });
+}
+
+void BackoffTimer::on_busy_start() {
+  // Every armed station expiring later than now has just frozen. An event
+  // at this very tick stays: its stations still transmit (and collide).
+  if (event_ != kInvalidEvent && event_time_ > simulator_.now()) {
+    simulator_.cancel(event_);
+    event_ = kInvalidEvent;
+  }
+}
+
+void BackoffTimer::fire() {
+  event_ = kInvalidEvent;
+  const SimTime now = simulator_.now();
+  // The event sits at the earliest expiry, so some station transmits. Its
+  // busy start freezes every station expiring later; those expiring now
+  // stay armed and join the collision. That leaves no station armed: the
+  // next arming, at the next idle start, requests the next event.
+  for (DcfStation* station : stations_) {
+    if (station->armed_ && station->expiry() == now) {
+      station->begin_transmission();
+    }
+  }
+}
+
 DcfStation::DcfStation(Simulator& simulator, Medium& medium,
-                       const DcfParameters& params, Rng rng,
-                       TrafficOptions traffic)
+                       BackoffTimer& timer, const DcfParameters& params,
+                       Rng rng, TrafficOptions traffic)
     : simulator_(simulator),
       medium_(medium),
+      timer_(timer),
       params_(params),
       rng_(rng),
       traffic_(traffic) {
@@ -34,6 +76,7 @@ DcfStation::DcfStation(Simulator& simulator, Medium& medium,
   rts_duration_ = from_seconds(params_.rts_time_s()) + prop_;
   cts_duration_ = from_seconds(params_.cts_time_s()) + prop_;
   medium_.attach(this);
+  timer_.attach(this);
 }
 
 void DcfStation::start() {
@@ -42,7 +85,7 @@ void DcfStation::start() {
   }
   draw_backoff();
   if (traffic_.saturated) {
-    schedule_pending(difs_, /*is_difs=*/true);
+    arm();
   } else {
     schedule_next_arrival();
   }
@@ -69,17 +112,22 @@ void DcfStation::on_arrival() {
     queue_.push_back(simulator_.now());
     // A frame arriving to an idle station (re)starts contention; an armed
     // or frozen or transmitting station just grows its queue.
-    if (queue_.size() == 1 && !transmitting_ &&
-        pending_event_ == kInvalidEvent && !medium_busy_) {
-      schedule_pending(difs_, /*is_difs=*/true);
+    if (queue_.size() == 1 && !transmitting_ && !armed_ && !medium_busy_) {
+      arm();
     }
   }
   schedule_next_arrival();
 }
 
+void DcfStation::arm() {
+  countdown_start_ = simulator_.now() + difs_;
+  armed_ = true;
+  timer_.request(expiry());
+}
+
 void DcfStation::arm_if_ready() {
   if (has_traffic()) {
-    schedule_pending(difs_, /*is_difs=*/true);
+    arm();
     if (trace_recorder_) {
       trace_recorder_->record(simulator_.now(),
                               TraceEventKind::kBackoffResumed, trace_id_);
@@ -97,37 +145,20 @@ void DcfStation::draw_backoff() {
       static_cast<int>(rng_.uniform_int(0, contention_window() - 1));
 }
 
-void DcfStation::cancel_pending() {
-  if (pending_event_ != kInvalidEvent) {
-    simulator_.cancel(pending_event_);
-    pending_event_ = kInvalidEvent;
-  }
-}
-
-void DcfStation::schedule_pending(SimTime delay, bool is_difs) {
-  cancel_pending();
-  pending_time_ = simulator_.now() + delay;
-  pending_event_ = simulator_.schedule_at(pending_time_, [this, is_difs] {
-    pending_event_ = kInvalidEvent;
-    if (is_difs) {
-      difs_elapsed();
-    } else {
-      slot_elapsed();
-    }
-  });
-}
-
 void DcfStation::on_busy_start() {
   medium_busy_ = true;
-  // Drop countdown events strictly in the future; an event at exactly this
-  // tick represents the slot boundary that just completed while the medium
-  // was still idle, and must still fire (simultaneous expiry = collision).
-  if (pending_event_ != kInvalidEvent && pending_time_ > simulator_.now()) {
-    cancel_pending();
-    if (trace_recorder_ && !transmitting_) {
-      trace_recorder_->record(simulator_.now(),
-                              TraceEventKind::kBackoffFrozen, trace_id_);
-    }
+  const SimTime now = simulator_.now();
+  // A station expiring at exactly this tick completed its last slot while
+  // the medium was still idle: it stays armed and transmits now
+  // (simultaneous expiry = collision).
+  if (!armed_ || expiry() == now) return;
+  // Freeze: the idle slots that completed since countdown start are spent.
+  if (now >= countdown_start_) {
+    backoff_counter_ -= static_cast<int>((now - countdown_start_) / slot_);
+  }
+  armed_ = false;
+  if (trace_recorder_) {
+    trace_recorder_->record(now, TraceEventKind::kBackoffFrozen, trace_id_);
   }
 }
 
@@ -137,29 +168,9 @@ void DcfStation::on_idle_start() {
   arm_if_ready();
 }
 
-void DcfStation::difs_elapsed() {
-  if (backoff_counter_ == 0) {
-    begin_transmission();
-    return;
-  }
-  if (!medium_busy_) {
-    schedule_pending(slot_, /*is_difs=*/false);
-  }
-}
-
-void DcfStation::slot_elapsed() {
-  --backoff_counter_;
-  if (backoff_counter_ == 0) {
-    begin_transmission();
-    return;
-  }
-  if (!medium_busy_) {
-    schedule_pending(slot_, /*is_difs=*/false);
-  }
-}
-
 void DcfStation::begin_transmission() {
-  cancel_pending();
+  armed_ = false;
+  backoff_counter_ = 0;
   transmitting_ = true;
   ++stats_.attempts;
   if (trace_recorder_) {
@@ -234,7 +245,9 @@ void DcfStation::on_transmission_end(bool success) {
 
 DcfChannelSim::DcfChannelSim(const DcfParameters& params, int stations,
                              std::uint64_t seed, TrafficOptions traffic)
-    : params_(params), medium_(std::make_unique<Medium>(simulator_)) {
+    : params_(params),
+      medium_(std::make_unique<Medium>(simulator_)),
+      timer_(std::make_unique<BackoffTimer>(simulator_, *medium_)) {
   if (stations < 1) {
     throw std::invalid_argument("DcfChannelSim: need at least one station");
   }
@@ -242,7 +255,7 @@ DcfChannelSim::DcfChannelSim(const DcfParameters& params, int stations,
   stations_.reserve(static_cast<std::size_t>(stations));
   for (int s = 0; s < stations; ++s) {
     stations_.push_back(std::make_unique<DcfStation>(
-        simulator_, *medium_, params_, master.split(), traffic));
+        simulator_, *medium_, *timer_, params_, master.split(), traffic));
   }
   for (const auto& station : stations_) station->start();
 }

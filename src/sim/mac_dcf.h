@@ -4,9 +4,15 @@
 //
 // Station behavior (saturated, i.e. always backlogged):
 //   - after the medium has been idle for DIFS, the backoff counter
-//     decrements once per idle slot; it freezes while the medium is busy;
-//   - at counter zero the station transmits the whole frame; simultaneous
-//     expiries at the same slot boundary collide (exact integer timestamps);
+//     decrements once per idle slot; it freezes while the medium is busy.
+//     The countdown is computed, not stepped: an armed station keeps its
+//     counter and the instant its countdown starts (arm time + DIFS), so
+//     it expires at countdown start + counter * slot; a busy start takes
+//     the whole idle slots elapsed since countdown start off the counter;
+//   - one backoff timer per channel holds a single simulator event at the
+//     earliest expiry and starts every station that expires then, in
+//     station order: simultaneous expiries at the same slot boundary
+//     collide (exact integer timestamps);
 //   - on success (no overlap), the receiver's ACK is modelled as a system
 //     transmission SIFS after the data frame, and the contention window
 //     resets to CW_min;
@@ -71,9 +77,42 @@ struct TrafficOptions {
   std::size_t queue_capacity = 200;
 };
 
+class DcfStation;
+
+/// The one backoff event of a channel: it sits at the earliest expiry
+/// among the armed stations and, when it fires, starts each station
+/// expiring then, in station order. Listens to the medium only to drop an
+/// event a busy start has made moot.
+class BackoffTimer final : public MediumListener {
+ public:
+  BackoffTimer(Simulator& simulator, Medium& medium);
+
+  BackoffTimer(const BackoffTimer&) = delete;
+  BackoffTimer& operator=(const BackoffTimer&) = delete;
+
+  /// Registers a station; stations are started in registration order.
+  void attach(DcfStation* station);
+
+  /// An armed station expires at `expiry`; moves the event earlier if
+  /// needed.
+  void request(SimTime expiry);
+
+  // MediumListener:
+  void on_busy_start() override;
+  void on_idle_start() override {}
+
+ private:
+  void fire();
+
+  Simulator& simulator_;
+  std::vector<DcfStation*> stations_;
+  EventId event_ = kInvalidEvent;
+  SimTime event_time_ = 0;
+};
+
 class DcfStation final : public MediumListener, public TxListener {
  public:
-  DcfStation(Simulator& simulator, Medium& medium,
+  DcfStation(Simulator& simulator, Medium& medium, BackoffTimer& timer,
              const DcfParameters& params, Rng rng,
              TrafficOptions traffic = {});
 
@@ -99,22 +138,26 @@ class DcfStation final : public MediumListener, public TxListener {
   void on_transmission_end(bool success) override;
 
  private:
+  friend class BackoffTimer;
+
   bool has_traffic() const noexcept {
     return traffic_.saturated || !queue_.empty();
   }
+  /// When the countdown of an armed station reaches zero.
+  SimTime expiry() const noexcept {
+    return countdown_start_ + backoff_counter_ * slot_;
+  }
   void schedule_next_arrival();
   void on_arrival();
+  void arm();
   void arm_if_ready();
-  void difs_elapsed();
-  void slot_elapsed();
   void begin_transmission();
   void draw_backoff();
   int contention_window() const;
-  void cancel_pending();
-  void schedule_pending(SimTime delay, bool is_difs);
 
   Simulator& simulator_;
   Medium& medium_;
+  BackoffTimer& timer_;
   DcfParameters params_;
   Rng rng_;
 
@@ -130,11 +173,11 @@ class DcfStation final : public MediumListener, public TxListener {
 
   int backoff_counter_ = 0;
   int backoff_stage_ = 0;
+  /// Arm time + DIFS: the first idle slot boundary counts from here.
+  SimTime countdown_start_ = 0;
+  bool armed_ = false;
   bool medium_busy_ = false;
   bool transmitting_ = false;
-
-  EventId pending_event_ = kInvalidEvent;
-  SimTime pending_time_ = 0;
 
   TrafficOptions traffic_;
   std::deque<SimTime> queue_;  ///< enqueue timestamps (unsaturated mode)
@@ -169,11 +212,16 @@ class DcfChannelSim {
   /// Attempt-weighted empirical collision probability.
   double collision_probability() const;
   double medium_busy_fraction() const;
+  /// Simulator events fired so far (the replay's unit of work).
+  std::size_t events_processed() const noexcept {
+    return simulator_.events_processed();
+  }
 
  private:
   DcfParameters params_;
   Simulator simulator_;
   std::unique_ptr<Medium> medium_;
+  std::unique_ptr<BackoffTimer> timer_;
   std::vector<std::unique_ptr<DcfStation>> stations_;
 };
 

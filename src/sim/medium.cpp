@@ -1,5 +1,6 @@
 #include "sim/medium.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mrca::sim {
@@ -25,13 +26,13 @@ void Medium::start_transmission(TxListener* owner, SimTime duration) {
   if (!was_idle) {
     // Everything on the air now is damaged, including frames that started
     // earlier (no capture effect).
-    for (auto& [other_id, tx] : active_) {
+    for (ActiveTx& tx : active_) {
       if (!tx.collided) ++collided_;
       tx.collided = true;
     }
     ++collided_;
   }
-  active_.emplace(id, ActiveTx{owner, collided});
+  active_.push_back(ActiveTx{id, owner, collided});
   simulator_.schedule_in(duration, [this, id] { end_transmission(id); });
 
   if (was_idle) {
@@ -44,11 +45,13 @@ void Medium::start_transmission(TxListener* owner, SimTime duration) {
 }
 
 void Medium::end_transmission(std::uint64_t id) {
-  const auto it = active_.find(id);
+  const auto it =
+      std::find_if(active_.begin(), active_.end(),
+                   [id](const ActiveTx& tx) { return tx.id == id; });
   if (it == active_.end()) {
     throw std::logic_error("Medium: unknown transmission ended");
   }
-  const ActiveTx tx = it->second;
+  const ActiveTx tx = *it;
   active_.erase(it);
   const bool now_idle = active_.empty();
   if (now_idle) {

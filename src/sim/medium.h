@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/stats.h"
@@ -65,6 +64,7 @@ class Medium {
 
  private:
   struct ActiveTx {
+    std::uint64_t id;
     TxListener* owner;
     bool collided;
   };
@@ -73,13 +73,14 @@ class Medium {
 
   Simulator& simulator_;
   std::vector<MediumListener*> listeners_;
-  // Ordered by transmission id: start_transmission ITERATES this map (to
-  // damage everything on the air), and iterated order must never depend
-  // on hash layout in code whose effects can reach traces/results —
-  // mrca_lint's unordered-iter rule enforces the invariant tree-wide.
-  // The map holds the handful of concurrently-airborne frames, so the
-  // O(log n) lookup is irrelevant next to the event-queue work per frame.
-  std::map<std::uint64_t, ActiveTx> active_;
+  // The handful of concurrently-airborne frames, in transmission-id order:
+  // ids only grow, so appending keeps the order. start_transmission
+  // ITERATES this (to damage everything on the air), and iterated order
+  // must never depend on hash layout in code whose effects can reach
+  // traces/results — mrca_lint's unordered-iter rule enforces the
+  // invariant tree-wide. A map would allocate a tree node per frame on
+  // the replay's hot path.
+  std::vector<ActiveTx> active_;
   std::uint64_t next_tx_id_ = 1;
   std::uint64_t started_ = 0;
   std::uint64_t collided_ = 0;

@@ -21,6 +21,8 @@ enum class TraceEventKind {
   kTxEndCollision,
   kMediumBusy,
   kMediumIdle,
+  /// An armed station whose countdown a busy start cut short (one that
+  /// expires at the busy start's own tick transmits instead).
   kBackoffFrozen,
   kBackoffResumed,
   kFrameArrival,

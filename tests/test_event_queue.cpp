@@ -101,6 +101,90 @@ TEST(EventQueue, EventCanCancelAnotherEvent) {
   EXPECT_FALSE(second_fired);
 }
 
+TEST(EventQueue, StaleIdCannotCancelTheEventReusingItsSlot) {
+  EventQueue queue;
+  int fired = 0;
+  // One pending event at a time, so every schedule reuses the same slot.
+  const EventId cancelled = queue.schedule(1, [&] { fired += 100; });
+  ASSERT_TRUE(queue.cancel(cancelled));
+  const EventId ran = queue.schedule(2, [&] { fired += 1; });
+  EXPECT_NE(ran, cancelled);
+  EXPECT_FALSE(queue.cancel(cancelled));
+  EXPECT_EQ(queue.size(), 1u);
+  queue.run_next();
+  EXPECT_EQ(fired, 1);
+
+  const EventId alive = queue.schedule(3, [&] { fired += 10; });
+  EXPECT_NE(alive, ran);
+  EXPECT_FALSE(queue.cancel(ran));
+  EXPECT_FALSE(queue.cancel(cancelled));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.run_next(), 3);
+  EXPECT_EQ(fired, 11);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, SizeTracksMixedCancelFireAndRecycle) {
+  EventQueue queue;
+  std::vector<EventId> ids;          // every id ever issued
+  std::vector<bool> pending;         // per issued id
+  std::vector<bool> cancelled;       // per issued id
+  std::vector<std::size_t> fired;    // issue index of each fired event
+  std::size_t live = 0;
+  for (std::size_t step = 0; step < 300; ++step) {
+    const std::size_t index = ids.size();
+    ids.push_back(queue.schedule(static_cast<SimTime>(step % 7),
+                                 [&fired, index] { fired.push_back(index); }));
+    pending.push_back(true);
+    cancelled.push_back(false);
+    ++live;
+    if (step % 3 == 0) {
+      // Cancel an id from a few steps back: sometimes pending, sometimes
+      // already fired or cancelled with its slot since reused.
+      const std::size_t victim = (step * 7) % ids.size();
+      EXPECT_EQ(queue.cancel(ids[victim]), pending[victim]) << step;
+      if (pending[victim]) {
+        pending[victim] = false;
+        cancelled[victim] = true;
+        --live;
+      }
+    }
+    if (step % 4 == 0 && live > 0) {
+      queue.run_next();
+      pending[fired.back()] = false;
+      --live;
+    }
+    ASSERT_EQ(queue.size(), live) << step;
+    ASSERT_EQ(queue.empty(), live == 0) << step;
+  }
+  while (!queue.empty()) {
+    queue.run_next();
+    pending[fired.back()] = false;
+  }
+  // Every event not cancelled fired exactly once; no cancelled one did.
+  std::vector<int> times_fired(ids.size(), 0);
+  for (const std::size_t index : fired) ++times_fired[index];
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(times_fired[i], cancelled[i] ? 0 : 1) << i;
+  }
+}
+
+TEST(EventQueue, EqualTimeFifoHoldsAcrossRecycledSlots) {
+  EventQueue queue;
+  std::vector<int> order;
+  std::vector<EventId> first;
+  for (int i = 0; i < 6; ++i) {
+    first.push_back(queue.schedule(100, [&order, i] { order.push_back(i); }));
+  }
+  // Free slots in a scrambled order; the next events reuse them.
+  for (const std::size_t victim : {4u, 1u, 5u, 0u}) queue.cancel(first[victim]);
+  for (int i = 6; i < 12; ++i) {
+    queue.schedule(100, [&order, i] { order.push_back(i); });
+  }
+  while (!queue.empty()) queue.run_next();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 6, 7, 8, 9, 10, 11}));
+}
+
 TEST(SimTimeConversions, RoundTrip) {
   EXPECT_EQ(from_seconds(1.0), kNanosPerSecond);
   EXPECT_EQ(from_seconds(50e-6), 50000);

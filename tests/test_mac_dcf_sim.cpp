@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "common/stats.h"
 #include "mac/bianchi.h"
 
@@ -121,6 +124,36 @@ TEST(DcfChannelSim, MediumBusyFractionIsSane) {
   const double busy = sim.medium_busy_fraction();
   EXPECT_GT(busy, 0.5);   // saturated channel is mostly busy
   EXPECT_LE(busy, 1.0);
+}
+
+TEST(DcfChannelSim, EventsPerAttemptStayBoundedInStationCount) {
+  // The replay's work in simulator events, which CI can pin exactly: a
+  // successful basic attempt fires its backoff expiry, data end, ACK start
+  // and ACK end (RTS/CTS adds RTS end, CTS start/end, data start); stations
+  // colliding share one expiry. No event fires per idle slot or per
+  // station, so the ratio cannot grow with the station count (a per-slot
+  // countdown fires 19 to 74 events per attempt over this range).
+  for (const auto& [mode, bound] :
+       {std::pair{DcfAccessMode::kBasic, 4.0},
+        std::pair{DcfAccessMode::kRtsCts, 8.0}}) {
+    DcfParameters p = params();
+    p.access_mode = mode;
+    double first = 0.0;
+    double last = 0.0;
+    for (int n = 1; n <= 40; ++n) {
+      DcfChannelSim sim(p, n, 300 + static_cast<std::uint64_t>(n));
+      sim.run(1.0);
+      std::uint64_t attempts = 0;
+      for (int s = 0; s < n; ++s) attempts += sim.station_stats(s).attempts;
+      ASSERT_GT(attempts, 0u);
+      const double per_attempt = static_cast<double>(sim.events_processed()) /
+                                 static_cast<double>(attempts);
+      EXPECT_LE(per_attempt, bound) << "n=" << n;
+      if (n == 1) first = per_attempt;
+      last = per_attempt;
+    }
+    EXPECT_LT(last, first);
+  }
 }
 
 TEST(StationStats, DerivedQuantities) {

@@ -21,14 +21,15 @@ TrafficOptions poisson(double rate_fps, std::size_t capacity = 200) {
 TEST(Unsaturated, ValidatesTrafficOptions) {
   Simulator sim;
   Medium medium(sim);
+  BackoffTimer timer(sim, medium);
   TrafficOptions bad;
   bad.saturated = false;
   bad.arrival_rate_fps = 0.0;
-  EXPECT_THROW(DcfStation(sim, medium, params(), Rng(1), bad),
+  EXPECT_THROW(DcfStation(sim, medium, timer, params(), Rng(1), bad),
                std::invalid_argument);
   bad.arrival_rate_fps = 10.0;
   bad.queue_capacity = 0;
-  EXPECT_THROW(DcfStation(sim, medium, params(), Rng(1), bad),
+  EXPECT_THROW(DcfStation(sim, medium, timer, params(), Rng(1), bad),
                std::invalid_argument);
 }
 
