@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/format.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/analysis/efficiency.h"
@@ -250,18 +251,11 @@ const Metric& MetricSet::builtin(const std::string& name) {
 
 MetricSet MetricSet::parse_list(const std::string& text) {
   MetricSet set;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(',', begin);
-    const std::string item =
-        text.substr(begin, end == std::string::npos ? std::string::npos
-                                                    : end - begin);
+  for (const std::string& item : split_fields(text, ',')) {
     if (item.empty()) {
       throw std::invalid_argument("empty metric name in '" + text + "'");
     }
     set.add(builtin(item));
-    if (end == std::string::npos) break;
-    begin = end + 1;
   }
   return set;
 }

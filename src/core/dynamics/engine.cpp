@@ -1,7 +1,6 @@
 #include "core/dynamics/engine.h"
 
-#include <charconv>
-#include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/format.h"
@@ -9,30 +8,13 @@
 namespace mrca {
 namespace {
 
-/// Strict double parse: the whole token, finite, no trailing junk.
 double parse_option(const std::string& token, const std::string& spec) {
-  double value = 0.0;
-  const char* begin = token.c_str();
-  const char* end = token.c_str() + token.size();
-  const auto [parsed_end, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || parsed_end != end || !std::isfinite(value)) {
+  const std::optional<double> value = parse_finite(token);
+  if (!value) {
     throw std::invalid_argument("DynamicsSpec: bad option '" + token +
                                 "' in '" + spec + "'");
   }
-  return value;
-}
-
-std::vector<std::string> split_colons(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(':', begin);
-    parts.push_back(text.substr(
-        begin, end == std::string::npos ? std::string::npos : end - begin));
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return parts;
+  return *value;
 }
 
 void require_probability(double value, const char* what,
@@ -79,7 +61,7 @@ std::string DynamicsSpec::name() const {
 }
 
 DynamicsSpec DynamicsSpec::parse(const std::string& text) {
-  const std::vector<std::string> parts = split_colons(text);
+  const std::vector<std::string> parts = split_fields(text, ':');
   const std::string& head = parts.front();
   const std::size_t options = parts.size() - 1;
   DynamicsSpec spec;
@@ -141,18 +123,12 @@ DynamicsSpec DynamicsSpec::parse(const std::string& text) {
 
 std::vector<DynamicsSpec> DynamicsSpec::parse_list(const std::string& text) {
   std::vector<DynamicsSpec> specs;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(',', begin);
-    const std::string item = text.substr(
-        begin, end == std::string::npos ? std::string::npos : end - begin);
+  for (const std::string& item : split_fields(text, ',')) {
     if (item.empty()) {
       throw std::invalid_argument("DynamicsSpec: empty engine name in '" +
                                   text + "'");
     }
     specs.push_back(parse(item));
-    if (end == std::string::npos) break;
-    begin = end + 1;
   }
   return specs;
 }

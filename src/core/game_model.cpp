@@ -24,11 +24,6 @@ struct ModelRate {
   }
 };
 
-/// The single collision domain's LoadAt: every user sees the column sum.
-auto global_load(const StrategyMatrix& strategies) {
-  return [&strategies](ChannelId c) { return strategies.channel_load(c); };
-}
-
 GameConfig config_from_budgets(std::size_t num_channels,
                                const std::vector<RadioCount>& budgets) {
   if (budgets.empty()) {
@@ -438,8 +433,19 @@ double GameModel::coloring_bound() const {
 
 // Under a topology the same shared scanners run with the mover's perceived
 // load substituted for the global column sum — deviation_detail.h's LoadAt
-// seam. The topology branch is taken once per call, outside the kernels,
-// so the single-domain arms read the column sums directly.
+// seam. with_load_view takes the topology branch once per call, outside the
+// kernels, so the single-domain arm reads the column sums directly.
+
+template <typename Scan>
+auto GameModel::with_load_view(const StrategyMatrix& strategies, UserId user,
+                               Scan scan) const {
+  if (topology_) {
+    return scan([&](ChannelId c) {
+      return perceived_load_unchecked(strategies, user, c);
+    });
+  }
+  return scan([&](ChannelId c) { return strategies.channel_load(c); });
+}
 
 BestResponse GameModel::best_response(const StrategyMatrix& strategies,
                                       UserId user) const {
@@ -453,16 +459,10 @@ BestResponse GameModel::best_response_unchecked(
     const StrategyMatrix& strategies, UserId user,
     detail::ScanBuffers& buffers) const {
   const auto budget = static_cast<std::size_t>(budgets_[user]);
-  if (topology_) {
-    return detail::best_response(
-        strategies, user, budget, ModelRate{this}, cost_,
-        [&](ChannelId c) {
-          return perceived_load_unchecked(strategies, user, c);
-        },
-        buffers);
-  }
-  return detail::best_response(strategies, user, budget, ModelRate{this},
-                               cost_, global_load(strategies), buffers);
+  return with_load_view(strategies, user, [&](auto load_at) {
+    return detail::best_response(strategies, user, budget, ModelRate{this},
+                                 cost_, load_at, buffers);
+  });
 }
 
 std::optional<SingleChange> GameModel::best_single_change(
@@ -477,17 +477,11 @@ std::optional<SingleChange> GameModel::best_single_change(
   check_matrix(strategies);
   check_user(user);
   const bool has_spare = strategies.user_total(user) < budgets_[user];
-  if (topology_) {
-    return detail::best_single_change(
-        strategies, user, tolerance, ModelRate{this}, cost_, has_spare,
-        [&](ChannelId c) {
-          return perceived_load_unchecked(strategies, user, c);
-        },
-        nullptr, buffers);
-  }
-  return detail::best_single_change(strategies, user, tolerance,
-                                    ModelRate{this}, cost_, has_spare,
-                                    global_load(strategies), nullptr, buffers);
+  return with_load_view(strategies, user, [&](auto load_at) {
+    return detail::best_single_change(strategies, user, tolerance,
+                                      ModelRate{this}, cost_, has_spare,
+                                      load_at, nullptr, buffers);
+  });
 }
 
 std::vector<SingleChange> GameModel::improving_changes_for_user(
@@ -496,17 +490,11 @@ std::vector<SingleChange> GameModel::improving_changes_for_user(
   check_user(user);
   detail::ScanBuffers buffers;
   const bool has_spare = strategies.user_total(user) < budgets_[user];
-  if (topology_) {
-    return detail::improving_changes(
-        strategies, user, tolerance, ModelRate{this}, cost_, has_spare,
-        [&](ChannelId c) {
-          return perceived_load_unchecked(strategies, user, c);
-        },
-        nullptr, buffers);
-  }
-  return detail::improving_changes(strategies, user, tolerance,
-                                   ModelRate{this}, cost_, has_spare,
-                                   global_load(strategies), nullptr, buffers);
+  return with_load_view(strategies, user, [&](auto load_at) {
+    return detail::improving_changes(strategies, user, tolerance,
+                                     ModelRate{this}, cost_, has_spare,
+                                     load_at, nullptr, buffers);
+  });
 }
 
 bool GameModel::is_nash_equilibrium(const StrategyMatrix& strategies,

@@ -231,6 +231,11 @@ class GameModel {
   BestResponse best_response_unchecked(const StrategyMatrix& strategies,
                                        UserId user,
                                        detail::ScanBuffers& buffers) const;
+  /// scan(load_at), load_at(c) being the load `user` sees on channel c:
+  /// the closed-neighborhood sum under a topology, else the column sum.
+  template <typename Scan>
+  auto with_load_view(const StrategyMatrix& strategies, UserId user,
+                      Scan scan) const;
   /// Closed-neighborhood load; requires topology_ set. O(degree).
   RadioCount perceived_load_unchecked(const StrategyMatrix& strategies,
                                       UserId user, ChannelId channel) const;

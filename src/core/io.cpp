@@ -1,11 +1,15 @@
 #include "core/io.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iomanip>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "common/format.h"
 #include "common/table.h"
 
 namespace mrca {
@@ -89,13 +93,9 @@ std::string render_utilities(const GameModel& model,
 
 StrategyMatrix parse_matrix(const GameConfig& config, const std::string& key) {
   std::vector<std::vector<RadioCount>> rows;
-  std::istringstream row_stream(key);
-  std::string row_text;
-  while (std::getline(row_stream, row_text, '|')) {
+  for (const std::string& row_text : split_fields(key, '|')) {
     std::vector<RadioCount> row;
-    std::istringstream cell_stream(row_text);
-    std::string cell;
-    while (std::getline(cell_stream, cell, ',')) {
+    for (const std::string& cell : split_fields(row_text, ',')) {
       // Trim surrounding whitespace.
       const auto first = cell.find_first_not_of(" \t");
       if (first == std::string::npos) {
@@ -103,19 +103,13 @@ StrategyMatrix parse_matrix(const GameConfig& config, const std::string& key) {
       }
       const auto last = cell.find_last_not_of(" \t");
       const std::string token = cell.substr(first, last - first + 1);
-      std::size_t consumed = 0;
-      int value = 0;
-      try {
-        value = std::stoi(token, &consumed);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("parse_matrix: non-numeric cell '" +
-                                    token + "'");
+      const std::optional<std::uint64_t> value = parse_unsigned(token);
+      if (!value || *value > static_cast<std::uint64_t>(
+                                 std::numeric_limits<RadioCount>::max())) {
+        throw std::invalid_argument("parse_matrix: bad cell '" + token +
+                                    "' (expected a radio count)");
       }
-      if (consumed != token.size()) {
-        throw std::invalid_argument("parse_matrix: trailing junk in cell '" +
-                                    token + "'");
-      }
-      row.push_back(value);
+      row.push_back(static_cast<RadioCount>(*value));
     }
     rows.push_back(std::move(row));
   }

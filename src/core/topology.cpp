@@ -1,10 +1,12 @@
 #include "core/topology.h"
 
 #include <algorithm>
-#include <charconv>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+
+#include "common/format.h"
 
 namespace mrca {
 namespace {
@@ -19,35 +21,18 @@ constexpr int kMaxSpecValue = 1024;
 
 int parse_bounded_int(const std::string& text, const std::string& context,
                       const char* what, int lo) {
-  int value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end) {
+  const std::optional<std::uint64_t> value = parse_unsigned(text);
+  if (!value) {
     throw std::invalid_argument(std::string("TopologySpec: bad ") + what +
                                 " '" + text + "' in '" + context + "'");
   }
-  if (value < lo || value > kMaxSpecValue) {
+  if (*value < static_cast<std::uint64_t>(lo) || *value > kMaxSpecValue) {
     throw std::invalid_argument(
         std::string("TopologySpec: ") + what + " must be in [" +
         std::to_string(lo) + ", " + std::to_string(kMaxSpecValue) +
         "] in '" + context + "'");
   }
-  return value;
-}
-
-std::vector<std::string> split(const std::string& text, char separator) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(separator, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
+  return static_cast<int>(*value);
 }
 
 }  // namespace
@@ -352,7 +337,7 @@ TopologySpec TopologySpec::parse(const std::string& text) {
   }
   if (text.rfind("edges:", 0) == 0) {
     spec.kind = Kind::kEdges;
-    for (const std::string& part : split(text.substr(6), ':')) {
+    for (const std::string& part : split_fields(text.substr(6), ':')) {
       const std::size_t dash = part.find('-');
       if (dash == std::string::npos) {
         throw std::invalid_argument("TopologySpec: bad edge '" + part +

@@ -1,8 +1,7 @@
 #include "engine/scenario.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/format.h"
@@ -11,44 +10,13 @@ namespace mrca::engine {
 
 namespace {
 
-double parse_finite_double(const std::string& text,
-                           const std::string& context) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end ||
-      !std::isfinite(value)) {
-    throw std::invalid_argument("ScenarioSpec: bad number '" + text +
+double parse_number(const std::string& token, const std::string& context) {
+  const std::optional<double> value = parse_finite(token);
+  if (!value) {
+    throw std::invalid_argument("ScenarioSpec: bad number '" + token +
                                 "' in '" + context + "'");
   }
-  return value;
-}
-
-int parse_small_int(const std::string& text, const std::string& context) {
-  int value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end || value < 0 ||
-      value > 1024) {
-    throw std::invalid_argument("ScenarioSpec: bad radio count '" + text +
-                                "' in '" + context + "'");
-  }
-  return value;
-}
-
-std::vector<std::string> split(const std::string& text, char separator) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(separator, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
+  return *value;
 }
 
 }  // namespace
@@ -94,7 +62,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   if (text == "base") return spec;
   if (text.rfind("energy=", 0) == 0) {
     spec.kind = Kind::kEnergy;
-    spec.energy_cost = parse_finite_double(text.substr(7), text);
+    spec.energy_cost = parse_number(text.substr(7), text);
     if (spec.energy_cost < 0.0) {
       throw std::invalid_argument("ScenarioSpec: energy cost must be >= 0 in '" +
                                   text + "'");
@@ -103,8 +71,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   }
   if (text.rfind("het=", 0) == 0) {
     spec.kind = Kind::kHeterogeneous;
-    for (const std::string& part : split(text.substr(4), ':')) {
-      const double scale = parse_finite_double(part, text);
+    for (const std::string& part : split_fields(text.substr(4), ':')) {
+      const double scale = parse_number(part, text);
       if (scale <= 0.0) {
         throw std::invalid_argument(
             "ScenarioSpec: rate scales must be > 0 in '" + text + "'");
@@ -116,10 +84,14 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   if (text.rfind("budgets=", 0) == 0) {
     spec.kind = Kind::kBudgets;
     bool any_positive = false;
-    for (const std::string& part : split(text.substr(8), ':')) {
-      const int budget = parse_small_int(part, text);
-      any_positive |= budget > 0;
-      spec.budget_mix.push_back(static_cast<RadioCount>(budget));
+    for (const std::string& part : split_fields(text.substr(8), ':')) {
+      const std::optional<std::uint64_t> budget = parse_unsigned(part);
+      if (!budget || *budget > 1024) {
+        throw std::invalid_argument("ScenarioSpec: bad radio count '" +
+                                    part + "' in '" + text + "'");
+      }
+      any_positive |= *budget > 0;
+      spec.budget_mix.push_back(static_cast<RadioCount>(*budget));
     }
     if (!any_positive) {
       throw std::invalid_argument(
@@ -129,8 +101,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   }
   if (text.rfind("weights=", 0) == 0) {
     spec.kind = Kind::kWeights;
-    for (const std::string& part : split(text.substr(8), ':')) {
-      const double weight = parse_finite_double(part, text);
+    for (const std::string& part : split_fields(text.substr(8), ':')) {
+      const double weight = parse_number(part, text);
       // Mirrors GameModel's reporting-sanity bound: weights are valuation
       // multipliers; magnitudes far from unity are unit mistakes.
       if (weight < 1e-4 || weight > 1e4) {
@@ -161,7 +133,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
 
 std::vector<ScenarioSpec> ScenarioSpec::parse_list(const std::string& text) {
   std::vector<ScenarioSpec> specs;
-  for (const std::string& group : split(text, ';')) {
+  for (const std::string& group : split_fields(text, ';')) {
     if (group.empty()) {
       throw std::invalid_argument("ScenarioSpec: empty scenario group in '" +
                                   text + "'");
@@ -173,12 +145,10 @@ std::vector<ScenarioSpec> ScenarioSpec::parse_list(const std::string& text) {
     }
     // "energy=0.1,0.3" / "het=2:1,4:1" expand one scenario per comma item.
     const std::string prefix = group.substr(0, equals + 1);
-    for (const std::string& item : split(group.substr(equals + 1), ',')) {
+    for (const std::string& item :
+         split_fields(group.substr(equals + 1), ',')) {
       specs.push_back(parse(prefix + item));
     }
-  }
-  if (specs.empty()) {
-    throw std::invalid_argument("ScenarioSpec: empty scenario list");
   }
   return specs;
 }

@@ -1,8 +1,8 @@
 #include "engine/sweep.h"
 
-#include <charconv>
-#include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/format.h"
@@ -60,15 +60,13 @@ RateSpec RateSpec::parse(const std::string& text) {
   // Strict: the parameter must be a finite double with no trailing junk,
   // so "powerlaw=1x" or "geom=nan" are rejected rather than truncated.
   auto value_after = [&](std::size_t prefix_length) {
-    const char* begin = text.c_str() + prefix_length;
-    const char* end = text.c_str() + text.size();
-    double value = 0.0;
-    const auto [parsed_end, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || parsed_end != end || !std::isfinite(value)) {
+    const std::optional<double> value =
+        parse_finite(std::string_view(text).substr(prefix_length));
+    if (!value) {
       throw std::invalid_argument("RateSpec: bad parameter in '" + text +
                                   "'");
     }
-    return value;
+    return *value;
   };
   if (text == "tdma" || text == "const") return RateSpec{};
   if (text == "dcf") return RateSpec{Kind::kDcf, 1.0, 0.0};

@@ -164,7 +164,7 @@ void DcfStation::on_busy_start() {
 
 void DcfStation::on_idle_start() {
   medium_busy_ = false;
-  if (transmitting_) return;  // own outcome handling re-arms us
+  if (transmitting_) return;  // the idle start after our frame arms us
   arm_if_ready();
 }
 
@@ -234,13 +234,10 @@ void DcfStation::on_transmission_end(bool success) {
     backoff_stage_ = std::min(backoff_stage_ + 1, params_.max_backoff_stage);
   }
   draw_backoff();
-  // If the medium is already idle (this was the last frame in the burst),
-  // the medium's idle notification that follows this callback re-arms the
-  // DIFS wait; otherwise the next on_idle_start does. An unsaturated
-  // station with an empty queue stays quiet until the next arrival.
-  if (medium_.is_idle()) {
-    arm_if_ready();
-  }
+  // The next on_idle_start re-arms the DIFS wait: at this very tick when
+  // this frame ended the busy period, since the medium notifies idle after
+  // the outcome. An unsaturated station with an empty queue stays quiet
+  // until the next arrival.
 }
 
 DcfChannelSim::DcfChannelSim(const DcfParameters& params, int stations,

@@ -271,7 +271,7 @@ inline void ReferenceDcfStation::on_busy_start() {
 
 inline void ReferenceDcfStation::on_idle_start() {
   medium_busy_ = false;
-  if (transmitting_) return;  // own outcome handling re-arms us
+  if (transmitting_) return;  // the idle start after our frame arms us
   arm_if_ready();
 }
 
@@ -354,9 +354,6 @@ inline void ReferenceDcfStation::on_transmission_end(bool success) {
     backoff_stage_ = std::min(backoff_stage_ + 1, params_.max_backoff_stage);
   }
   draw_backoff();
-  if (medium_.is_idle()) {
-    arm_if_ready();
-  }
 }
 
 inline ReferenceDcfChannelSim::ReferenceDcfChannelSim(

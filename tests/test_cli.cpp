@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_harness.h"
@@ -101,6 +102,49 @@ TEST(CliNumericParsing, RejectsRadioTotalsPastTheRadioCountRange) {
     EXPECT_NE(result.output.find("total radio count 3000000000"),
               std::string::npos)
         << command << ": " << result.output;
+  }
+}
+
+TEST(CliNumericParsing, EmptyListItemExits2NamingTheFlag) {
+  // A trailing or doubled separator in every list flag must be rejected,
+  // never read as the list without its empty item.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--users", "4,"},
+      {"--users", "4,,8"},
+      {"--channels", "4,"},
+      {"--channels", "4,,8"},
+      {"--radios", "2,"},
+      {"--radios", "2,,1"},
+      {"--rates", "tdma,"},
+      {"--rates", "tdma,,powerlaw=1"},
+      {"--scenario", "energy=0.1,"},
+      {"--scenario", "energy=0.1,,0.2"},
+      {"--scenario", "base;"},
+      {"--scenario", "base;;energy=0.1"},
+      {"--dynamics", "best_response,"},
+      {"--dynamics", "best_response,,trial_error"},
+      {"--metrics", "nash,"},
+      {"--metrics", "nash,,poa"},
+      {"--granularity", "best,"},
+      {"--granularity", "best,,single"},
+      {"--order", "rr,"},
+      {"--order", "rr,,random"},
+      {"--start", "ne,"},
+      {"--start", "ne,,empty"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const std::string command =
+        std::string("sweep ") + flag + " '" + value + "'";
+    const CliResult result = run_cli(command);
+    EXPECT_EQ(result.exit_code, 2) << command;
+    EXPECT_NE(first_line(result.output).find(flag), std::string::npos)
+        << command << ": " << first_line(result.output);
+  }
+  // verify's matrix: an empty cell or row is rejected, not dropped.
+  for (const char* matrix : {"1,0|0,1|", "1,0,|0,1"}) {
+    EXPECT_EQ(run_cli(std::string("verify 2 2 1 '") + matrix + "'").exit_code,
+              2)
+        << matrix;
   }
 }
 

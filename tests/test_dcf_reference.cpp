@@ -10,9 +10,11 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mac/dcf_parameters.h"
@@ -111,6 +113,8 @@ struct Outcome {
   double busy_fraction = 0.0;
   std::string trace;  ///< without BACKOFF_FREEZE lines
   std::size_t trace_dropped = 0;
+  /// BACKOFF_RESUME lines that repeat an earlier (tick, station) pair.
+  std::size_t doubled_resumes = 0;
 };
 
 std::string without_freezes(const std::string& text) {
@@ -140,6 +144,13 @@ Outcome run_traced(Channel& channel) {
   outcome.busy_fraction = channel.medium_busy_fraction();
   outcome.trace = without_freezes(trace.to_text());
   outcome.trace_dropped = trace.dropped();
+  std::set<std::pair<SimTime, int>> resumed;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.kind == TraceEventKind::kBackoffResumed &&
+        !resumed.emplace(event.time, event.station).second) {
+      ++outcome.doubled_resumes;
+    }
+  }
   return outcome;
 }
 
@@ -170,6 +181,9 @@ void expect_same(Channel& channel, ReferenceChannel& reference) {
             std::bit_cast<std::uint64_t>(want.busy_fraction));
   EXPECT_EQ(got.trace_dropped, 0u);
   EXPECT_EQ(want.trace_dropped, 0u);
+  // A station arms once per idle start, never twice at one tick.
+  EXPECT_EQ(got.doubled_resumes, 0u);
+  EXPECT_EQ(want.doubled_resumes, 0u);
   EXPECT_TRUE(got.trace == want.trace) << "traces differ";
   EXPECT_GT(attempts, 0u);  // the case exercised the MAC
 }

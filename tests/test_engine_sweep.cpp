@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -279,6 +281,36 @@ TEST(SweepIo, NumberFormattersMatchTheStreamOracle) {
                 value)
           << oracle;
     }
+  }
+}
+
+// The one tokenizer every spec, list and matrix reader shares: fields keep
+// their empty and trailing members, and both parsers take whole tokens only.
+TEST(SweepIo, TokenizerKeepsEmptyFieldsAndTakesWholeTokens) {
+  EXPECT_EQ(split_fields("", ','), std::vector<std::string>{""});
+  EXPECT_EQ(split_fields("a,", ','), (std::vector<std::string>{"a", ""}));
+  EXPECT_EQ(split_fields("a,,b", ','),
+            (std::vector<std::string>{"a", "", "b"}));
+  for (const char* bad : {"", " 1", "+1", "1x", "nan", "inf", "1e400"}) {
+    EXPECT_FALSE(parse_finite(bad)) << bad;
+    EXPECT_FALSE(parse_unsigned(bad)) << bad;
+  }
+  EXPECT_FALSE(parse_unsigned("-1"));
+  EXPECT_FALSE(parse_unsigned("18446744073709551616"));
+  EXPECT_EQ(parse_unsigned("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_finite("-2.5"), -2.5);
+
+  using limits = std::numeric_limits<double>;
+  for (const double value :
+       {0.0, -0.0, limits::denorm_min(), limits::min(), limits::max(),
+        -limits::max(), 0.1, 1.0 / 3.0, 1e-300, 9007199254740993.0}) {
+    const std::optional<double> parsed =
+        parse_finite(round_trip_double(value));
+    ASSERT_TRUE(parsed) << round_trip_double(value);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*parsed),
+              std::bit_cast<std::uint64_t>(value))
+        << round_trip_double(value);
   }
 }
 

@@ -36,6 +36,12 @@ TEST(ParseMatrix, RejectsMalformedInput) {
   EXPECT_THROW(parse_matrix(config, "1,2junk,0|0,0,0"),
                std::invalid_argument);
   EXPECT_THROW(parse_matrix(config, "-1,1,0|0,0,0"), std::invalid_argument);
+  // An empty field is an error, trailing separators included.
+  EXPECT_THROW(parse_matrix(config, "1,1,0,|0,1,1"), std::invalid_argument);
+  EXPECT_THROW(parse_matrix(config, "1,1,0|0,1,1|"), std::invalid_argument);
+  // Past RadioCount's range: rejected, not wrapped.
+  EXPECT_THROW(parse_matrix(config, "99999999999,0,0|0,0,0"),
+               std::invalid_argument);
 }
 
 TEST(ParseMatrix, FigureOneExampleParses) {

@@ -6,9 +6,7 @@
 // in is rejected, not ignored; `mrca help` is generated from the same rows
 // and from kCommands, which declares each command's positional arguments.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +23,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/format.h"
 #include "common/json.h"
 #include "core/io.h"
 #include "engine/farm.h"
@@ -247,18 +246,16 @@ std::string usage_text() {
 /// means >1e6 runs on its own).
 constexpr std::size_t kMaxAxisValue = 1000000;
 
-/// Strict unsigned-integer parse (std::from_chars): the whole string must
-/// be consumed, so "abc", "-3", "4.8" and "12x" are all rejected with a
-/// message naming the offending flag, and the process exits non-zero.
+/// Strict unsigned-integer parse (parse_unsigned): "abc", "-3", "4.8" and
+/// "12x" are all rejected with a message naming the offending flag, and
+/// the process exits non-zero.
 std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end) {
+  const std::optional<std::uint64_t> value = parse_unsigned(text);
+  if (!value) {
     usage("invalid value '" + text + "' for " + flag +
           " (expected an unsigned integer)");
   }
-  return value;
+  return *value;
 }
 
 /// As parse_u64, bounded to kMaxAxisValue — for values that size games or
@@ -274,15 +271,12 @@ std::size_t parse_count(const std::string& flag, const std::string& text) {
 
 /// Strict finite-double parse; names the offending flag and exits non-zero.
 double parse_double(const std::string& flag, const std::string& text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end ||
-      !std::isfinite(value)) {
+  const std::optional<double> value = parse_finite(text);
+  if (!value) {
     usage("invalid value '" + text + "' for " + flag +
           " (expected a finite number)");
   }
-  return value;
+  return *value;
 }
 
 double parse_positive_double(const std::string& flag,
@@ -513,29 +507,21 @@ int cmd_simulate(const Args& args) {
 std::vector<std::size_t> parse_size_list(const std::string& flag,
                                          const std::string& text) {
   std::vector<std::size_t> values;
-  std::istringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto first_colon = item.find(':');
-    if (first_colon == std::string::npos) {
+  for (const std::string& item : split_fields(text, ',')) {
+    const std::vector<std::string> range = split_fields(item, ':');
+    if (range.size() == 1) {
       values.push_back(parse_count(flag, item));
       continue;
     }
-    const auto second_colon = item.find(':', first_colon + 1);
-    const std::size_t lo = parse_count(flag, item.substr(0, first_colon));
-    const std::size_t hi = parse_count(
-        flag,
-        item.substr(first_colon + 1, second_colon == std::string::npos
-                                         ? std::string::npos
-                                         : second_colon - first_colon - 1));
+    const std::size_t lo = parse_count(flag, range[0]);
+    const std::size_t hi = parse_count(flag, range[1]);
     const std::size_t step =
-        second_colon == std::string::npos
-            ? 1
-            : parse_count(flag, item.substr(second_colon + 1));
-    if (step == 0 || hi < lo) usage("bad range '" + item + "' for " + flag);
+        range.size() == 3 ? parse_count(flag, range[2]) : 1;
+    if (range.size() > 3 || step == 0 || hi < lo) {
+      usage("bad range '" + item + "' for " + flag);
+    }
     for (std::size_t v = lo; v <= hi; v += step) values.push_back(v);
   }
-  if (values.empty()) usage("empty list '" + text + "' for " + flag);
   return values;
 }
 
@@ -544,12 +530,9 @@ template <typename Parse>
 auto parse_list(const std::string& flag, const std::string& text,
                 Parse parse_one) {
   std::vector<decltype(parse_one(text))> values;
-  std::istringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
+  for (const std::string& item : split_fields(text, ',')) {
     values.push_back(checked(flag, item, parse_one));
   }
-  if (values.empty()) usage("empty list '" + text + "' for " + flag);
   return values;
 }
 
@@ -670,14 +653,13 @@ int cmd_sweep(const Args& args) {
   if (args.has("--shard")) {
     // "<i>/<n>", 0-based: shard 0/3, 1/3, 2/3 partition the plan's cells.
     const std::string shard = args.get("--shard");
-    const std::size_t slash = shard.find('/');
-    if (slash == std::string::npos) {
+    const std::vector<std::string> pair = split_fields(shard, '/');
+    if (pair.size() != 2) {
       usage("invalid value '" + shard +
             "' for --shard (expected <index>/<count>, e.g. 0/3)");
     }
-    const std::size_t index = parse_count("--shard", shard.substr(0, slash));
-    const std::size_t count =
-        parse_positive_count("--shard", shard.substr(slash + 1));
+    const std::size_t index = parse_count("--shard", pair[0]);
+    const std::size_t count = parse_positive_count("--shard", pair[1]);
     if (index >= count) {
       usage("shard index " + std::to_string(index) +
             " out of range for --shard with " + std::to_string(count) +
@@ -687,15 +669,13 @@ int cmd_sweep(const Args& args) {
   }
   if (args.has("--cells")) {
     const std::string cells = args.get("--cells");
-    const std::size_t colon = cells.find(':');
-    if (colon == std::string::npos) {
+    const std::vector<std::string> pair = split_fields(cells, ':');
+    if (pair.size() != 2) {
       usage("invalid value '" + cells +
             "' for --cells (expected <begin>:<end>, e.g. 0:12)");
     }
-    const auto begin = static_cast<std::size_t>(
-        parse_u64("--cells", cells.substr(0, colon)));
-    const auto end = static_cast<std::size_t>(
-        parse_u64("--cells", cells.substr(colon + 1)));
+    const auto begin = static_cast<std::size_t>(parse_u64("--cells", pair[0]));
+    const auto end = static_cast<std::size_t>(parse_u64("--cells", pair[1]));
     if (begin > end || end > plan.total_cells()) {
       usage("--cells range [" + std::to_string(begin) + ", " +
             std::to_string(end) + ") is not contained in [0, " +
@@ -848,15 +828,15 @@ std::string self_cli_path(const char* argv0) {
 engine::FaultInjection parse_injection(const std::string& flag,
                                        const std::string& text,
                                        engine::FaultInjection::Kind kind) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) {
+  const std::vector<std::string> pair = split_fields(text, ':');
+  if (pair.size() != 2) {
     usage("invalid value '" + text + "' for " + flag +
           " (expected <cell>:<attempt>, e.g. 3:1)");
   }
   engine::FaultInjection inject;
   inject.kind = kind;
-  inject.cell = parse_count(flag, text.substr(0, colon));
-  inject.attempt = parse_positive_count(flag, text.substr(colon + 1));
+  inject.cell = parse_count(flag, pair[0]);
+  inject.attempt = parse_positive_count(flag, pair[1]);
   return inject;
 }
 

@@ -47,6 +47,11 @@ every commit:
                         rescans every user from user 0 with fresh scratch;
                         an engine owns one StabilityCheck per run, which
                         resumes at the last witness and reuses its buffers.
+  R8 one-tokenizer      No std::from_chars, std::sto* or std::getline under
+                        src/ outside common/format.cpp (split_fields,
+                        parse_finite, parse_unsigned) and common/json.cpp
+                        (JSON has its own grammar). Hand-rolled readers
+                        disagree on empty and trailing fields.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 Run as:  python3 tools/mrca_lint/mrca_lint.py --root .
@@ -366,11 +371,29 @@ def check_hot_loop_scratch(path: Path, rel: str, text: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R8: every spec, list and matrix reader shares one tokenizer
+
+TOKENIZER_CALL = re.compile(r"\bstd::(from_chars|sto[a-z]+|getline)\b")
+R8_ALLOWED = ("src/common/format.cpp", "src/common/json.cpp")
+
+
+def check_one_tokenizer(path: Path, rel: str, text: str) -> list[Finding]:
+    if rel in R8_ALLOWED:
+        return []
+    return [Finding(
+        "one-tokenizer", path, _lines_of(match.start(), text),
+        f"std::{match.group(1)} is a hand-rolled reader. Use common/format.h "
+        "(split_fields, parse_finite, parse_unsigned), so every reader "
+        "rejects empty and trailing fields the same way.")
+        for match in TOKENIZER_CALL.finditer(text)]
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 RULES_HELP = ("banned-entropy", "unordered-iter", "seed-provenance",
               "include-hygiene", "header-consumer", "thread-local",
-              "hot-loop-scratch")
+              "hot-loop-scratch", "one-tokenizer")
 
 
 def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
@@ -398,6 +421,7 @@ def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
         findings += check_seed_provenance(path, rel, text)
         findings += check_thread_local(path, text)
         findings += check_hot_loop_scratch(path, rel, text)
+        findings += check_one_tokenizer(path, rel, text)
         findings += check_include_hygiene(
             path, rel, path.read_text(encoding="utf-8"))
     for pair_name, files in sorted(pairs.items()):

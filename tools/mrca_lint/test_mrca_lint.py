@@ -98,9 +98,19 @@ class ViolationFixtures(unittest.TestCase):
                           ("bad_stability.cpp", 15)])
         self.assertIn("StabilityCheck", hits[0].message)
 
+    def test_one_tokenizer(self):
+        hits = findings_by(self.findings, rule="one-tokenizer")
+        # getline, stoi and from_chars; the string, the comment and
+        # std::stop_token never count.
+        self.assertEqual([(f.path.name, f.line) for f in hits],
+                         [("bad_tokenizer.cpp", 17),
+                          ("bad_tokenizer.cpp", 18),
+                          ("bad_tokenizer.cpp", 21)])
+        self.assertIn("split_fields", hits[0].message)
+
     def test_total_findings_accounted_for(self):
         # No rule may fire where the fixtures did not seed a violation.
-        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2 + 2 + 2)
+        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2 + 2 + 2 + 3)
 
 
 class CleanFixtures(unittest.TestCase):
