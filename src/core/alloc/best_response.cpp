@@ -6,6 +6,7 @@
 #include "core/alloc/utility_cache.h"
 #include "core/analysis/deviation.h"
 #include "core/analysis/deviation_detail.h"
+#include "core/dynamics/run_ledger.h"
 
 namespace mrca {
 namespace {
@@ -98,7 +99,7 @@ DynamicsResult run_response_dynamics(const GameModel& model,
                                      const StrategyMatrix& start,
                                      const DynamicsOptions& options,
                                      Rng* rng) {
-  model.validate(start);
+  RunLedger ledger(model, start, options, RunLedger::Cache::kKept);
   if ((options.order == ActivationOrder::kUniformRandom ||
        options.granularity == ResponseGranularity::kRandomImprovingMove) &&
       rng == nullptr) {
@@ -106,76 +107,55 @@ DynamicsResult run_response_dynamics(const GameModel& model,
         "run_response_dynamics: this configuration requires an Rng");
   }
   const std::size_t users = model.config().num_users;
-  DynamicsResult result{.final_state = start};
-  result.canonical_best_response =
+  ledger.set_canonical_best_response(
       options.granularity == ResponseGranularity::kBestResponse &&
       options.order == ActivationOrder::kRoundRobin &&
-      options.tolerance == kUtilityTolerance;
-  StrategyMatrix& state = result.final_state;
-  UtilityCache cache(model, state);
+      options.tolerance == kUtilityTolerance);
+  StrategyMatrix& state = ledger.state();
+  UtilityCache& cache = ledger.cache();
   if (options.use_dirty_channel_pruning) cache.enable_scan_pruning();
   ScanScratch scratch;
-  // Raw welfare: the trace measures the spectrum's throughput economy, not
-  // the operator's valuation of it.
-  if (options.record_welfare_trace) {
-    result.welfare_trace.push_back(cache.welfare());
-  }
 
-  // Bookkeeping of the improving activation just counted.
-  const auto record_improvement = [&] {
-    ++result.improving_steps;
-    if (scratch.gain >= kEpsilonNe) {
-      result.eps_ne_activation = result.activations;
+  // One counted activation of `user`; true when it improved.
+  const auto step = [&](UserId user) {
+    ledger.count_activation();
+    if (!activate(model, state, user, options, rng, cache, scratch)) {
+      return false;
     }
-    if (options.record_welfare_trace) {
-      result.welfare_trace.push_back(cache.welfare());
-    }
+    ledger.improved();
+    if (scratch.gain >= kEpsilonNe) ledger.mark_eps_ne();
+    return true;
   };
 
-  // A streak of `users` quiet activations triggers an exact verification
-  // pass over every user; convergence is declared only when that pass finds
-  // no improvement, so `converged` is a proof for both activation orders.
-  const std::size_t budget = options.max_activations;
+  // A streak of `users` quiet activations ends the run as converged: in
+  // round-robin order that streak is a full pass, already an exact
+  // stability proof; in random order an exact verification pass over every
+  // user must find no improvement first. Either way `converged` is a proof.
   std::size_t quiet_streak = 0;
   UserId next_user = 0;
-  while (result.activations < budget) {
+  while (ledger.within_budget()) {
     const UserId user = options.order == ActivationOrder::kRoundRobin
                             ? next_user
                             : static_cast<UserId>(rng->index(users));
     next_user = (next_user + 1) % users;
-    ++result.activations;
-    if (activate(model, state, user, options, rng, cache, scratch)) {
-      record_improvement();
+    if (step(user)) {
       quiet_streak = 0;
       continue;
     }
-    ++quiet_streak;
-    if (quiet_streak < users) continue;
-    if (options.order == ActivationOrder::kRoundRobin) {
-      // A full quiet round-robin pass is already an exact stability proof.
-      result.converged = true;
-      break;
-    }
-
-    bool any_improvement = false;
-    for (UserId verify = 0; verify < users; ++verify) {
-      ++result.activations;
-      if (activate(model, state, verify, options, rng, cache, scratch)) {
-        any_improvement = true;
-        record_improvement();
-        break;
+    if (++quiet_streak < users) continue;
+    bool improved = false;
+    if (options.order == ActivationOrder::kUniformRandom) {
+      for (UserId verify = 0; verify < users && !improved; ++verify) {
+        improved = step(verify);
       }
     }
-    if (!any_improvement) {
-      result.converged = true;
+    if (!improved) {
+      ledger.converge();
       break;
     }
     quiet_streak = 0;
   }
-  result.scan_skips = cache.scan_skips();
-  result.reprice_touches = cache.reprice_touches();
-  result.final_welfare = cache.welfare();
-  return result;
+  return ledger.finish();
 }
 
 }  // namespace mrca

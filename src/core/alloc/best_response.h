@@ -65,10 +65,6 @@ struct DynamicsResult {
   std::size_t scan_skips = 0;
   /// Per-user utility updates performed by cache repricing.
   std::size_t reprice_touches = 0;
-  /// Raw welfare of final_state at stop — the engine-agnostic "welfare at
-  /// stop" column every dynamics engine reports, whether or not a welfare
-  /// trace was recorded.
-  double final_welfare = 0.0;
   /// Activation index of the last improving step whose gain
   /// `response.utility - current` reached kEpsilonNe (0 when none did):
   /// the run's own epsilon-NE time. Recorded at best-response granularity

@@ -117,15 +117,19 @@ double park_benefit_at(const StrategyMatrix& strategies, UserId user,
 }
 
 /// Fills the three share kernels for channel `c` from buf.own / buf.load.
-/// gain_from is only meaningful (and only ever read) on occupied channels;
-/// the guard keeps rate_at off negative loads for empty ones.
+/// gain_from is only read on occupied channels, and gain_to only when
+/// `gain_to_read` (a deploy, or a move in from another occupied channel).
+/// The guards keep rate_at off loads no radio can reach: a negative one on
+/// an empty channel, and one past every radio stacked on one channel,
+/// which a strict TabulatedRate rejects.
 template <typename RateAt>
-inline void fill_share_kernels(ScanBuffers& buf, ChannelId c,
-                               RateAt rate_at) {
+inline void fill_share_kernels(ScanBuffers& buf, ChannelId c, RateAt rate_at,
+                               bool gain_to_read) {
   const RadioCount own = buf.own[c];
   const RadioCount load = buf.load[c];
   buf.before[c] = share(rate_at(c, load), own, load);
-  buf.gain_to[c] = share(rate_at(c, load + 1), own + 1, load + 1);
+  buf.gain_to[c] =
+      gain_to_read ? share(rate_at(c, load + 1), own + 1, load + 1) : 0.0;
   buf.gain_from[c] =
       own > 0 ? share(rate_at(c, load - 1), own - 1, load - 1) : 0.0;
 }
@@ -143,8 +147,10 @@ void scan_single_changes(const StrategyMatrix& strategies, UserId user,
   buf.resize(channels);
   strategies.copy_row(user, buf.own);
   for (ChannelId c = 0; c < channels; ++c) buf.load[c] = load_at(c);
+  // A move into c needs a radio off c.
+  const RadioCount total = strategies.user_total(user);
   for (ChannelId c = 0; c < channels; ++c) {
-    fill_share_kernels(buf, c, rate_at);
+    fill_share_kernels(buf, c, rate_at, has_spare || buf.own[c] < total);
   }
   if (has_spare) {
     for (ChannelId to = 0; to < channels; ++to) {
@@ -195,15 +201,16 @@ void scan_single_changes_pruned(const StrategyMatrix& strategies, UserId user,
   }
   // Fill loads and share kernels only where a candidate can read them:
   // dirty destinations and the user's occupied source channels (the two
-  // sets are disjoint here).
+  // sets are disjoint here, so only a dirty channel is ever moved onto).
+  const bool gain_to_read = has_spare || strategies.user_total(user) > 0;
   for (const ChannelId c : dirty) {
     buf.load[c] = load_at(c);
-    fill_share_kernels(buf, c, rate_at);
+    fill_share_kernels(buf, c, rate_at, gain_to_read);
   }
   for (ChannelId c = 0; c < channels; ++c) {
     if (buf.own[c] <= 0) continue;
     buf.load[c] = load_at(c);
-    fill_share_kernels(buf, c, rate_at);
+    fill_share_kernels(buf, c, rate_at, /*gain_to_read=*/false);
   }
   if (has_spare) {
     for (const ChannelId to : dirty) {

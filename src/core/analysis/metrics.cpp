@@ -172,10 +172,10 @@ std::vector<Metric> make_builtins() {
       {"dist_converged", "dist_rounds", "dist_moves"},
       [](const MetricContext& context) {
         Rng rng(context.seed);
-        const DynamicsResult result = run_distributed_dynamics(
+        const DynamicsResult result = run_dynamics(
             DynamicsSpec{.kind = DynamicsSpec::Kind::kDistributed},
             context.model, context.start,
-            DynamicsOptions{.max_activations = kDistributedMetricRounds}, rng);
+            DynamicsOptions{.max_activations = kDistributedMetricRounds}, &rng);
         return std::vector<double>{
             to01(result.converged), static_cast<double>(result.activations),
             static_cast<double>(result.improving_steps)};

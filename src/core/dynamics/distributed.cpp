@@ -23,12 +23,9 @@
 // budget- and cost-aware, through the same shared deviation scanner as the
 // centralized dynamics.
 
-#include <stdexcept>
 #include <vector>
 
-#include "core/analysis/deviation.h"
-#include "core/analysis/nash.h"
-#include "core/dynamics/engine.h"
+#include "core/dynamics/run_ledger.h"
 
 namespace mrca {
 
@@ -37,60 +34,37 @@ DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
                                         const StrategyMatrix& start,
                                         const DynamicsOptions& options,
                                         Rng& rng) {
-  model.validate(start);
-  if (!(spec.activation_probability > 0.0 &&
-        spec.activation_probability <= 1.0)) {
-    throw std::invalid_argument(
-        "run_distributed_dynamics: activation probability must be in (0,1]");
-  }
-  DynamicsResult result{.final_state = start};
-  StrategyMatrix& state = result.final_state;
+  RunLedger ledger(model, start, options, RunLedger::Cache::kNone);
+  const StrategyMatrix& state = ledger.state();
   const std::size_t users = model.config().num_users;
-
-  // One stability check per run; its scratch also serves the plan scans.
-  StabilityCheck stability;
   std::vector<SingleChange> planned;
   planned.reserve(users);
-  while (result.activations < options.max_activations) {
-    ++result.activations;
+  while (ledger.within_budget()) {
+    ledger.count_activation();
     // Termination test against the *current* state: if nobody has an
     // improving single change, the protocol is stable regardless of who
     // activates.
-    if (stability.holds(model, state, options.tolerance)) {
-      result.converged = true;
-      break;
-    }
-    // Plan phase: all active users decide against the same stale snapshot.
+    if (ledger.stable()) break;
+    // Plan phase: all active users decide against the same stale snapshot,
+    // scanned with the stability check's scratch.
     planned.clear();
     for (UserId user = 0; user < users; ++user) {
       if (!rng.bernoulli(spec.activation_probability)) continue;
       const auto change = model.best_single_change(
-          state, user, options.tolerance, stability.buffers());
+          state, user, options.tolerance, ledger.stability().buffers());
       if (change) planned.push_back(*change);
     }
     // Commit phase: apply simultaneously-decided changes. A planned change
     // is always applicable: it only touches the planning user's own radios,
     // within their own budget (a deploy is only proposed with a spare).
     for (const SingleChange& change : planned) {
-      switch (change.kind) {
-        case SingleChange::Kind::kMove:
-          state.move_radio(change.user, change.from, change.to);
-          break;
-        case SingleChange::Kind::kDeploy:
-          state.add_radio(change.user, change.to);
-          break;
-        case SingleChange::Kind::kPark:
-          state.remove_radio(change.user, change.from);
-          break;
-      }
-      ++result.improving_steps;
+      ledger.apply(change);
+      ledger.improved();
     }
   }
-  if (!result.converged) {
-    result.converged = stability.holds(model, state, options.tolerance);
-  }
-  result.final_welfare = model.raw_welfare(state);
-  return result;
+  // A run cut by the budget still reports whether it ended stable.
+  if (!ledger.converged()) ledger.stable();
+  return ledger.finish();
 }
 
 }  // namespace mrca

@@ -1,9 +1,11 @@
 #include "core/dynamics/engine.h"
 
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 
 #include "common/format.h"
+#include "core/dynamics/run_ledger.h"
 
 namespace mrca {
 namespace {
@@ -15,14 +17,6 @@ double parse_option(const std::string& token, const std::string& spec) {
                                 "' in '" + spec + "'");
   }
   return *value;
-}
-
-void require_probability(double value, const char* what,
-                         const std::string& spec) {
-  if (!(value > 0.0) || value > 1.0) {
-    throw std::invalid_argument("DynamicsSpec: " + std::string(what) +
-                                " must be in (0, 1] in '" + spec + "'");
-  }
 }
 
 Rng& require_rng(Rng* rng, DynamicsSpec::Kind kind) {
@@ -63,62 +57,57 @@ std::string DynamicsSpec::name() const {
 DynamicsSpec DynamicsSpec::parse(const std::string& text) {
   const std::vector<std::string> parts = split_fields(text, ':');
   const std::string& head = parts.front();
-  const std::size_t options = parts.size() - 1;
   DynamicsSpec spec;
-  if (head == "best_response") {
-    if (options != 0) {
-      throw std::invalid_argument(
-          "DynamicsSpec: best_response takes no options ('" + text + "')");
-    }
-    return spec;
-  }
+  // The engine's options in spec order, and how the usage names them.
+  std::vector<double*> slots;
+  const char* usage = "no options";
   if (head == "log_linear") {
     spec.kind = Kind::kLogLinear;
-    if (options > 2) {
-      throw std::invalid_argument(
-          "DynamicsSpec: log_linear takes at most two options "
-          "(T0[:Tend]) in '" + text + "'");
-    }
-    if (options >= 1) {
-      spec.temp_start = parse_option(parts[1], text);
-      // A single temperature means "play at fixed T" — no annealing.
-      spec.temp_end = options == 2 ? parse_option(parts[2], text)
-                                   : spec.temp_start;
-    }
-    if (!(spec.temp_start > 0.0) || !(spec.temp_end > 0.0)) {
-      throw std::invalid_argument(
-          "DynamicsSpec: log_linear temperatures must be > 0 in '" + text +
-          "'");
-    }
-    return spec;
-  }
-  if (head == "trial_error") {
+    slots = {&spec.temp_start, &spec.temp_end};
+    usage = "at most two options (T0[:Tend])";
+  } else if (head == "trial_error") {
     spec.kind = Kind::kTrialError;
-    if (options > 1) {
-      throw std::invalid_argument(
-          "DynamicsSpec: trial_error takes at most one option (eps) in '" +
-          text + "'");
-    }
-    if (options == 1) spec.exploration = parse_option(parts[1], text);
-    require_probability(spec.exploration, "exploration", text);
-    return spec;
-  }
-  if (head == "distributed") {
+    slots = {&spec.exploration};
+    usage = "at most one option (eps)";
+  } else if (head == "distributed") {
     spec.kind = Kind::kDistributed;
-    if (options > 1) {
-      throw std::invalid_argument(
-          "DynamicsSpec: distributed takes at most one option (p) in '" +
-          text + "'");
-    }
-    if (options == 1) {
-      spec.activation_probability = parse_option(parts[1], text);
-    }
-    require_probability(spec.activation_probability,
-                        "activation probability", text);
-    return spec;
+    slots = {&spec.activation_probability};
+    usage = "at most one option (p)";
+  } else if (head != "best_response") {
+    throw std::invalid_argument("DynamicsSpec: unknown engine '" + head +
+                                "' (available: " + known_engines() + ")");
   }
-  throw std::invalid_argument("DynamicsSpec: unknown engine '" + head +
-                              "' (available: " + known_engines() + ")");
+  const std::size_t options = parts.size() - 1;
+  if (options > slots.size()) {
+    throw std::invalid_argument("DynamicsSpec: " + head + " takes " + usage +
+                                " in '" + text + "'");
+  }
+  for (std::size_t i = 0; i < options; ++i) {
+    *slots[i] = parse_option(parts[i + 1], text);
+  }
+  // A single temperature means "play at fixed T" — no annealing.
+  if (spec.kind == Kind::kLogLinear && options == 1) {
+    spec.temp_end = spec.temp_start;
+  }
+  spec.validate();
+  return spec;
+}
+
+void DynamicsSpec::validate() const {
+  const auto positive = [](double t) { return std::isfinite(t) && t > 0.0; };
+  const auto probability = [](double p) { return p > 0.0 && p <= 1.0; };
+  const char* broken =
+      kind == Kind::kLogLinear && !(positive(temp_start) && positive(temp_end))
+          ? "log_linear temperatures must be finite and > 0"
+      : kind == Kind::kTrialError && !probability(exploration)
+          ? "exploration must be in (0, 1]"
+      : kind == Kind::kDistributed && !probability(activation_probability)
+          ? "activation probability must be in (0, 1]"
+          : nullptr;
+  if (broken != nullptr) {
+    throw std::invalid_argument("DynamicsSpec: " + std::string(broken) +
+                                " in '" + name() + "'");
+  }
 }
 
 std::vector<DynamicsSpec> DynamicsSpec::parse_list(const std::string& text) {
@@ -161,6 +150,7 @@ const DynamicsEngine& dynamics_engine(const std::string& name) {
 DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
                             const StrategyMatrix& start,
                             const DynamicsOptions& options, Rng* rng) {
+  spec.validate();
   switch (spec.kind) {
     case DynamicsSpec::Kind::kBestResponse:
       return run_response_dynamics(model, start, options, rng);

@@ -8,8 +8,9 @@
 // same way scenarios and metrics became comparable: a DynamicsSpec is a
 // parsed value ("log_linear:0.5:0.01"), and run_dynamics() switches on its
 // kind to hand a (model, start, options, rng) run to that engine. Every
-// engine reports through the one DynamicsResult contract. Four engines
-// ship:
+// engine keeps its books in one RunLedger (run_ledger.h: result, cache,
+// welfare trace, budget, `converged`, counters), so all four report the
+// one DynamicsResult contract the same way. Four engines ship:
 //
 //   best_response  run_response_dynamics (core/alloc/best_response.h),
 //                  called directly — cache, dirty-channel pruning and Rng
@@ -30,10 +31,13 @@
 //                  reverts otherwise.
 //   distributed    the paper's §3 synchronous no-coordinator protocol
 //                  (distributed.cpp); one protocol round is one activation
-//                  and one applied change is one improving step.
+//                  and one applied change is one improving step and one
+//                  welfare-trace point. It keeps no cache.
 //
-// Adding an engine is a DynamicsSpec::Kind arm (name/parse), a row in
-// dynamics_engines() and a run_dynamics switch arm.
+// Adding an engine is a DynamicsSpec::Kind arm (name/parse/validate), a row
+// in dynamics_engines(), a run_dynamics switch arm, and a step rule that
+// builds one RunLedger and leaves it the bookkeeping (its declaration goes
+// in run_ledger.h, beside the other engines').
 //
 // Determinism contract: every engine draws ONLY from the Rng it is handed.
 // The sweep session seeds that Rng with derive_dynamics_seed(base_seed,
@@ -85,6 +89,11 @@ struct DynamicsSpec {
   /// std::invalid_argument on unknown engines or out-of-range options.
   static DynamicsSpec parse(const std::string& text);
 
+  /// Throws std::invalid_argument when the kind's options are out of the
+  /// ranges above. parse and run_dynamics both call it, so a spec built in
+  /// code is held to the parser's ranges.
+  void validate() const;
+
   /// Parses a comma list of specs, e.g. "best_response,log_linear:0.1".
   /// (Colons are intra-spec separators, commas separate axis values.)
   static std::vector<DynamicsSpec> parse_list(const std::string& text);
@@ -115,34 +124,12 @@ const std::vector<DynamicsEngine>& dynamics_engines();
 const DynamicsEngine& dynamics_engine(DynamicsSpec::Kind kind);
 const DynamicsEngine& dynamics_engine(const std::string& name);
 
-/// Runs the spec's engine. This is the sweep session's single entry point
-/// into the portfolio. `rng` may be null only for configurations that draw
-/// no randomness (round-robin best_response); every other engine throws
-/// std::invalid_argument on a null Rng.
+/// Runs the spec's engine after checking its ranges (validate()). This is
+/// the one entry point into the portfolio. `rng` may be null only for
+/// configurations that draw no randomness (round-robin best_response);
+/// every other engine throws std::invalid_argument on a null Rng.
 DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
                             const StrategyMatrix& start,
                             const DynamicsOptions& options, Rng* rng);
-
-/// The other three engines, exposed for direct tests, benches and metrics
-/// (run_dynamics is the normal entry point). All honor DynamicsOptions'
-/// activation budget and tolerance; the two learners also record the
-/// welfare trace.
-DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
-                                       const GameModel& model,
-                                       const StrategyMatrix& start,
-                                       const DynamicsOptions& options,
-                                       Rng& rng);
-DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
-                                        const GameModel& model,
-                                        const StrategyMatrix& start,
-                                        const DynamicsOptions& options,
-                                        Rng& rng);
-/// The §3 protocol with p = spec.activation_probability; throws
-/// std::invalid_argument unless p is in (0, 1].
-DynamicsResult run_distributed_dynamics(const DynamicsSpec& spec,
-                                        const GameModel& model,
-                                        const StrategyMatrix& start,
-                                        const DynamicsOptions& options,
-                                        Rng& rng);
 
 }  // namespace mrca

@@ -19,10 +19,8 @@
 #include <cmath>
 #include <vector>
 
-#include "core/alloc/utility_cache.h"
 #include "core/analysis/deviation_detail.h"
-#include "core/analysis/nash.h"
-#include "core/dynamics/engine.h"
+#include "core/dynamics/run_ledger.h"
 
 namespace mrca {
 
@@ -31,43 +29,33 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
                                        const StrategyMatrix& start,
                                        const DynamicsOptions& options,
                                        Rng& rng) {
-  model.validate(start);
+  RunLedger ledger(model, start, options, RunLedger::Cache::kKept);
   const std::size_t users = model.num_users();
-  DynamicsResult result{.final_state = start};
-  StrategyMatrix& state = result.final_state;
-  UtilityCache cache(model, state);
-  if (options.record_welfare_trace) {
-    result.welfare_trace.push_back(cache.welfare());
-  }
-
+  const StrategyMatrix& state = ledger.state();
+  const UtilityCache& cache = ledger.cache();
   const std::size_t budget = options.max_activations;
   const double ratio = spec.temp_end / spec.temp_start;
   const auto rate_at = [&](ChannelId c, RadioCount load) {
     return model.rate(c, load);
   };
-  // One stability check per run; its scratch also serves the Gibbs scans.
-  StabilityCheck stability;
-  detail::ScanBuffers& buffers = stability.buffers();
+  // The run's stability check lends its scratch to the Gibbs scans.
+  detail::ScanBuffers& buffers = ledger.stability().buffers();
   std::vector<SingleChange> candidates;
   std::vector<double> weights;
   UserId user = 0;
   // The cache's tracked loads equal the model's perceived loads under any
   // topology (the pairing is validated at construction).
   const auto load_at = [&](ChannelId c) { return cache.load_seen(user, c); };
-  while (result.activations < budget) {
-    if (result.activations % users == 0 &&
-        stability.holds(model, state, options.tolerance)) {
-      result.converged = true;
-      break;
-    }
+  while (ledger.within_budget()) {
+    if (ledger.stable_at_checkpoint()) break;
     const double temp =
         budget <= 1 || ratio == 1.0
             ? spec.temp_end
             : spec.temp_start *
-                  std::pow(ratio, static_cast<double>(result.activations) /
+                  std::pow(ratio, static_cast<double>(ledger.activations()) /
                                       static_cast<double>(budget - 1));
     user = static_cast<UserId>(rng.index(users));
-    ++result.activations;
+    ledger.count_activation();
 
     candidates.clear();
     weights.clear();
@@ -102,15 +90,10 @@ DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
         break;
       }
     }
-    cache.apply(state, candidates[chosen]);
-    ++result.improving_steps;
-    if (options.record_welfare_trace) {
-      result.welfare_trace.push_back(cache.welfare());
-    }
+    ledger.apply(candidates[chosen]);
+    ledger.improved();
   }
-  result.reprice_touches = cache.reprice_touches();
-  result.final_welfare = cache.welfare();
-  return result;
+  return ledger.finish();
 }
 
 }  // namespace mrca

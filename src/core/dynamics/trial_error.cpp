@@ -14,10 +14,7 @@
 
 #include <vector>
 
-#include "core/alloc/utility_cache.h"
-#include "core/analysis/deviation.h"
-#include "core/analysis/nash.h"
-#include "core/dynamics/engine.h"
+#include "core/dynamics/run_ledger.h"
 
 namespace mrca {
 namespace {
@@ -50,27 +47,16 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
                                         const StrategyMatrix& start,
                                         const DynamicsOptions& options,
                                         Rng& rng) {
-  model.validate(start);
+  RunLedger ledger(model, start, options, RunLedger::Cache::kKept);
   const std::size_t users = model.num_users();
   const std::size_t channels = model.config().num_channels;
-  DynamicsResult result{.final_state = start};
-  StrategyMatrix& state = result.final_state;
-  UtilityCache cache(model, state);
-  if (options.record_welfare_trace) {
-    result.welfare_trace.push_back(cache.welfare());
-  }
-
-  const std::size_t budget = options.max_activations;
-  StabilityCheck stability;
+  const StrategyMatrix& state = ledger.state();
+  const UtilityCache& cache = ledger.cache();
   std::vector<ChannelId> occupied;
-  while (result.activations < budget) {
-    if (result.activations % users == 0 &&
-        stability.holds(model, state, options.tolerance)) {
-      result.converged = true;
-      break;
-    }
+  while (ledger.within_budget()) {
+    if (ledger.stable_at_checkpoint()) break;
     const UserId user = static_cast<UserId>(rng.index(users));
-    ++result.activations;
+    ledger.count_activation();
     if (!rng.bernoulli(spec.exploration)) continue;  // content: no trial
 
     // Enumerate the user's feasible experiments by COUNT only — deploys
@@ -107,19 +93,14 @@ DynamicsResult run_trial_error_dynamics(const DynamicsSpec& spec,
     }
 
     const double before = cache.utility(user);
-    cache.apply(state, change);
+    ledger.apply(change);
     if (cache.utility(user) > before + options.tolerance) {
-      ++result.improving_steps;
-      if (options.record_welfare_trace) {
-        result.welfare_trace.push_back(cache.welfare());
-      }
+      ledger.improved();
     } else {
-      cache.apply(state, inverse_of(change));
+      ledger.apply(inverse_of(change));
     }
   }
-  result.reprice_touches = cache.reprice_touches();
-  result.final_welfare = cache.welfare();
-  return result;
+  return ledger.finish();
 }
 
 }  // namespace mrca

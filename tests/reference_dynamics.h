@@ -118,7 +118,6 @@ inline DynamicsResult reference_response_dynamics(
     }
     quiet_streak = 0;
   }
-  result.final_welfare = model.raw_welfare(state);
   return result;
 }
 
@@ -180,7 +179,6 @@ inline DynamicsResult reference_log_linear_dynamics(
       result.welfare_trace.push_back(model.raw_welfare(state));
     }
   }
-  result.final_welfare = model.raw_welfare(state);
   return result;
 }
 
@@ -249,7 +247,6 @@ inline DynamicsResult reference_trial_error_dynamics(
       apply_change(state, undo);
     }
   }
-  result.final_welfare = model.raw_welfare(state);
   return result;
 }
 
@@ -261,6 +258,9 @@ inline DynamicsResult reference_distributed_dynamics(
     const StrategyMatrix& start, const DynamicsOptions& options, Rng& rng) {
   DynamicsResult result{.final_state = start};
   StrategyMatrix& state = result.final_state;
+  if (options.record_welfare_trace) {
+    result.welfare_trace.push_back(model.raw_welfare(state));
+  }
   while (result.activations < options.max_activations) {
     ++result.activations;
     if (is_single_move_stable(model, state, options.tolerance)) {
@@ -277,12 +277,14 @@ inline DynamicsResult reference_distributed_dynamics(
     for (const SingleChange& change : planned) {
       apply_change(state, change);
       ++result.improving_steps;
+      if (options.record_welfare_trace) {
+        result.welfare_trace.push_back(model.raw_welfare(state));
+      }
     }
   }
   if (!result.converged) {
     result.converged = is_single_move_stable(model, state, options.tolerance);
   }
-  result.final_welfare = model.raw_welfare(state);
   return result;
 }
 

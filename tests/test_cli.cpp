@@ -417,6 +417,29 @@ TEST(CliRateSpecs, SweepAcceptsTheBianchiTables) {
   EXPECT_NE(result.output.find("dcf-opt"), std::string::npos);
 }
 
+// The DCF rates are strict tables sized to N*k radios. A single-move scan
+// must not price a radio onto a channel that already holds every radio
+// (nothing can move or deploy there), so these valid small cells exit 0.
+class CliStrictRateTables : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CliStrictRateTables, SmallCellsExit0) {
+  const CliResult result = run_cli(GetParam());
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SingleMoveScans, CliStrictRateTables,
+    ::testing::Values(
+        "sweep --users 2 --channels 2 --radios 1 --rates dcf "
+        "--granularity single",
+        "sweep --users 2 --channels 1 --radios 1 --rates dcf "
+        "--granularity single",
+        "sweep --users 3 --channels 2 --radios 1 --rates dcf-opt "
+        "--granularity single",
+        "sweep --users 2 --channels 2 --radios 1 --rates dcf "
+        "--dynamics trial_error,log_linear,distributed",
+        "verify 2 1 1 \"1|1\" --rate dcf"));
+
 TEST(CliRateSpecs, UnknownRateIsRejectedEverywhere) {
   EXPECT_EQ(run_cli("solve 4 4 1 --rate bogus").exit_code, 2);
   EXPECT_EQ(run_cli("sweep --rates bogus").exit_code, 2);

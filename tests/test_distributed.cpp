@@ -29,11 +29,11 @@ DynamicsOptions rounds(std::size_t budget) {
 TEST(Distributed, RejectsBadActivationProbability) {
   const GameModel game = constant_game(2, 2, 1);
   Rng rng(1);
-  EXPECT_THROW(run_distributed_dynamics(distributed(0.0), game,
-                                        game.empty_strategy(), {}, rng),
+  EXPECT_THROW(run_dynamics(distributed(0.0), game, game.empty_strategy(),
+                            {}, &rng),
                std::invalid_argument);
-  EXPECT_THROW(run_distributed_dynamics(distributed(1.5), game,
-                                        game.empty_strategy(), {}, rng),
+  EXPECT_THROW(run_dynamics(distributed(1.5), game, game.empty_strategy(),
+                            {}, &rng),
                std::invalid_argument);
 }
 
@@ -42,8 +42,8 @@ TEST(Distributed, StableStartTerminatesInOneRound) {
   const auto stable = StrategyMatrix::from_rows(
       game.config(), {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}});
   Rng rng(2);
-  const DynamicsResult result = run_distributed_dynamics(
-      distributed(0.3), game, stable, rounds(10000), rng);
+  const DynamicsResult result =
+      run_dynamics(distributed(0.3), game, stable, rounds(10000), &rng);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.activations, 1u);
   EXPECT_EQ(result.improving_steps, 0u);
@@ -56,14 +56,14 @@ TEST(Distributed, ConvergedStateIsSingleMoveStable) {
   for (int trial = 0; trial < 20; ++trial) {
     Rng rng = master.split();
     const StrategyMatrix start = random_full_allocation(game, rng);
-    const DynamicsResult result = run_distributed_dynamics(
-        distributed(0.3), game, start, rounds(5000), rng);
+    const DynamicsResult result =
+        run_dynamics(distributed(0.3), game, start, rounds(5000), &rng);
     ASSERT_TRUE(result.converged) << "trial " << trial;
     EXPECT_TRUE(is_single_move_stable(game, result.final_state));
   }
 }
 
-// Seed purity, through the engine and through the run_dynamics switch.
+// Seed purity: equal seeds walk equal runs.
 TEST(Distributed, SeedDeterminism) {
   const GameModel game = constant_game(4, 4, 2);
   Rng start_rng(44);
@@ -71,7 +71,7 @@ TEST(Distributed, SeedDeterminism) {
   Rng a(7);
   Rng b(7);
   const auto result_a =
-      run_distributed_dynamics(distributed(0.5), game, start, rounds(10000), a);
+      run_dynamics(distributed(0.5), game, start, rounds(10000), &a);
   const auto result_b =
       run_dynamics(distributed(0.5), game, start, rounds(10000), &b);
   EXPECT_TRUE(result_a.final_state == result_b.final_state);
@@ -82,8 +82,8 @@ TEST(Distributed, SeedDeterminism) {
 TEST(Distributed, DeploysSparesFromEmptyStart) {
   const GameModel game = constant_game(4, 5, 3);
   Rng rng(8);
-  const DynamicsResult result = run_distributed_dynamics(
-      distributed(0.4), game, game.empty_strategy(), rounds(5000), rng);
+  const DynamicsResult result = run_dynamics(
+      distributed(0.4), game, game.empty_strategy(), rounds(5000), &rng);
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(result.final_state.all_radios_deployed());
 }
@@ -96,7 +96,7 @@ TEST(Distributed, LockstepActivationCanOscillateButIsBounded) {
   Rng rng(9);
   const StrategyMatrix start = random_full_allocation(game, rng);
   const DynamicsResult result =
-      run_distributed_dynamics(distributed(1.0), game, start, rounds(200), rng);
+      run_dynamics(distributed(1.0), game, start, rounds(200), &rng);
   EXPECT_LE(result.activations, 200u);
   if (result.converged) {
     EXPECT_TRUE(is_single_move_stable(game, result.final_state));
@@ -115,8 +115,8 @@ TEST_P(DistributedSweep, Converges) {
   const GameModel game(GameConfig(6, 5, 3), rate);
   Rng rng(seed);
   const StrategyMatrix start = random_full_allocation(game, rng);
-  const DynamicsResult result = run_distributed_dynamics(
-      distributed(probability), game, start, rounds(20000), rng);
+  const DynamicsResult result = run_dynamics(
+      distributed(probability), game, start, rounds(20000), &rng);
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(is_single_move_stable(game, result.final_state));
   // Stability here implies full deployment (a spare radio always has an

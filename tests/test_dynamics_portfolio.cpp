@@ -1,6 +1,7 @@
 // The dynamics portfolio (core/dynamics/): spec parsing round-trips, the
 // best_response engine's bit-identity with the legacy driver across every
-// scenario kind, the learners' convergence against exact oracles
+// scenario kind, the run ledger's contract for every engine (trace length
+// and end point, spec ranges), the learners' convergence against exact oracles
 // (log-linear at T -> 0 lands on single-move-stable sets; trial-and-error
 // reaches a Definition-1 Nash equilibrium of the 4-ring game whose
 // brute-force oracle lives in test_topology.cpp), and thread-count
@@ -113,9 +114,62 @@ TEST(BestResponseEngine, BitIdenticalToLegacyDriverAcrossScenarioKinds) {
     EXPECT_EQ(wrapped.welfare_trace, legacy.welfare_trace) << scenario;
     // Cache-accumulated welfare vs a fresh recompute: equal up to FP
     // rounding.
-    EXPECT_NEAR(wrapped.final_welfare,
+    EXPECT_NEAR(wrapped.welfare_trace.back(),
                 model.raw_welfare(wrapped.final_state), 1e-9)
         << scenario;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The run ledger's contract, the same for every engine
+
+TEST(RunLedger, EveryEngineKeepsTheSameBooks) {
+  for (const std::string text :
+       {"best_response", "log_linear:0.2:0.01", "trial_error:0.3",
+        "distributed:0.3"}) {
+    const DynamicsSpec spec = DynamicsSpec::parse(text);
+    for (const GameModel& model : mrca::testing::reference_models()) {
+      Rng start_rng(808);
+      const StrategyMatrix start = random_full_allocation(model, start_rng);
+      DynamicsOptions options;
+      options.max_activations = 40 * model.num_users();
+      options.record_welfare_trace = true;
+      Rng rng_on(17);
+      const DynamicsResult on = run_dynamics(spec, model, start, options,
+                                             &rng_on);
+      // One point at the start, one per improving step, ending at the
+      // final state's welfare.
+      ASSERT_EQ(on.welfare_trace.size(), on.improving_steps + 1) << text;
+      EXPECT_NEAR(on.welfare_trace.back(), model.raw_welfare(on.final_state),
+                  1e-9)
+          << text;
+
+      options.record_welfare_trace = false;
+      Rng rng_off(17);
+      const DynamicsResult off = run_dynamics(spec, model, start, options,
+                                              &rng_off);
+      EXPECT_TRUE(off.welfare_trace.empty()) << text;
+      // Recording is bookkeeping only: the run itself is unchanged.
+      EXPECT_EQ(off.final_state, on.final_state) << text;
+      EXPECT_EQ(off.activations, on.activations) << text;
+      EXPECT_EQ(off.improving_steps, on.improving_steps) << text;
+    }
+  }
+
+  // A spec built in code is held to the parser's ranges.
+  const GameModel model = mrca::testing::power_law_game(4, 3, 1);
+  const StrategyMatrix start = model.empty_strategy();
+  using Kind = DynamicsSpec::Kind;
+  for (const DynamicsSpec& spec :
+       {DynamicsSpec{.kind = Kind::kLogLinear, .temp_start = 0.0},
+        DynamicsSpec{.kind = Kind::kTrialError, .exploration = 0.0},
+        DynamicsSpec{.kind = Kind::kTrialError, .exploration = 1.5},
+        DynamicsSpec{.kind = Kind::kDistributed,
+                     .activation_probability = 0.0}}) {
+    Rng rng(3);
+    EXPECT_THROW(run_dynamics(spec, model, start, DynamicsOptions{}, &rng),
+                 std::invalid_argument)
+        << spec.name();
   }
 }
 
@@ -133,12 +187,10 @@ TEST(LogLinearEngine, TinyFixedTemperatureReachesSingleMoveStableSets) {
     const StrategyMatrix start = random_full_allocation(model, start_rng);
     Rng rng(seed ^ 0x9e3779b9u);
     const DynamicsResult result =
-        run_log_linear_dynamics(spec, model, start, DynamicsOptions{}, rng);
+        run_dynamics(spec, model, start, DynamicsOptions{}, &rng);
     ASSERT_TRUE(result.converged) << "seed " << seed;
     EXPECT_TRUE(is_single_move_stable(model, result.final_state))
         << "seed " << seed;
-    EXPECT_NEAR(result.final_welfare, model.raw_welfare(result.final_state),
-                1e-9);
   }
 }
 
@@ -157,7 +209,7 @@ TEST(TrialErrorEngine, ReachesNashOfTheFourRingBruteForceOracle) {
     const StrategyMatrix start = random_full_allocation(model, start_rng);
     Rng rng(seed * 977u);
     const DynamicsResult result =
-        run_trial_error_dynamics(spec, model, start, DynamicsOptions{}, rng);
+        run_dynamics(spec, model, start, DynamicsOptions{}, &rng);
     ASSERT_TRUE(result.converged) << "seed " << seed;
     EXPECT_TRUE(model.is_nash_equilibrium(result.final_state))
         << "seed " << seed;

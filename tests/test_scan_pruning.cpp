@@ -183,13 +183,14 @@ TEST(ScanPruningWitness, HundredThousandUserCellsMatchTheUnprunedRun) {
     DynamicsOptions options;
     options.granularity = ResponseGranularity::kBestSingleMove;
     options.max_activations = 64 * kUsers;
+    options.record_welfare_trace = true;
     const DynamicsResult pruned = run_response_dynamics(model, start, options);
     options.use_dirty_channel_pruning = false;
     const DynamicsResult full = run_response_dynamics(model, start, options);
     EXPECT_TRUE(pruned.converged) << spec;
     EXPECT_TRUE(full.converged) << spec;
     EXPECT_TRUE(pruned.final_state == full.final_state) << spec;
-    EXPECT_EQ(pruned.final_welfare, full.final_welfare) << spec;
+    EXPECT_EQ(pruned.welfare_trace, full.welfare_trace) << spec;
     EXPECT_EQ(pruned.activations, full.activations) << spec;
     EXPECT_EQ(pruned.improving_steps, full.improving_steps) << spec;
   }

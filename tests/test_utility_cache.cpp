@@ -293,7 +293,6 @@ void expect_same_run(const DynamicsResult& cached,
   EXPECT_EQ(cached.activations, reference.activations);
   EXPECT_EQ(cached.improving_steps, reference.improving_steps);
   EXPECT_EQ(cached.converged, reference.converged);
-  EXPECT_NEAR(cached.final_welfare, reference.final_welfare, 1e-10);
   ASSERT_EQ(cached.welfare_trace.size(), reference.welfare_trace.size());
   for (std::size_t i = 0; i < cached.welfare_trace.size(); ++i) {
     EXPECT_NEAR(cached.welfare_trace[i], reference.welfare_trace[i], 1e-10);
@@ -336,13 +335,13 @@ TEST(UtilityCache, LearnersMatchTheirFullRecomputeReferences) {
       Rng rng_a(99);
       Rng rng_b(99);
       const DynamicsResult annealed =
-          run_log_linear_dynamics(log_linear, model, start, options, rng_a);
+          run_dynamics(log_linear, model, start, options, &rng_a);
       expect_same_run(annealed, testing::reference_log_linear_dynamics(
                                     log_linear, model, start, options, rng_b));
       Rng rng_c(77);
       Rng rng_d(77);
       const DynamicsResult tried =
-          run_trial_error_dynamics(trial_error, model, start, options, rng_c);
+          run_dynamics(trial_error, model, start, options, &rng_c);
       expect_same_run(tried, testing::reference_trial_error_dynamics(
                                  trial_error, model, start, options, rng_d));
       accepted_changes += annealed.improving_steps + tried.improving_steps;
@@ -353,7 +352,7 @@ TEST(UtilityCache, LearnersMatchTheirFullRecomputeReferences) {
 
 // The §3 protocol keeps no cache, but its run-owned stability check and
 // shared plan scratch must leave every field exactly as the stateless,
-// allocate-per-scan reference computes it, welfare bits included.
+// allocate-per-scan reference computes it, welfare-trace bits included.
 TEST(UtilityCache, DistributedMatchesItsFullRecomputeReference) {
   std::size_t moves = 0;
   std::size_t unconverged = 0;
@@ -365,10 +364,11 @@ TEST(UtilityCache, DistributedMatchesItsFullRecomputeReference) {
         const StrategyMatrix start = random_full_allocation(model, start_rng);
         DynamicsOptions options;
         options.max_activations = 2 * model.num_users();
+        options.record_welfare_trace = true;
         Rng rng_a(31);
         Rng rng_b(31);
         const DynamicsResult run =
-            run_distributed_dynamics(spec, model, start, options, rng_a);
+            run_dynamics(spec, model, start, options, &rng_a);
         const DynamicsResult reference =
             testing::reference_distributed_dynamics(spec, model, start,
                                                     options, rng_b);
@@ -376,7 +376,6 @@ TEST(UtilityCache, DistributedMatchesItsFullRecomputeReference) {
         EXPECT_EQ(run.converged, reference.converged) << name;
         EXPECT_EQ(run.activations, reference.activations) << name;
         EXPECT_EQ(run.improving_steps, reference.improving_steps) << name;
-        EXPECT_EQ(run.final_welfare, reference.final_welfare) << name;
         EXPECT_EQ(run.scan_skips, reference.scan_skips) << name;
         EXPECT_EQ(run.reprice_touches, reference.reprice_touches) << name;
         EXPECT_EQ(run.welfare_trace, reference.welfare_trace) << name;

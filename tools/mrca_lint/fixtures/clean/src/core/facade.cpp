@@ -2,6 +2,7 @@
 // is reached too.
 #include "core/facade.h"
 
+#include "core/dynamics/run_ledger.h"
 #include "sim/good_medium.h"
 
 namespace mrca {

@@ -52,6 +52,11 @@ every commit:
                         parse_finite, parse_unsigned) and common/json.cpp
                         (JSON has its own grammar). Hand-rolled readers
                         disagree on empty and trailing fields.
+  R9 one-ledger         No DynamicsResult built by brace-initialization
+                        under src/ outside core/dynamics/run_ledger.h. An
+                        engine builds one RunLedger, which owns the result,
+                        its trace, budget and counters; a result built
+                        beside it is bookkeeping that drifts per engine.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 Run as:  python3 tools/mrca_lint/mrca_lint.py --root .
@@ -389,11 +394,30 @@ def check_one_tokenizer(path: Path, rel: str, text: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R9: one run ledger builds every dynamics result
+
+RESULT_BRACE_INIT = re.compile(r"\b(struct\s+)?DynamicsResult\s*(?:\w+\s*)?\{")
+R9_ALLOWED = "src/core/dynamics/run_ledger.h"
+
+
+def check_one_ledger(path: Path, rel: str, text: str) -> list[Finding]:
+    if rel == R9_ALLOWED:
+        return []
+    return [Finding(
+        "one-ledger", path, _lines_of(match.start(), text),
+        "DynamicsResult built by brace-initialization outside "
+        "core/dynamics/run_ledger.h. Build one RunLedger and return its "
+        "finish(): the ledger owns the result, trace, budget and counters.")
+        for match in RESULT_BRACE_INIT.finditer(text)
+        if match.group(1) is None]
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 RULES_HELP = ("banned-entropy", "unordered-iter", "seed-provenance",
               "include-hygiene", "header-consumer", "thread-local",
-              "hot-loop-scratch", "one-tokenizer")
+              "hot-loop-scratch", "one-tokenizer", "one-ledger")
 
 
 def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
@@ -422,6 +446,7 @@ def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
         findings += check_thread_local(path, text)
         findings += check_hot_loop_scratch(path, rel, text)
         findings += check_one_tokenizer(path, rel, text)
+        findings += check_one_ledger(path, rel, text)
         findings += check_include_hygiene(
             path, rel, path.read_text(encoding="utf-8"))
     for pair_name, files in sorted(pairs.items()):

@@ -108,9 +108,19 @@ class ViolationFixtures(unittest.TestCase):
                           ("bad_tokenizer.cpp", 21)])
         self.assertIn("split_fields", hits[0].message)
 
+    def test_one_ledger(self):
+        hits = findings_by(self.findings, rule="one-ledger")
+        # A named and a temporary result; the string, the comment, the
+        # function returning one and the copy never count.
+        self.assertEqual([(f.path.name, f.line) for f in hits],
+                         [("bad_ledger.cpp", 10),
+                          ("bad_ledger.cpp", 11)])
+        self.assertIn("RunLedger", hits[0].message)
+
     def test_total_findings_accounted_for(self):
         # No rule may fire where the fixtures did not seed a violation.
-        self.assertEqual(len(self.findings), 6 + 2 + 3 + 4 + 2 + 2 + 2 + 3)
+        self.assertEqual(len(self.findings),
+                         6 + 2 + 3 + 4 + 2 + 2 + 2 + 3 + 2)
 
 
 class CleanFixtures(unittest.TestCase):
@@ -127,15 +137,17 @@ class CleanFixtures(unittest.TestCase):
 
     def test_consumers_reach_through_headers_and_implementations(self):
         # tools/demo.cpp includes only core/facade.h; rng.h is reached
-        # through that header and good_medium.h through facade.cpp. Without
-        # the consumer directory every header is flagged.
+        # through that header, and good_medium.h and the ledger's headers
+        # through facade.cpp. Without the consumer directory every header
+        # is flagged.
         with tempfile.TemporaryDirectory() as scratch:
             tree = Path(scratch) / "clean"
             shutil.copytree(FIXTURES / "clean", tree)
             shutil.rmtree(tree / "tools")
             hits = findings_by(lint_tree(tree), rule="header-consumer")
         self.assertEqual(sorted(f.path.name for f in hits),
-                         ["facade.h", "good_medium.h", "rng.h"])
+                         ["facade.h", "good_medium.h", "result.h", "rng.h",
+                          "run_ledger.h"])
 
 
 class RealTree(unittest.TestCase):
