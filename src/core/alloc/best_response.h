@@ -14,6 +14,7 @@
 // improvement above tolerance.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,6 +53,18 @@ struct DynamicsOptions {
   bool use_dirty_channel_pruning = true;
 };
 
+/// What a finished run proved about its final state, at the default
+/// tolerance kUtilityTolerance. Each proof stands alone: the DP's utilities
+/// and the single-change benefits round differently, so a Nash proof does
+/// not claim single-move stability.
+enum class StabilityProof : std::uint8_t {
+  kNone,
+  /// is_single_move_stable(model, final_state) holds.
+  kSingleMove,
+  /// model.is_nash_equilibrium(final_state) holds.
+  kNash,
+};
+
 struct DynamicsResult {
   bool converged = false;
   /// Total user activations performed (including non-improving ones).
@@ -76,6 +89,10 @@ struct DynamicsResult {
   /// eps_ne_activation instead (metrics.h). Only run_response_dynamics
   /// sets it.
   bool canonical_best_response = false;
+  /// What the run proved about final_state when it stopped, so the
+  /// verdict metrics read the proof instead of repeating the check
+  /// (metrics.h). Only RunLedger writes it (mrca_lint R10).
+  StabilityProof proof = StabilityProof::kNone;
 };
 
 /// Runs the dynamics from `start` until stable or the activation budget is

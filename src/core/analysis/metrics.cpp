@@ -45,8 +45,9 @@ double eps_ne_time(const DynamicsResult& play) {
 std::vector<Metric> make_builtins() {
   std::vector<Metric> metrics;
 
-  // Definition 1, via the exact per-user best-response DP oracle (computed
-  // once per context and shared with theorem1's fallback).
+  // Definition 1: the run's own proof, else the exact per-user
+  // best-response DP oracle (computed once per context and shared with
+  // theorem1's fallback).
   metrics.push_back(Metric{
       "nash",
       {"nash_ne"},
@@ -55,13 +56,17 @@ std::vector<Metric> make_builtins() {
       }});
 
   // The weaker layer the paper's lemmas analyze: no single-radio change
-  // (move/deploy/park) improves anyone.
+  // (move/deploy/park) improves anyone. A run that stopped on this proof
+  // (the learners, `distributed`, converged `single`/`random-move` best
+  // response) is read; any other run is scanned.
   metrics.push_back(Metric{
       "single_move",
       {"single_move_stable"},
       [](const MetricContext& context) {
-        return std::vector<double>{to01(is_single_move_stable(
-            context.model, context.dynamics.final_state))};
+        const DynamicsResult& run = context.dynamics;
+        return std::vector<double>{
+            to01(run.proof == StabilityProof::kSingleMove ||
+                 is_single_move_stable(context.model, run.final_state))};
       }});
 
   // The printed Theorem 1 predicate where its homogeneity preconditions

@@ -83,7 +83,8 @@ struct MetricContext {
   /// (or budget-exhausted) allocation most metrics score. It must be the
   /// run from `start` on `model`: `convergence` reads a canonical run's
   /// own record (DynamicsResult::canonical_best_response) in place of
-  /// replaying best-response play from `start`.
+  /// replaying best-response play from `start`, and the verdicts read the
+  /// run's own proof (DynamicsResult::proof) in place of their checks.
   const DynamicsResult& dynamics;
   /// Pure per-run seed for stochastic metrics.
   std::uint64_t seed;
@@ -102,11 +103,14 @@ struct MetricContext {
     return cell_cache ? cell_cache->memoize(key, compute) : compute();
   }
 
-  /// The exact Definition-1 verdict on `dynamics.final_state`, computed at
-  /// most once per context no matter how many metrics ask — the DP scan is
-  /// the priciest per-run check, and both `nash` and `theorem1`'s exact
-  /// fallback need it.
+  /// The exact Definition-1 verdict on `dynamics.final_state`, shared by
+  /// `nash` and `theorem1`'s exact fallback. A run that proved it
+  /// (StabilityProof::kNash: converged best response at `best`
+  /// granularity, tolerance at most the default, no topology) is read;
+  /// any other run pays for one DP scan per context, however many metrics
+  /// ask.
   bool final_state_is_nash() const {
+    if (dynamics.proof == StabilityProof::kNash) return true;
     if (!nash_verdict_) {
       nash_verdict_ = model.is_nash_equilibrium(dynamics.final_state);
     }

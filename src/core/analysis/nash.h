@@ -14,6 +14,13 @@
 // Layer 3 implies layer 2. The test suite quantifies agreement between all
 // three, and `enumerate_*` provides the brute-force ground truth for tiny
 // games.
+//
+// A dynamics run that stops on layer 2 or 3 has already run that check on
+// its final state, and records which in DynamicsResult::proof. The verdict
+// metrics (metrics.h) read the proof and call the checkers below only for
+// runs without one. The two proofs are kept apart: the DP's utilities and
+// the single-change benefits round differently, so a run's layer-3 proof
+// is not taken as a layer-2 one.
 #pragma once
 
 #include <functional>

@@ -9,8 +9,8 @@
 // parsed value ("log_linear:0.5:0.01"), and run_dynamics() switches on its
 // kind to hand a (model, start, options, rng) run to that engine. Every
 // engine keeps its books in one RunLedger (run_ledger.h: result, cache,
-// welfare trace, budget, `converged`, counters), so all four report the
-// one DynamicsResult contract the same way. Four engines ship:
+// welfare trace, budget, `converged`, proof, counters), so all four report
+// the one DynamicsResult contract the same way. Four engines ship:
 //
 //   best_response  run_response_dynamics (core/alloc/best_response.h),
 //                  called directly — cache, dirty-channel pruning and Rng

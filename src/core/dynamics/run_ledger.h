@@ -13,6 +13,8 @@
 //   - the activation budget and the improving-step count;
 //   - the run's StabilityCheck behind `converged`, and the learners'
 //     "every `users` activations, check" rule;
+//   - the proof of stability the run ends with (DynamicsResult::proof),
+//     written once, when the run stops, and never anywhere else;
 //   - the closing scan_skips/reprice_touches fill.
 // A new result field or stop reason is therefore one edit here, not one
 // per engine.
@@ -102,14 +104,37 @@ class RunLedger {
     result_.canonical_best_response = canonical;
   }
 
-  /// The engine's own stability proof (best response's quiet pass).
-  void converge() noexcept { result_.converged = true; }
+  /// The engine's own stability proof: best response's closing pass (the
+  /// round-robin quiet streak or the random-order verification pass), in
+  /// which every user's scan at the run's granularity found no gain above
+  /// tolerance, or kSkip proved the user unchanged since such a scan.
+  /// At `best` granularity that pass is is_nash_equilibrium bit for bit
+  /// in the single collision domain: the cache's utility is
+  /// raw_utility_unchecked, load_seen is the column sum, and the DP is
+  /// the same detail::best_response. Under a topology the cached
+  /// utilities are incremental, so no Nash proof is claimed there. The
+  /// single-change kernels read only integer loads, so their pass is
+  /// is_single_move_stable under a topology too.
+  void converge() noexcept {
+    result_.converged = true;
+    if (!proves_default_tolerance()) return;
+    if (options_.granularity != ResponseGranularity::kBestResponse) {
+      result_.proof = StabilityProof::kSingleMove;
+    } else if (!model_.topology()) {
+      result_.proof = StabilityProof::kNash;
+    }
+  }
   /// Asks the run's StabilityCheck; a stable state converges the run.
+  /// Every engine that asks stops at a stable state, so the check that
+  /// held is is_single_move_stable on the final state.
   bool stable() {
     if (!stability_.holds(model_, result_.final_state, options_.tolerance)) {
       return false;
     }
     result_.converged = true;
+    if (proves_default_tolerance()) {
+      result_.proof = StabilityProof::kSingleMove;
+    }
     return true;
   }
   /// The learners' rule: every `users` activations, ask stable().
@@ -127,6 +152,11 @@ class RunLedger {
   }
 
  private:
+  // No gain above the run's tolerance is no gain above the verdicts'.
+  bool proves_default_tolerance() const noexcept {
+    return options_.tolerance <= kUtilityTolerance;
+  }
+
   // Raw welfare: the trace measures the spectrum's throughput economy, not
   // the operator's valuation of it.
   void record_welfare() {

@@ -543,6 +543,157 @@ TEST(ConvergenceMetric, CanonicalRunsReadTheirOwnRecord) {
   EXPECT_EQ(eps_ne_time_of(model, empty, doctored), honest);
 }
 
+/// The proof the ledger must record for `run`, from the run's shape alone:
+/// converged at the default tolerance or below; `best` granularity proves
+/// Definition 1 outside a topology and nothing under one; every other
+/// stopping rule proves single-move stability.
+StabilityProof expected_proof(const GameModel& model,
+                              const DynamicsResult& run, bool best_response,
+                              const DynamicsOptions& options) {
+  if (!run.converged || options.tolerance > kUtilityTolerance) {
+    return StabilityProof::kNone;
+  }
+  if (!best_response ||
+      options.granularity != ResponseGranularity::kBestResponse) {
+    return StabilityProof::kSingleMove;
+  }
+  return model.topology() ? StabilityProof::kNone : StabilityProof::kNash;
+}
+
+// The verdict metrics against the checks they stand in for, on random
+// small games of every scenario kind and every run shape: the runs whose
+// own proof is read (converged best response at the default tolerance or
+// below, the learners) and every run that must scan (`best` under a
+// topology, a tolerance above the default, an unconverged run).
+TEST(NashMetric, RunProofMatchesTheExactCheckOnEveryPath) {
+  const std::vector<std::string> scenarios = {
+      "base", "energy=0.2", "het=2:1", "budgets=1:2", "weights=2:1",
+      "topology=ring:1"};
+  const MetricSet verdicts = MetricSet::parse_list("nash,single_move");
+  Rng rng(20062);
+  std::size_t nash_proofs = 0;
+  std::size_t single_move_proofs = 0;
+  std::size_t topology_fallbacks = 0;
+  std::size_t tolerance_fallbacks = 0;
+  std::size_t unconverged_fallbacks = 0;
+  // Converged `best` runs under a topology whose closing pass the DP
+  // refutes: the incremental cache's verdict and the recompute's differ.
+  std::size_t topology_disagreements = 0;
+  for (int trial = 0; trial < 36; ++trial) {
+    const std::string& scenario = scenarios[trial % scenarios.size()];
+    const std::size_t users = 3 + rng.index(6);
+    const std::size_t channels = 2 + rng.index(4);
+    const auto radios = static_cast<RadioCount>(1 + rng.index(2));
+    const GameModel model = ScenarioSpec::parse(scenario).make_model(
+        users, channels, radios,
+        std::make_shared<PowerLawRate>(1.0, rng.uniform(0.2, 1.5)));
+    // Each scenario kind meets every start kind.
+    const std::size_t start_kind = trial / scenarios.size() % 3;
+    const StrategyMatrix start = start_kind == 0
+                                     ? model.empty_strategy()
+                                 : start_kind == 1
+                                     ? random_full_allocation(model, rng)
+                                     : random_partial_allocation(model, rng);
+    const std::string where = scenario + " trial " + std::to_string(trial);
+
+    const auto check = [&](const DynamicsResult& run, bool best_response,
+                           const DynamicsOptions& options,
+                           const std::string& shape) {
+      const bool nash = model.is_nash_equilibrium(run.final_state);
+      const bool stable = is_single_move_stable(model, run.final_state);
+      const std::vector<double> columns =
+          verdicts.compute(MetricContext{model, start, run});
+      EXPECT_EQ(columns.at(0), nash ? 1.0 : 0.0) << where << ' ' << shape;
+      EXPECT_EQ(columns.at(1), stable ? 1.0 : 0.0) << where << ' ' << shape;
+      EXPECT_EQ(run.proof,
+                expected_proof(model, run, best_response, options))
+          << where << ' ' << shape;
+      nash_proofs += run.proof == StabilityProof::kNash ? 1 : 0;
+      single_move_proofs += run.proof == StabilityProof::kSingleMove ? 1 : 0;
+      unconverged_fallbacks += run.converged ? 0 : 1;
+      if (!run.converged || !best_response ||
+          options.granularity != ResponseGranularity::kBestResponse) {
+        return;
+      }
+      if (options.tolerance > kUtilityTolerance) {
+        ++tolerance_fallbacks;
+      } else if (model.topology()) {
+        ++topology_fallbacks;
+        topology_disagreements += nash ? 0 : 1;
+      }
+    };
+
+    for (const ResponseGranularity granularity :
+         {ResponseGranularity::kBestResponse,
+          ResponseGranularity::kBestSingleMove,
+          ResponseGranularity::kRandomImprovingMove}) {
+      for (const ActivationOrder order :
+           {ActivationOrder::kRoundRobin, ActivationOrder::kUniformRandom}) {
+        for (const double tolerance : {1e-6, kUtilityTolerance, 1e-12}) {
+          const DynamicsOptions options{.granularity = granularity,
+                                        .order = order,
+                                        .tolerance = tolerance};
+          Rng run_rng(rng.next_u64());
+          check(run_response_dynamics(model, start, options, &run_rng), true,
+                options,
+                "granularity " + ::testing::PrintToString(granularity) +
+                    " order " + ::testing::PrintToString(order) +
+                    " tolerance " + ::testing::PrintToString(tolerance));
+        }
+      }
+    }
+    const DynamicsOptions short_budget{.max_activations =
+                                           1 + rng.index(users)};
+    check(run_response_dynamics(model, start, short_budget), true,
+          short_budget, "short budget");
+    for (const std::string learner :
+         {"log_linear", "trial_error", "distributed"}) {
+      Rng run_rng(rng.next_u64());
+      check(run_dynamics(DynamicsSpec::parse(learner), model, start, {},
+                         &run_rng),
+            false, {}, learner);
+    }
+  }
+  // Both proofs were read, and every fallback was hit.
+  EXPECT_GT(nash_proofs, 0u);
+  EXPECT_GT(single_move_proofs, 0u);
+  EXPECT_GT(topology_fallbacks, 0u);
+  EXPECT_GT(tolerance_fallbacks, 0u);
+  EXPECT_GT(unconverged_fallbacks, 0u);
+  RecordProperty("topology_disagreements",
+                 static_cast<int>(topology_disagreements));
+}
+
+// A proven run is read, not scanned: a record doctored to carry a proof
+// for a state that is no equilibrium reads 1, and the same record without
+// the proof reads 0. Each proof answers for its own verdict only. The het
+// model puts theorem1 on its exact fallback, which shares nash's verdict.
+TEST(NashMetric, ProvenRunsReadTheirOwnProof) {
+  const GameModel model =
+      ScenarioSpec::parse("het=2:1").make_model(5, 4, 2, decaying_rate());
+  const StrategyMatrix empty = model.empty_strategy();
+  DynamicsResult doctored = run_response_dynamics(model, empty);
+  ASSERT_TRUE(doctored.converged);
+  ASSERT_EQ(doctored.proof, StabilityProof::kNash);
+  // Every user gains by deploying a radio on the empty matrix.
+  doctored.final_state = empty;
+  ASSERT_FALSE(model.is_nash_equilibrium(empty));
+  ASSERT_FALSE(is_single_move_stable(model, empty));
+
+  // nash_ne, single_move_stable, then theorem1's applicable,
+  // predicts_nash and exact_fallback.
+  const MetricSet verdicts =
+      MetricSet::parse_list("nash,single_move,theorem1");
+  const auto columns = [&] {
+    return verdicts.compute(MetricContext{model, empty, doctored});
+  };
+  EXPECT_EQ(columns(), (std::vector<double>{1.0, 0.0, 0.0, 1.0, 1.0}));
+  doctored.proof = StabilityProof::kSingleMove;
+  EXPECT_EQ(columns(), (std::vector<double>{0.0, 1.0, 0.0, 0.0, 1.0}));
+  doctored.proof = StabilityProof::kNone;
+  EXPECT_EQ(columns(), (std::vector<double>{0.0, 0.0, 0.0, 0.0, 1.0}));
+}
+
 TEST(CellMetricCache, MemoizesModelValuesOncePerKey) {
   CellMetricCache cache;
   int computed = 0;

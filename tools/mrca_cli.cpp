@@ -396,7 +396,8 @@ GameConfig parse_config(const Args& args) {
   return GameConfig(users, channels, static_cast<RadioCount>(radios));
 }
 
-void report_state(const GameModel& game, const StrategyMatrix& matrix) {
+/// Prints the matrix and its three verdicts; returns the exact Nash one.
+bool report_state(const GameModel& game, const StrategyMatrix& matrix) {
   std::cout << render_matrix(matrix) << render_loads(matrix) << "\n\n"
             << render_utilities(game, matrix) << '\n';
   const Theorem1Result theorem = check_theorem1(matrix);
@@ -404,11 +405,10 @@ void report_state(const GameModel& game, const StrategyMatrix& matrix) {
             << (theorem.predicts_nash() ? "satisfied" : "violated") << '\n'
             << "single-move stability: "
             << (is_single_move_stable(game, matrix) ? "stable" : "unstable")
-            << '\n'
-            << "exact Nash (oracle):   "
-            << (is_nash_equilibrium(game, matrix) ? "equilibrium"
-                                                  : "NOT an equilibrium")
             << '\n';
+  const bool nash = is_nash_equilibrium(game, matrix);
+  std::cout << "exact Nash (oracle):   "
+            << (nash ? "equilibrium" : "NOT an equilibrium") << '\n';
   if (!theorem.violations.empty()) {
     std::cout << "violations:\n";
     for (const auto& violation : theorem.violations) {
@@ -416,6 +416,7 @@ void report_state(const GameModel& game, const StrategyMatrix& matrix) {
                 << (violation.user + 1) << ": " << violation.detail << '\n';
     }
   }
+  return nash;
 }
 
 int cmd_solve(const Args& args) {
@@ -433,8 +434,7 @@ int cmd_verify(const Args& args) {
   const GameConfig config = parse_config(args);
   const GameModel game(config, make_rate(args, config.total_radios()));
   const StrategyMatrix matrix = parse_matrix(config, args.positional[3]);
-  report_state(game, matrix);
-  return is_nash_equilibrium(game, matrix) ? 0 : 1;
+  return report_state(game, matrix) ? 0 : 1;
 }
 
 int cmd_dynamics(const Args& args) {

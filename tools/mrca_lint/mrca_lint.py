@@ -57,6 +57,12 @@ every commit:
                         engine builds one RunLedger, which owns the result,
                         its trace, budget and counters; a result built
                         beside it is bookkeeping that drifts per engine.
+  R10 one-proof         No write of DynamicsResult::proof under src/
+                        outside core/dynamics/run_ledger.h. The verdict
+                        metrics read the proof instead of checking, so a
+                        proof set anywhere but where the run stops turns a
+                        verdict column into a restatement, and goldens whose
+                        runs are equilibria anyway would not show it.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 Run as:  python3 tools/mrca_lint/mrca_lint.py --root .
@@ -413,11 +419,30 @@ def check_one_ledger(path: Path, rel: str, text: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
+# R10: only the run ledger writes a run's proof
+
+PROOF_WRITE = re.compile(r"(?:\.|->)\s*proof\s*=(?!=)")
+R10_ALLOWED = R9_ALLOWED
+
+
+def check_one_proof(path: Path, rel: str, text: str) -> list[Finding]:
+    if rel == R10_ALLOWED:
+        return []
+    return [Finding(
+        "one-proof", path, _lines_of(match.start(), text),
+        "DynamicsResult::proof written outside core/dynamics/run_ledger.h. "
+        "The verdict metrics trust it in place of their checks; only the "
+        "ledger writes it, when the run stops on a proof.")
+        for match in PROOF_WRITE.finditer(text)]
+
+
+# --------------------------------------------------------------------------
 # Driver
 
 RULES_HELP = ("banned-entropy", "unordered-iter", "seed-provenance",
               "include-hygiene", "header-consumer", "thread-local",
-              "hot-loop-scratch", "one-tokenizer", "one-ledger")
+              "hot-loop-scratch", "one-tokenizer", "one-ledger",
+              "one-proof")
 
 
 def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
@@ -447,6 +472,7 @@ def lint_tree(root: Path, subdir: str = "src") -> list[Finding]:
         findings += check_hot_loop_scratch(path, rel, text)
         findings += check_one_tokenizer(path, rel, text)
         findings += check_one_ledger(path, rel, text)
+        findings += check_one_proof(path, rel, text)
         findings += check_include_hygiene(
             path, rel, path.read_text(encoding="utf-8"))
     for pair_name, files in sorted(pairs.items()):

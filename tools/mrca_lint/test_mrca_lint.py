@@ -117,10 +117,19 @@ class ViolationFixtures(unittest.TestCase):
                           ("bad_ledger.cpp", 11)])
         self.assertIn("RunLedger", hits[0].message)
 
+    def test_one_proof(self):
+        hits = findings_by(self.findings, rule="one-proof")
+        # A member and a pointer write; the string, the comment, the reads,
+        # the comparison and the local named proof never count.
+        self.assertEqual([(f.path.name, f.line) for f in hits],
+                         [("bad_proof.cpp", 10),
+                          ("bad_proof.cpp", 11)])
+        self.assertIn("run_ledger.h", hits[0].message)
+
     def test_total_findings_accounted_for(self):
         # No rule may fire where the fixtures did not seed a violation.
         self.assertEqual(len(self.findings),
-                         6 + 2 + 3 + 4 + 2 + 2 + 2 + 3 + 2)
+                         6 + 2 + 3 + 4 + 2 + 2 + 2 + 3 + 2 + 2)
 
 
 class CleanFixtures(unittest.TestCase):
