@@ -70,9 +70,6 @@ class Subprocess {
   /// nothing available, pipe at EOF, or stderr not captured).
   std::size_t read_stderr(std::string& out);
 
-  /// True once the child's stderr pipe has reached EOF (closed on exit).
-  bool stderr_eof() const noexcept { return stderr_fd_ < 0; }
-
   /// Non-blocking reap: returns true (and fills `result`) once the child
   /// has terminated; the exit status is cached, so calling again after
   /// true keeps returning the same result.

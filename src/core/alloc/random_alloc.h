@@ -20,8 +20,4 @@ StrategyMatrix random_full_allocation(const GameModel& model, Rng& rng);
 /// Fig. 1).
 StrategyMatrix random_partial_allocation(const GameModel& model, Rng& rng);
 
-/// Every user places all k_i radios on k_i distinct random channels (a
-/// random member of the "spread" strategy class of Theorem 1's main case).
-StrategyMatrix random_spread_allocation(const GameModel& model, Rng& rng);
-
 }  // namespace mrca

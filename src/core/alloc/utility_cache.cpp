@@ -1,6 +1,5 @@
 #include "core/alloc/utility_cache.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -40,7 +39,7 @@ void UtilityCache::rebuild(const StrategyMatrix& strategies) {
     welfare_ = model_->raw_welfare(strategies);
     return;
   }
-  // Neighborhood mode: utilities come from per-user perceived loads, and
+  // Neighborhood mode: utilities read per-user perceived loads, and
   // welfare has no per-channel shortcut — it IS the sum of utilities.
   // Perceived loads are integer sums, so scatter order is free: each
   // occupied (j, c) entry contributes to j's closed neighborhood,
@@ -71,32 +70,17 @@ void UtilityCache::rebuild(const StrategyMatrix& strategies) {
       entry_own[next[c]++] = own;
     });
   }
-  utilities_.assign(users, 0.0);
   welfare_ = 0.0;
   for (ChannelId c = 0; c < num_channels_; ++c) {
     for (std::size_t s = begin[c]; s < begin[c + 1]; ++s) {
-      const UserId i = entry_user[s];
-      const double value =
-          load_share(*model_, c, entry_own[s], perceived(i, c));
-      utilities_[i] += value;
-      welfare_ += value;
+      welfare_ += load_share(*model_, c, entry_own[s],
+                             perceived(entry_user[s], c));
     }
   }
   const double cost = model_->radio_cost();
   if (cost > 0.0) {
-    for (UserId i = 0; i < users; ++i) {
-      utilities_[i] -= cost * static_cast<double>(strategies.user_total(i));
-    }
     welfare_ -= cost * static_cast<double>(strategies.total_deployed());
   }
-}
-
-RadioCount UtilityCache::perceived_load(const StrategyMatrix& strategies,
-                                        UserId user,
-                                        ChannelId channel) const {
-  (void)strategies.at(user, channel);  // validates both ids
-  if (topology_ == nullptr) return strategies.channel_load(channel);
-  return perceived_[user * num_channels_ + channel];
 }
 
 void UtilityCache::check_tracked(const StrategyMatrix& strategies) const {
@@ -171,7 +155,7 @@ void UtilityCache::reprice_channel(const StrategyMatrix& strategies,
   const RadioCount old_own = strategies.at(user, channel);
   if (topology_ != nullptr) {
     // Only the mover's CLOSED NEIGHBORHOOD perceives the change — everyone
-    // else's loads, shares and utilities are untouched. O(degree), not
+    // else's loads and shares are untouched. O(degree), not
     // O(occupants): the sparse-graph pruning the scale work leans on. The
     // same walk stamps the dirty bit: exactly the users whose view of
     // `channel` shifts get their scan memo narrowed to it.
@@ -180,18 +164,14 @@ void UtilityCache::reprice_channel(const StrategyMatrix& strategies,
       RadioCount& load = perceived(j, channel);
       const RadioCount own = strategies.at(j, channel);
       const RadioCount own_after = own + (j == user ? delta : 0);
-      const double diff = load_share(*model_, channel, own_after,
-                                     load + delta) -
-                          load_share(*model_, channel, own, load);
-      utilities_[j] += diff;
-      welfare_ += diff;
+      welfare_ += load_share(*model_, channel, own_after, load + delta) -
+                  load_share(*model_, channel, own, load);
       load += delta;
       if (bit != 0) dirty_mask_[j] |= bit;
       ++reprice_touches_;
     };
     update(user);
     for (const UserId j : topology_->neighbors(user)) update(j);
-    utilities_[user] -= cost_delta;
     welfare_ -= cost_delta;
   } else {
     if (scan_pruning_) {
@@ -304,15 +284,10 @@ void UtilityCache::apply(StrategyMatrix& strategies,
   }
 }
 
-double UtilityCache::max_drift(const StrategyMatrix& strategies) const {
-  // The cache tracks RAW values (what dynamics decisions read); weighted
-  // models report through GameModel::welfare()/utilities() separately.
-  double drift = std::abs(welfare_ - model_->raw_welfare(strategies));
-  for (UserId i = 0; i < strategies.num_users(); ++i) {
-    drift = std::max(
-        drift, std::abs(utility(i) - model_->raw_utility(strategies, i)));
-  }
-  return drift;
+double UtilityCache::welfare_drift(const StrategyMatrix& strategies) const {
+  // The cache tracks RAW welfare (what the dynamics trace records);
+  // weighted models report through GameModel::welfare() separately.
+  return std::abs(welfare_ - model_->raw_welfare(strategies));
 }
 
 }  // namespace mrca

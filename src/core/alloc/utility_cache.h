@@ -7,23 +7,22 @@
 //   - the raw social welfare sum_c R_c(k_c) - cost * deployed,
 //   - per-channel occupant counts (users with k_{i,c} > 0),
 //   - under an interference topology only, every user's PERCEIVED load
-//     P_i(c) (closed-neighborhood sum; see GameModel::perceived_load) and
-//     RAW utility U_i (energy price included, valuation weights not —
-//     decisions are weight-free; see GameModel::raw_utility),
+//     P_i(c) (closed-neighborhood sum; see GameModel::perceived_load),
 // and updates them under single-radio deltas instead of re-deriving them
 // from the whole matrix; rate lookups go through the model's memoized
-// per-channel tables. In the single collision domain U_i depends only on
-// the user's own row and the |C| channel loads, so utility(i) evaluates
-// GameModel's own formula on demand (bit-identical to the full recompute)
-// and a reprice is O(1) per changed channel. Under a topology it reprices
-// ONLY the mover's closed neighborhood — on sparse graphs that is
-// O(degree), the pruning lever the million-user scale item wants
-// (reprice_touches() is the operation-count witness). Mutations go through
-// the cache (which forwards to the StrategyMatrix) so matrix and cache can
-// never drift apart structurally; the stored values are maintained in
-// floating point incrementally and agree with the full recompute to
-// ~1e-13 over any realistic trajectory (regression-tested for every
-// scenario kind).
+// per-channel tables. It stores no utility: U_i depends only on the
+// user's own row and the loads the user sees, so utility(i) evaluates
+// the one formula (detail::raw_utility) on demand over exact integer
+// loads — bit-identical to GameModel::raw_utility in both domains. A
+// reprice is O(1) per changed channel in the single collision domain;
+// under a topology it touches ONLY the mover's closed neighborhood — on
+// sparse graphs that is O(degree), the pruning lever the million-user
+// scale item wants (reprice_touches() is the operation-count witness).
+// Mutations go through the cache (which forwards to the StrategyMatrix)
+// so matrix and cache can never drift apart structurally. Welfare is the
+// one value maintained in floating point incrementally; it agrees with
+// the full recompute to ~1e-13 over any realistic trajectory
+// (regression-tested for every scenario kind).
 //
 // DIRTY-CHANNEL SCAN PRUNING (enable_scan_pruning): the cache can
 // additionally witness which channels changed, as seen by each user, since
@@ -46,6 +45,7 @@
 #include <span>
 #include <vector>
 
+#include "core/analysis/deviation_detail.h"
 #include "core/game_model.h"
 #include "core/rate_table.h"
 #include "core/strategy.h"
@@ -62,12 +62,17 @@ class UtilityCache {
 
   const GameModel& model() const noexcept { return *model_; }
 
-  /// Raw U_i(S) of the tracked matrix: the stored value under a topology
-  /// (O(1)); in the single collision domain GameModel's own formula over
-  /// the user's occupied channels, bit-identical to raw_utility().
+  /// Raw U_i(S) of the tracked matrix: detail::raw_utility over the loads
+  /// the user sees (perceived under a topology, else the column sums),
+  /// bit-identical to GameModel::raw_utility. O(occupied channels).
   double utility(UserId user) const {
-    if (topology_ != nullptr) return utilities_[user];
-    return model_->raw_utility_unchecked(*tracked_, user);
+    const RadioCount* seen = topology_ != nullptr
+                                 ? perceived_.data() + user * num_channels_
+                                 : tracked_->channel_loads().data();
+    return detail::raw_utility(
+        *tracked_, user,
+        [this](ChannelId c, RadioCount load) { return model_->rate(c, load); },
+        model_->radio_cost(), [seen](ChannelId c) { return seen[c]; });
   }
 
   /// Social welfare, O(1).
@@ -78,13 +83,9 @@ class UtilityCache {
     return occupant_count_[channel];
   }
 
-  /// Perceived load P_user(channel) as tracked incrementally; equals the
-  /// global column sum when the model has no topology.
-  RadioCount perceived_load(const StrategyMatrix& strategies, UserId user,
-                            ChannelId channel) const;
-
-  /// Same value as perceived_load, O(1) and unchecked — the LoadAt
-  /// accessor the dynamics driver's cached deviation scans read.
+  /// The load `user` sees on `channel`: the perceived load P_user(channel)
+  /// under a topology, else the global column sum. O(1) and unchecked —
+  /// the LoadAt accessor the dynamics driver's cached deviation scans read.
   RadioCount load_seen(UserId user, ChannelId channel) const noexcept {
     if (topology_ != nullptr) {
       return perceived_[user * num_channels_ + channel];
@@ -156,17 +157,17 @@ class UtilityCache {
   /// scan memo; scan_skips()/reprice_touches() keep counting.
   void rebuild(const StrategyMatrix& strategies);
 
-  /// Largest absolute disagreement between the cached utilities/welfare and
-  /// a full recompute — diagnostic for drift tests.
-  double max_drift(const StrategyMatrix& strategies) const;
+  /// Absolute disagreement between the incremental welfare and a full
+  /// recompute — diagnostic for drift tests.
+  double welfare_drift(const StrategyMatrix& strategies) const;
 
  private:
   /// The pairing guard behind every mutator.
   void check_tracked(const StrategyMatrix& strategies) const;
-  /// Welfare (and, under a topology, neighborhood utility) update for one
-  /// channel whose load changes by `delta` radios of `user` (the energy
-  /// price of the delta is folded in). Must run BEFORE the matrix mutation
-  /// (it reads the old counts).
+  /// Welfare (and, under a topology, neighborhood perceived-load) update
+  /// for one channel whose load changes by `delta` radios of `user` (the
+  /// energy price of the delta is folded in). Must run BEFORE the matrix
+  /// mutation (it reads the old counts).
   void reprice_channel(const StrategyMatrix& strategies, UserId user,
                        ChannelId channel, RadioCount delta);
   /// Voids every user's scan memo (no-op unless pruning is enabled).
@@ -192,9 +193,7 @@ class UtilityCache {
   double welfare_ = 0.0;
   // occupant_count_[c]: users with k_{i,c} > 0.
   std::vector<std::size_t> occupant_count_;
-  // Maintained only under a topology: utilities_[i] = raw U_i and
-  // perceived_[i*|C|+c] = P_i(c).
-  std::vector<double> utilities_;
+  // Maintained only under a topology: perceived_[i*|C|+c] = P_i(c).
   std::vector<RadioCount> perceived_;
   std::size_t reprice_touches_ = 0;
 

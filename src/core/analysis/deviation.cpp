@@ -94,18 +94,9 @@ double utility_if_played(const GameModel& model,
   if (row.size() != strategies.num_channels()) {
     throw std::invalid_argument("utility_if_played: wrong row width");
   }
-  double total = 0.0;
-  RadioCount deployed = 0;
-  for (ChannelId c = 0; c < strategies.num_channels(); ++c) {
-    if (row[c] <= 0) continue;
-    const RadioCount opponents =
-        model.perceived_load(strategies, user, c) - strategies.at(user, c);
-    const RadioCount load = opponents + row[c];
-    total += static_cast<double>(row[c]) / static_cast<double>(load) *
-             model.rate(c, load);
-    deployed += row[c];
-  }
-  return total - model.radio_cost() * static_cast<double>(deployed);
+  StrategyMatrix played = strategies;
+  played.set_row(user, row);
+  return model.raw_utility(played, user);
 }
 
 }  // namespace mrca

@@ -52,6 +52,22 @@ inline double share(double rate, RadioCount own, RadioCount load) {
   return static_cast<double>(own) / static_cast<double>(load) * rate;
 }
 
+/// The paper's raw utility U_i = sum_c k_{i,c}/k_c * R_c(k_c) - cost *
+/// deployed, with k_c the load `user` sees (`load_at`), summed over the
+/// user's occupied channels in ascending order. The one copy of the
+/// formula: GameModel's utilities and UtilityCache::utility all evaluate
+/// it, so the dynamics and the equilibrium checks read the same bits.
+template <typename RateAt, typename LoadAt>
+double raw_utility(const StrategyMatrix& strategies, UserId user,
+                   RateAt rate_at, double cost, LoadAt load_at) {
+  double total = 0.0;
+  strategies.for_each_row_entry(user, [&](ChannelId c, RadioCount own) {
+    const RadioCount load = load_at(c);
+    total += share(rate_at(c, load), own, load);
+  });
+  return total - cost * static_cast<double>(strategies.user_total(user));
+}
+
 /// Reusable per-scan scratch: the user's dense row, the loads it
 /// perceives, the three flat share kernels every candidate benefit is
 /// assembled from, and the best-response DP's tables. Hoisting this out of

@@ -106,9 +106,9 @@ struct MetricContext {
   /// The exact Definition-1 verdict on `dynamics.final_state`, shared by
   /// `nash` and `theorem1`'s exact fallback. A run that proved it
   /// (StabilityProof::kNash: converged best response at `best`
-  /// granularity, tolerance at most the default, no topology) is read;
-  /// any other run pays for one DP scan per context, however many metrics
-  /// ask.
+  /// granularity, tolerance at most the default, topology or not) is
+  /// read; any other run pays for one DP scan per context, however many
+  /// metrics ask.
   bool final_state_is_nash() const {
     if (dynamics.proof == StabilityProof::kNash) return true;
     if (!nash_verdict_) {

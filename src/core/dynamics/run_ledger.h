@@ -108,21 +108,18 @@ class RunLedger {
   /// round-robin quiet streak or the random-order verification pass), in
   /// which every user's scan at the run's granularity found no gain above
   /// tolerance, or kSkip proved the user unchanged since such a scan.
-  /// At `best` granularity that pass is is_nash_equilibrium bit for bit
-  /// in the single collision domain: the cache's utility is
-  /// raw_utility_unchecked, load_seen is the column sum, and the DP is
-  /// the same detail::best_response. Under a topology the cached
-  /// utilities are incremental, so no Nash proof is claimed there. The
-  /// single-change kernels read only integer loads, so their pass is
-  /// is_single_move_stable under a topology too.
+  /// At `best` granularity that pass is is_nash_equilibrium bit for bit,
+  /// topology or not: the cache's utility and GameModel's are the one
+  /// detail::raw_utility over the same exact integer loads, load_seen is
+  /// the load the model's DP reads, and the DP is the same
+  /// detail::best_response. The single-change kernels read the same
+  /// loads, so their pass is is_single_move_stable.
   void converge() noexcept {
     result_.converged = true;
     if (!proves_default_tolerance()) return;
-    if (options_.granularity != ResponseGranularity::kBestResponse) {
-      result_.proof = StabilityProof::kSingleMove;
-    } else if (!model_.topology()) {
-      result_.proof = StabilityProof::kNash;
-    }
+    result_.proof = options_.granularity == ResponseGranularity::kBestResponse
+                        ? StabilityProof::kNash
+                        : StabilityProof::kSingleMove;
   }
   /// Asks the run's StabilityCheck; a stable state converges the run.
   /// Every engine that asks stops at a stable state, so the check that

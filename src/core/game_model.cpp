@@ -218,24 +218,15 @@ RadioCount GameModel::perceived_load(const StrategyMatrix& strategies,
 
 double GameModel::raw_utility_unchecked(const StrategyMatrix& strategies,
                                         UserId user) const {
-  // Walks occupied channels only (ascending, so the summation order — and
-  // therefore every bit of the result — matches the dense row scan it
-  // replaces, which skipped the zero cells too).
-  double total = 0.0;
   if (topology_) {
-    strategies.for_each_row_entry(user, [&](ChannelId c, RadioCount own) {
-      const RadioCount load = perceived_load_unchecked(strategies, user, c);
-      total += static_cast<double>(own) / static_cast<double>(load) *
-               rate(c, load);
-    });
-    return total - cost_ * static_cast<double>(strategies.user_total(user));
+    return detail::raw_utility(
+        strategies, user, ModelRate{this}, cost_, [&](ChannelId c) {
+          return perceived_load_unchecked(strategies, user, c);
+        });
   }
   const auto loads = strategies.channel_loads();
-  strategies.for_each_row_entry(user, [&](ChannelId c, RadioCount own) {
-    total += static_cast<double>(own) / static_cast<double>(loads[c]) *
-             rate(c, loads[c]);
-  });
-  return total - cost_ * static_cast<double>(strategies.user_total(user));
+  return detail::raw_utility(strategies, user, ModelRate{this}, cost_,
+                             [loads](ChannelId c) { return loads[c]; });
 }
 
 double GameModel::raw_utility(const StrategyMatrix& strategies,
@@ -278,13 +269,9 @@ std::vector<double> GameModel::raw_utilities_unchecked(
     };
     for_each_neighborhood_entry(
         [&](ChannelId c, RadioCount count) { load[c] += count; });
-    double total = 0.0;
-    strategies.for_each_row_entry(i, [&](ChannelId c, RadioCount own) {
-      total += static_cast<double>(own) / static_cast<double>(load[c]) *
-               rate(c, load[c]);
-    });
+    result[i] = detail::raw_utility(strategies, i, ModelRate{this}, cost_,
+                                    [&](ChannelId c) { return load[c]; });
     for_each_neighborhood_entry([&](ChannelId c, RadioCount) { load[c] = 0; });
-    result[i] = total - cost_ * static_cast<double>(strategies.user_total(i));
   }
   return result;
 }

@@ -127,10 +127,6 @@ class GameModel {
   /// weight — what selfish play responds to. Equals utility() for
   /// unweighted models.
   double raw_utility(const StrategyMatrix& strategies, UserId user) const;
-  /// raw_utility without the shape and budget checks, for callers that
-  /// validated the matrix once (UtilityCache reads it per activation).
-  double raw_utility_unchecked(const StrategyMatrix& strategies,
-                               UserId user) const;
   /// Load-only welfare sum_c R_c(k_c) - cost * deployed, weight-free —
   /// the quantity the incremental cache tracks and the dynamics trace
   /// records. Equals welfare() for unweighted models.
@@ -236,6 +232,9 @@ class GameModel {
   template <typename Scan>
   auto with_load_view(const StrategyMatrix& strategies, UserId user,
                       Scan scan) const;
+  /// raw_utility without the shape and budget checks.
+  double raw_utility_unchecked(const StrategyMatrix& strategies,
+                               UserId user) const;
   /// Closed-neighborhood load; requires topology_ set. O(degree).
   RadioCount perceived_load_unchecked(const StrategyMatrix& strategies,
                                       UserId user, ChannelId channel) const;

@@ -12,13 +12,15 @@ namespace mrca::engine {
 namespace {
 
 /// Total MAC rate (bit/s) on one channel carrying `load` stations, from the
-/// analytic model matching the simulated MAC.
+/// analytic model matching the simulated MAC at the simulator's default
+/// parameters.
 double mac_total_rate_bps(const SimTierSpec& tier, RadioCount load) {
+  const sim::NetworkOptions simulated;
   switch (tier.mac) {
     case sim::MacKind::kTdma:
-      return TdmaModel(tier.tdma).total_rate_bps(load);
+      return TdmaModel(simulated.tdma).total_rate_bps(load);
     case sim::MacKind::kDcf:
-      return BianchiDcfModel(tier.dcf).saturation_throughput(load)
+      return BianchiDcfModel(simulated.dcf).saturation_throughput(load)
           .throughput_bps;
   }
   throw std::logic_error("sim_tier: unknown MAC kind");
@@ -61,8 +63,6 @@ SimTierOutcome replay_strategy(const StrategyMatrix& strategies,
   }
   sim::NetworkOptions options;
   options.mac = tier.mac;
-  options.dcf = tier.dcf;
-  options.tdma = tier.tdma;
   options.duration_s = tier.duration_s;
   options.seed = seed;
   const sim::NetworkResult measured = sim::simulate_network(strategies, options);

@@ -23,7 +23,9 @@
 namespace mrca::engine {
 
 /// Configuration of the packet-level tier: which MAC to simulate, for how
-/// long, and how many independent DES replays per converged game run.
+/// long, and how many independent DES replays per converged game run. The
+/// MAC runs at sim::NetworkOptions' default parameters (Bianchi's FHSS
+/// DCF, the default TDMA frame), so these three values are the whole spec.
 struct SimTierSpec {
   sim::MacKind mac = sim::MacKind::kDcf;
   /// Simulated seconds per replay.
@@ -31,8 +33,6 @@ struct SimTierSpec {
   /// Independent DES replays per (cell, replicate) game run; each gets its
   /// own derived seed and contributes one sample to the cell aggregates.
   std::size_t replicates = 1;
-  DcfParameters dcf = DcfParameters::bianchi_fhss();
-  TdmaParameters tdma = {};
 
   friend bool operator==(const SimTierSpec&, const SimTierSpec&) = default;
 };

@@ -12,6 +12,12 @@
 #include "engine/sinks.h"
 
 namespace mrca::engine {
+namespace {
+
+/// R(1) of every closed-form rate kind.
+constexpr double kNominalRate = 1.0;
+
+}  // namespace
 
 std::string RateSpec::name() const {
   switch (kind) {
@@ -37,13 +43,13 @@ std::shared_ptr<const RateFunction> RateSpec::make(int max_load) const {
   const int table = std::max(max_load, 2);
   switch (kind) {
     case Kind::kConstant:
-      return std::make_shared<ConstantRate>(nominal);
+      return std::make_shared<ConstantRate>(kNominalRate);
     case Kind::kPowerLaw:
-      return std::make_shared<PowerLawRate>(nominal, param);
+      return std::make_shared<PowerLawRate>(kNominalRate, param);
     case Kind::kGeometricDecay:
-      return std::make_shared<GeometricDecayRate>(nominal, param);
+      return std::make_shared<GeometricDecayRate>(kNominalRate, param);
     case Kind::kLinearDecay:
-      return std::make_shared<LinearDecayRate>(nominal, param);
+      return std::make_shared<LinearDecayRate>(kNominalRate, param);
     case Kind::kDcf:
       // Strict: a load beyond the table is a sizing bug at the call site,
       // not a rate of values_.back() — fail loudly instead of flattening.
@@ -69,16 +75,16 @@ RateSpec RateSpec::parse(const std::string& text) {
     return *value;
   };
   if (text == "tdma" || text == "const") return RateSpec{};
-  if (text == "dcf") return RateSpec{Kind::kDcf, 1.0, 0.0};
-  if (text == "dcf-opt") return RateSpec{Kind::kDcfOptimal, 1.0, 0.0};
+  if (text == "dcf") return RateSpec{Kind::kDcf};
+  if (text == "dcf-opt") return RateSpec{Kind::kDcfOptimal};
   if (text.rfind("powerlaw=", 0) == 0) {
-    return RateSpec{Kind::kPowerLaw, 1.0, value_after(9)};
+    return RateSpec{Kind::kPowerLaw, value_after(9)};
   }
   if (text.rfind("geom=", 0) == 0) {
-    return RateSpec{Kind::kGeometricDecay, 1.0, value_after(5)};
+    return RateSpec{Kind::kGeometricDecay, value_after(5)};
   }
   if (text.rfind("linear=", 0) == 0) {
-    return RateSpec{Kind::kLinearDecay, 1.0, value_after(7)};
+    return RateSpec{Kind::kLinearDecay, value_after(7)};
   }
   throw std::invalid_argument("RateSpec: unknown rate spec '" + text + "'");
 }

@@ -30,7 +30,9 @@
 namespace mrca::engine {
 
 /// Value-type description of a rate function, so a SweepSpec is copyable,
-/// comparable and printable without touching polymorphic objects.
+/// comparable and printable without touching polymorphic objects. The
+/// closed-form kinds are normalized to R(1) = 1, so name() describes the
+/// whole spec.
 struct RateSpec {
   enum class Kind {
     kConstant,
@@ -42,7 +44,6 @@ struct RateSpec {
   };
 
   Kind kind = Kind::kConstant;
-  double nominal = 1.0;
   /// alpha for kPowerLaw, decay for kGeometricDecay, slope for kLinearDecay;
   /// ignored for kConstant and the DCF kinds.
   double param = 0.0;
@@ -152,8 +153,7 @@ struct SweepSpec {
   /// determines the sweep's output. Two specs with equal fingerprints
   /// expand to the same plan and draw the same seed streams, so the
   /// fingerprint is what `mrca merge` compares before combining shard
-  /// outputs. (Custom metrics are identified by name; the sim tier by
-  /// mac/duration/replicates — non-default DcfParameters are not encoded.)
+  /// outputs. (Custom metrics are identified by name.)
   std::string fingerprint() const;
 };
 

@@ -59,11 +59,6 @@ struct StationStats {
                      static_cast<double>(attempts)
                : 0.0;
   }
-  double drop_fraction() const {
-    return arrivals > 0
-               ? static_cast<double>(drops) / static_cast<double>(arrivals)
-               : 0.0;
-  }
 };
 
 /// Traffic configuration for one station.
@@ -129,7 +124,6 @@ class DcfStation final : public MediumListener, public TxListener {
   }
 
   const StationStats& stats() const noexcept { return stats_; }
-  std::size_t queue_length() const noexcept { return queue_.size(); }
 
   // MediumListener:
   void on_busy_start() override;

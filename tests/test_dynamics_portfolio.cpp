@@ -270,7 +270,7 @@ SweepSpec portfolio_spec() {
   spec.users = {4, 6};
   spec.channels = {3};
   spec.radios = {1, 2};
-  spec.rates = {RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0}};
+  spec.rates = {RateSpec{RateSpec::Kind::kPowerLaw, 1.0}};
   spec.dynamics = DynamicsSpec::parse_list(
       "best_response,log_linear:0.2:0.01,trial_error:0.3,distributed:0.3");
   spec.starts = {SweepStart::kRandomFull};

@@ -46,7 +46,7 @@ SweepSpec session_spec() {
   spec.users = {3, 4, 5};
   spec.channels = {3, 4};
   spec.radios = {1, 2};
-  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0}};
+  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0}};
   spec.scenarios = {ScenarioSpec{}, ScenarioSpec::parse("energy=0.2"),
                     ScenarioSpec::parse("weights=2:1")};
   spec.metrics = MetricSet::parse_list("nash,poa");

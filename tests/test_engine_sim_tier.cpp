@@ -35,7 +35,7 @@ SweepSpec sim_spec(sim::MacKind mac) {
   spec.users = {3, 4};
   spec.channels = {3};
   spec.radios = {1, 2};
-  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0}};
+  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0}};
   spec.replicates = 2;
   spec.base_seed = 20260728;
   SimTierSpec tier;
@@ -144,7 +144,7 @@ TEST(AnalyticPerUserBps, MatchesHandComputedShares) {
 
   SimTierSpec tier;
   tier.mac = sim::MacKind::kTdma;
-  const double total = TdmaModel(tier.tdma).total_rate_bps(2);
+  const double total = TdmaModel(TdmaParameters{}).total_rate_bps(2);
   const std::vector<double> analytic =
       engine::analytic_per_user_bps(strategies, tier);
   ASSERT_EQ(analytic.size(), 2u);
@@ -185,7 +185,7 @@ TEST(SimTierSpecEquality, DefaultedComparisonIsUsable) {
   b.duration_s = 2.0;
   EXPECT_FALSE(a == b);
   b = a;
-  b.dcf.cw_min = 64;
+  b.mac = sim::MacKind::kTdma;
   EXPECT_FALSE(a == b);
 }
 

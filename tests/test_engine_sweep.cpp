@@ -6,13 +6,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <iomanip>
 #include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/format.h"
@@ -36,8 +39,7 @@ SweepSpec small_spec() {
   spec.users = {3, 4, 6};
   spec.channels = {3, 5};
   spec.radios = {1, 2, 3};
-  spec.rates = {RateSpec{},
-                RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0}};
+  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0}};
   spec.granularities = {ResponseGranularity::kBestResponse,
                         ResponseGranularity::kBestSingleMove};
   spec.orders = {ActivationOrder::kRoundRobin,
@@ -95,6 +97,53 @@ TEST(SweepSpec, ExpansionSkipsInvalidCombosAndKeepsStableOrder) {
   }
 }
 
+// `mrca merge` combines shards whose fingerprints match, so every value a
+// caller can set on a SweepSpec must show in it: changing any one of them
+// alone changes the fingerprint.
+TEST(SweepSpec, FingerprintChangesWithEverySettableValue) {
+  SweepSpec base;
+  base.sim_tier = engine::SimTierSpec{};
+  base.metrics = MetricSet::parse_list("nash");
+  const std::string reference = base.fingerprint();
+  using Change = std::function<void(SweepSpec&)>;
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"users", [](SweepSpec& s) { s.users = {5}; }},
+      {"channels", [](SweepSpec& s) { s.channels = {5}; }},
+      {"radios", [](SweepSpec& s) { s.radios = {2}; }},
+      {"rates", [](SweepSpec& s) { s.rates = {RateSpec::parse("geom=0.9")}; }},
+      {"scenarios",
+       [](SweepSpec& s) {
+         s.scenarios = {engine::ScenarioSpec::parse("energy=0.2")};
+       }},
+      {"dynamics",
+       [](SweepSpec& s) { s.dynamics = {DynamicsSpec::parse("log_linear")}; }},
+      {"granularities",
+       [](SweepSpec& s) {
+         s.granularities = {ResponseGranularity::kBestSingleMove};
+       }},
+      {"orders",
+       [](SweepSpec& s) { s.orders = {ActivationOrder::kUniformRandom}; }},
+      {"starts", [](SweepSpec& s) { s.starts = {SweepStart::kEmpty}; }},
+      {"users (appended)", [](SweepSpec& s) { s.users.push_back(5); }},
+      {"replicates", [](SweepSpec& s) { s.replicates = 2; }},
+      {"base_seed", [](SweepSpec& s) { s.base_seed = 2; }},
+      {"max_activations", [](SweepSpec& s) { s.max_activations = 99; }},
+      {"tolerance", [](SweepSpec& s) { s.tolerance = 1e-6; }},
+      {"sim tier off", [](SweepSpec& s) { s.sim_tier.reset(); }},
+      {"sim tier mac",
+       [](SweepSpec& s) { s.sim_tier->mac = sim::MacKind::kTdma; }},
+      {"sim tier duration_s", [](SweepSpec& s) { s.sim_tier->duration_s = 2; }},
+      {"sim tier replicates", [](SweepSpec& s) { s.sim_tier->replicates = 2; }},
+      {"metrics",
+       [](SweepSpec& s) { s.metrics = MetricSet::parse_list("poa"); }},
+  };
+  for (const auto& [value, change] : changes) {
+    SweepSpec changed = base;
+    change(changed);
+    EXPECT_NE(changed.fingerprint(), reference) << value;
+  }
+}
+
 TEST(SweepSeeds, AreUniqueAcrossTaskCoordinates) {
   std::set<std::uint64_t> seen;
   for (std::size_t cell = 0; cell < 200; ++cell) {
@@ -108,10 +157,10 @@ TEST(SweepSeeds, AreUniqueAcrossTaskCoordinates) {
 TEST(RateSpecRoundTrip, ParseOfNameIsIdentity) {
   const std::vector<RateSpec> specs = {
       RateSpec{},
-      RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0},
-      RateSpec{RateSpec::Kind::kGeometricDecay, 1.0, 0.9},
-      RateSpec{RateSpec::Kind::kGeometricDecay, 1.0, 0.12345678901234567},
-      RateSpec{RateSpec::Kind::kLinearDecay, 1.0, 0.05},
+      RateSpec{RateSpec::Kind::kPowerLaw, 1.0},
+      RateSpec{RateSpec::Kind::kGeometricDecay, 0.9},
+      RateSpec{RateSpec::Kind::kGeometricDecay, 0.12345678901234567},
+      RateSpec{RateSpec::Kind::kLinearDecay, 0.05},
   };
   for (const RateSpec& spec : specs) {
     EXPECT_EQ(RateSpec::parse(spec.name()), spec) << spec.name();
@@ -140,7 +189,7 @@ TEST(Sweep, BaseSeedChangesRandomStartOutcomes) {
   spec.users = {6};
   spec.channels = {4};
   spec.radios = {2};
-  spec.rates = {RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0}};
+  spec.rates = {RateSpec{RateSpec::Kind::kPowerLaw, 1.0}};
   spec.replicates = 8;
   spec.base_seed = 1;
   const SweepResult a = engine::run_sweep(spec);

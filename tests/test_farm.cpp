@@ -52,7 +52,7 @@ SweepSpec farm_spec() {
   spec.users = {3, 4, 5};
   spec.channels = {3, 4};
   spec.radios = {1, 2};
-  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0, 1.0}};
+  spec.rates = {RateSpec{}, RateSpec{RateSpec::Kind::kPowerLaw, 1.0}};
   spec.scenarios = {ScenarioSpec{}, ScenarioSpec::parse("energy=0.2")};
   spec.metrics = MetricSet::parse_list("nash,poa");
   spec.replicates = 2;

@@ -141,8 +141,8 @@ TEST(GameModel, OptimalWelfareSkipsChannelsBelowTheEnergyPrice) {
 // --- The tentpole's regression: incremental vs recomputed utilities -------
 
 /// Drives a model-backed UtilityCache through `steps` random budget-aware
-/// mutations and asserts the incremental utilities agree with a fresh
-/// model.utilities() recompute to 1e-12 throughout.
+/// mutations and asserts its utilities equal a fresh recompute exactly and
+/// its incremental welfare agrees to 1e-12 throughout.
 void drive_cache_and_check(const GameModel& model, Rng& rng, int steps) {
   StrategyMatrix matrix = model.empty_strategy();
   UtilityCache cache(model, matrix);
@@ -176,12 +176,12 @@ void drive_cache_and_check(const GameModel& model, Rng& rng, int steps) {
       }
     }
     if (step % 100 == 0) {
-      ASSERT_LT(cache.max_drift(matrix), 1e-12) << "step " << step;
+      ASSERT_LT(cache.welfare_drift(matrix), 1e-12) << "step " << step;
     }
   }
   const std::vector<double> fresh = model.utilities(matrix);
   for (UserId i = 0; i < users; ++i) {
-    EXPECT_NEAR(cache.utility(i), fresh[i], 1e-12);
+    EXPECT_EQ(cache.utility(i), fresh[i]);
   }
   EXPECT_NEAR(cache.welfare(), model.welfare(matrix), 1e-12);
 }
@@ -221,7 +221,7 @@ TEST(GameModelCache, BudgetChecksUseTheModelNotTheMatrixCap) {
   EXPECT_THROW(cache.add_radio(matrix, 0, 1), std::logic_error);
   std::vector<RadioCount> over{1, 1, 0};
   EXPECT_THROW(cache.set_row(matrix, 0, over), std::invalid_argument);
-  EXPECT_EQ(cache.max_drift(matrix), 0.0);
+  EXPECT_EQ(cache.welfare_drift(matrix), 0.0);
 }
 
 // --- The shared driver on scenario models ---------------------------------

@@ -441,20 +441,23 @@ TEST(ConvergenceMetric, MatchesTheReferenceReplayOnEveryPath) {
   std::size_t canonical_runs = 0;
   std::size_t short_budget_runs = 0;
   std::size_t late_small_gain_runs = 0;
+  // The 36 trials are the full product of the six scenario kinds, three
+  // start kinds and two crowding levels.
   for (int trial = 0; trial < 36; ++trial) {
     const std::string& scenario = scenarios[trial % scenarios.size()];
-    // Every fourth game crowds its channels, so late improving steps gain
+    const int start_kind = trial / 6 % 3;
+    // Half the games crowd their channels, so late improving steps gain
     // less than epsilon and the epsilon-NE time precedes the last one.
-    const bool crowded = trial % 4 == 3;
+    const bool crowded = trial / 18 % 2 == 1;
     const std::size_t users = crowded ? 16 + rng.index(16) : 3 + rng.index(6);
     const std::size_t channels = crowded ? 2 + rng.index(2) : 2 + rng.index(4);
     const auto radios = static_cast<RadioCount>(1 + rng.index(2));
     const GameModel model = ScenarioSpec::parse(scenario).make_model(
         users, channels, radios,
         std::make_shared<PowerLawRate>(1.0, rng.uniform(0.2, 1.5)));
-    const StrategyMatrix start = trial % 3 == 0
+    const StrategyMatrix start = start_kind == 0
                                      ? model.empty_strategy()
-                                 : trial % 3 == 1
+                                 : start_kind == 1
                                      ? random_full_allocation(model, rng)
                                      : random_partial_allocation(model, rng);
     const double expected = testing::reference_eps_ne_time(model, start);
@@ -545,10 +548,9 @@ TEST(ConvergenceMetric, CanonicalRunsReadTheirOwnRecord) {
 
 /// The proof the ledger must record for `run`, from the run's shape alone:
 /// converged at the default tolerance or below; `best` granularity proves
-/// Definition 1 outside a topology and nothing under one; every other
-/// stopping rule proves single-move stability.
-StabilityProof expected_proof(const GameModel& model,
-                              const DynamicsResult& run, bool best_response,
+/// Definition 1, topology or not; every other stopping rule proves
+/// single-move stability.
+StabilityProof expected_proof(const DynamicsResult& run, bool best_response,
                               const DynamicsOptions& options) {
   if (!run.converged || options.tolerance > kUtilityTolerance) {
     return StabilityProof::kNone;
@@ -557,14 +559,14 @@ StabilityProof expected_proof(const GameModel& model,
       options.granularity != ResponseGranularity::kBestResponse) {
     return StabilityProof::kSingleMove;
   }
-  return model.topology() ? StabilityProof::kNone : StabilityProof::kNash;
+  return StabilityProof::kNash;
 }
 
 // The verdict metrics against the checks they stand in for, on random
 // small games of every scenario kind and every run shape: the runs whose
 // own proof is read (converged best response at the default tolerance or
-// below, the learners) and every run that must scan (`best` under a
-// topology, a tolerance above the default, an unconverged run).
+// below, topology runs included, and the learners) and every run that
+// must scan (a tolerance above the default, an unconverged run).
 TEST(NashMetric, RunProofMatchesTheExactCheckOnEveryPath) {
   const std::vector<std::string> scenarios = {
       "base", "energy=0.2", "het=2:1", "budgets=1:2", "weights=2:1",
@@ -573,11 +575,11 @@ TEST(NashMetric, RunProofMatchesTheExactCheckOnEveryPath) {
   Rng rng(20062);
   std::size_t nash_proofs = 0;
   std::size_t single_move_proofs = 0;
-  std::size_t topology_fallbacks = 0;
   std::size_t tolerance_fallbacks = 0;
   std::size_t unconverged_fallbacks = 0;
-  // Converged `best` runs under a topology whose closing pass the DP
-  // refutes: the incremental cache's verdict and the recompute's differ.
+  // Converged `best` runs under a topology at the default tolerance or
+  // below, and those whose closing pass the DP refutes: none may be.
+  std::size_t topology_nash_proofs = 0;
   std::size_t topology_disagreements = 0;
   for (int trial = 0; trial < 36; ++trial) {
     const std::string& scenario = scenarios[trial % scenarios.size()];
@@ -605,8 +607,7 @@ TEST(NashMetric, RunProofMatchesTheExactCheckOnEveryPath) {
           verdicts.compute(MetricContext{model, start, run});
       EXPECT_EQ(columns.at(0), nash ? 1.0 : 0.0) << where << ' ' << shape;
       EXPECT_EQ(columns.at(1), stable ? 1.0 : 0.0) << where << ' ' << shape;
-      EXPECT_EQ(run.proof,
-                expected_proof(model, run, best_response, options))
+      EXPECT_EQ(run.proof, expected_proof(run, best_response, options))
           << where << ' ' << shape;
       nash_proofs += run.proof == StabilityProof::kNash ? 1 : 0;
       single_move_proofs += run.proof == StabilityProof::kSingleMove ? 1 : 0;
@@ -618,7 +619,7 @@ TEST(NashMetric, RunProofMatchesTheExactCheckOnEveryPath) {
       if (options.tolerance > kUtilityTolerance) {
         ++tolerance_fallbacks;
       } else if (model.topology()) {
-        ++topology_fallbacks;
+        ++topology_nash_proofs;
         topology_disagreements += nash ? 0 : 1;
       }
     };
@@ -654,14 +655,14 @@ TEST(NashMetric, RunProofMatchesTheExactCheckOnEveryPath) {
             false, {}, learner);
     }
   }
-  // Both proofs were read, and every fallback was hit.
+  // Both proofs were read, topology runs proved Definition 1 and the DP
+  // agreed every time, and every fallback was hit.
   EXPECT_GT(nash_proofs, 0u);
   EXPECT_GT(single_move_proofs, 0u);
-  EXPECT_GT(topology_fallbacks, 0u);
+  EXPECT_GT(topology_nash_proofs, 0u);
+  EXPECT_EQ(topology_disagreements, 0u);
   EXPECT_GT(tolerance_fallbacks, 0u);
   EXPECT_GT(unconverged_fallbacks, 0u);
-  RecordProperty("topology_disagreements",
-                 static_cast<int>(topology_disagreements));
 }
 
 // A proven run is read, not scanned: a record doctored to carry a proof

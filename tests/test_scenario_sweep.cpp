@@ -317,7 +317,10 @@ TEST(WeightedModel, UtilitiesWelfareAndCacheAgreeWithTheScaledOracle) {
   const DynamicsResult result =
       run_response_dynamics(weighted, state, options);
   UtilityCache cache(weighted, result.final_state);
-  EXPECT_LT(cache.max_drift(result.final_state), 1e-12);
+  for (UserId i = 0; i < 4; ++i) {
+    EXPECT_EQ(cache.utility(i), weighted.raw_utility(result.final_state, i));
+  }
+  EXPECT_LT(cache.welfare_drift(result.final_state), 1e-12);
   // Trajectories are weight-invariant (positive scaling preserves every
   // argmax): the base game must walk the identical path.
   const DynamicsResult base_result =

@@ -431,11 +431,11 @@ TEST(TopologyCache, IncrementalPerceivedLoadsTrackTheModel) {
       cache.move_radio(matrix, user, channel, rng.next() % 4);
     }
   }
-  EXPECT_LT(cache.max_drift(matrix), 1e-10);
+  EXPECT_LT(cache.welfare_drift(matrix), 1e-10);
   for (UserId u = 0; u < 12; ++u) {
+    EXPECT_EQ(cache.utility(u), model.raw_utility(matrix, u));
     for (ChannelId c = 0; c < 4; ++c) {
-      EXPECT_EQ(cache.perceived_load(matrix, u, c),
-                model.perceived_load(matrix, u, c));
+      EXPECT_EQ(cache.load_seen(u, c), model.perceived_load(matrix, u, c));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/dynamics/engine.h"
 #include "core/rate_table.h"
 #include "core/topology.h"
+#include "engine/scenario.h"
 #include "reference_dynamics.h"
 #include "test_util.h"
 
@@ -103,9 +105,18 @@ Mutation random_mutation(const GameModel& model, StrategyMatrix& matrix,
   return mutation;
 }
 
+/// Every user's cached utility equals the full recompute bit for bit.
+void expect_exact_utilities(const GameModel& model,
+                            const StrategyMatrix& matrix,
+                            const UtilityCache& cache) {
+  for (UserId i = 0; i < model.num_users(); ++i) {
+    EXPECT_EQ(cache.utility(i), model.raw_utility(matrix, i)) << "user " << i;
+  }
+}
+
 /// A long randomized trajectory of single-radio deltas and whole-row
-/// rewrites must leave the incremental values in agreement with the full
-/// recompute.
+/// rewrites keeps the utilities exact and the incremental welfare in
+/// agreement with the full recompute.
 TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
   for (const auto& rate_fn : rate_families()) {
     const GameModel game(GameConfig(8, 6, 3), rate_fn);
@@ -115,7 +126,8 @@ TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
     for (int step = 0; step < 4000; ++step) {
       random_mutation(game, matrix, cache, rng);
     }
-    EXPECT_LT(cache.max_drift(matrix), 1e-10) << rate_fn->name();
+    expect_exact_utilities(game, matrix, cache);
+    EXPECT_LT(cache.welfare_drift(matrix), 1e-10) << rate_fn->name();
   }
 }
 
@@ -171,10 +183,32 @@ std::size_t brute_force_touches(
   return touches;
 }
 
-/// The single-domain contract: utility(i) IS the model's formula, so it
-/// equals raw_utility bit for bit after any trajectory — no tolerance.
-TEST(UtilityCacheContract, SingleDomainUtilitiesEqualTheFullRecomputeExactly) {
-  for (const GameModel& model : single_domain_models()) {
+/// The single-domain models plus all six scenario kinds, ring:1 to
+/// ring:3 included, each ring also under an energy price.
+std::vector<GameModel> every_domain_models() {
+  std::vector<GameModel> models = single_domain_models();
+  for (const std::string scenario :
+       {"base", "energy=0.2", "het=2:1", "budgets=1:3", "weights=2:1",
+        "topology=ring:1", "topology=ring:2", "topology=ring:3"}) {
+    for (const auto& rate_fn : rate_families()) {
+      models.push_back(
+          engine::ScenarioSpec::parse(scenario).make_model(9, 5, 3, rate_fn));
+    }
+  }
+  for (const int distance : {1, 2, 3}) {
+    models.push_back(GameModel(
+        5, std::vector<RadioCount>(9, 3), {rate_families()[1]}, 0.2, {},
+        std::make_shared<const Topology>(Topology::ring(9, distance))));
+  }
+  return models;
+}
+
+/// The contract: utility(i) IS the model's formula over exact integer
+/// loads, so it equals raw_utility bit for bit after every change of any
+/// trajectory, in the single domain and under a topology alike — no
+/// tolerance. Only welfare is incremental.
+TEST(UtilityCacheContract, UtilitiesEqualTheFullRecomputeExactly) {
+  for (const GameModel& model : every_domain_models()) {
     Rng rng(2026);
     StrategyMatrix matrix = random_partial_allocation(model, rng);
     UtilityCache cache(model, matrix);
@@ -254,7 +288,8 @@ TEST(UtilityCache, InvalidMutationsThrowWithoutCorruptingTheCache) {
   EXPECT_THROW(cache.add_radio(matrix, 0, 2), std::logic_error);
 
   // Every failed mutation must have left cache and matrix untouched.
-  EXPECT_EQ(cache.max_drift(matrix), 0.0);
+  expect_exact_utilities(game, matrix, cache);
+  EXPECT_EQ(cache.welfare_drift(matrix), 0.0);
 }
 
 TEST(UtilityCache, RebuildResetsDrift) {
@@ -266,7 +301,7 @@ TEST(UtilityCache, RebuildResetsDrift) {
   while (matrix.at(0, occupied) == 0) ++occupied;
   cache.move_radio(matrix, 0, occupied, (occupied + 1) % matrix.num_channels());
   cache.rebuild(matrix);
-  EXPECT_EQ(cache.max_drift(matrix), 0.0);
+  EXPECT_EQ(cache.welfare_drift(matrix), 0.0);
 }
 
 TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
@@ -280,7 +315,8 @@ TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
     }
     // Same allocation as the plain API, and utilities already current.
     EXPECT_TRUE(matrix == sequential_allocation(game));
-    EXPECT_LT(cache.max_drift(matrix), 1e-12) << rate_fn->name();
+    expect_exact_utilities(game, matrix, cache);
+    EXPECT_LT(cache.welfare_drift(matrix), 1e-12) << rate_fn->name();
   }
 }
 
