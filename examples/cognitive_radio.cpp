@@ -22,7 +22,7 @@ void report(const mrca::GameModel& game, const mrca::StrategyMatrix& state,
             << "\n  welfare " << game.welfare(state) << " / optimum "
             << game.optimal_welfare() << ", fairness "
             << mrca::utility_fairness(game, state) << ", NE: "
-            << (mrca::is_nash_equilibrium(game, state) ? "yes" : "no")
+            << (game.is_nash_equilibrium(state) ? "yes" : "no")
             << "\n\n";
 }
 

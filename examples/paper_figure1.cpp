@@ -47,7 +47,7 @@ int main() {
   }
 
   std::cout << "\nNash equilibrium? "
-            << (is_nash_equilibrium(game, matrix) ? "yes" : "no (as the paper argues)")
+            << (game.is_nash_equilibrium(matrix) ? "yes" : "no (as the paper argues)")
             << "\n\n";
 
   std::cout << "Best-response repair from the Figure 1 state:\n";
@@ -63,7 +63,7 @@ int main() {
   std::cout << "\n\nResulting equilibrium:\n"
             << render_matrix(repaired.final_state)
             << render_loads(repaired.final_state) << '\n'
-            << "  NE: " << (is_nash_equilibrium(game, repaired.final_state) ? "yes" : "no")
+            << "  NE: " << (game.is_nash_equilibrium(repaired.final_state) ? "yes" : "no")
             << ", Theorem 1: "
             << (check_theorem1(repaired.final_state).predicts_nash() ? "yes" : "no")
             << ", welfare " << game.welfare(repaired.final_state) << " = optimum "

@@ -32,7 +32,7 @@ int main() {
 
   // 3. Verify the paper's claims on this instance.
   std::cout << "Nash equilibrium (Definition 1):      "
-            << (is_nash_equilibrium(game, allocation) ? "yes" : "NO") << '\n';
+            << (game.is_nash_equilibrium(allocation) ? "yes" : "NO") << '\n';
   std::cout << "Theorem 1 characterization satisfied: "
             << (check_theorem1(allocation).predicts_nash() ? "yes" : "NO")
             << '\n';

@@ -76,31 +76,6 @@ double Rng::exponential(double rate) noexcept {
   return -std::log1p(-next_double()) / rate;
 }
 
-double Rng::normal(double mean, double stddev) noexcept {
-  if (has_spare_normal_) {
-    has_spare_normal_ = false;
-    return mean + stddev * spare_normal_;
-  }
-  double u;
-  double v;
-  double s;
-  do {
-    u = 2.0 * next_double() - 1.0;
-    v = 2.0 * next_double() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * factor;
-  has_spare_normal_ = true;
-  return mean + stddev * u * factor;
-}
-
-std::uint64_t Rng::geometric(double p) noexcept {
-  if (p >= 1.0) return 0;
-  return static_cast<std::uint64_t>(std::log1p(-next_double()) /
-                                    std::log1p(-p));
-}
-
 Rng Rng::split() noexcept {
   Rng child(next_u64());
   return child;

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace mrca {
 
@@ -73,22 +73,6 @@ class Rng {
   /// rate must be > 0.
   double exponential(double rate) noexcept;
 
-  /// Standard normal variate (Box-Muller; uses cached spare).
-  double normal(double mean = 0.0, double stddev = 1.0) noexcept;
-
-  /// Geometric number of failures before first success, p in (0, 1].
-  std::uint64_t geometric(double p) noexcept;
-
-  /// In-place Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) noexcept {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(items[i - 1], items[j]);
-    }
-  }
-
   /// Uniformly random index into a container of the given size (> 0).
   std::size_t index(std::size_t size) noexcept {
     return static_cast<std::size_t>(next_below(size));
@@ -99,8 +83,6 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
-  double spare_normal_ = 0.0;
-  bool has_spare_normal_ = false;
 };
 
 }  // namespace mrca

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace mrca {
 
@@ -57,30 +56,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::stderr_mean() const noexcept {
-  if (count_ < 2) return 0.0;
-  return stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-double RunningStats::ci_halfwidth(double confidence) const noexcept {
-  // Normal-approximation z for common confidence levels; default 95%.
-  double z = 1.959963984540054;
-  if (confidence >= 0.995) {
-    z = 2.807033768343811;
-  } else if (confidence >= 0.99) {
-    z = 2.5758293035489004;
-  } else if (confidence >= 0.975) {
-    z = 2.241402727604947;
-  } else if (confidence >= 0.95) {
-    z = 1.959963984540054;
-  } else if (confidence >= 0.9) {
-    z = 1.6448536269514722;
-  } else {
-    z = 1.2815515655446004;  // 80%
-  }
-  return z * stderr_mean();
-}
-
 void TimeWeightedMean::update(double now, double value) noexcept {
   const double dt = now - last_time_;
   if (dt > 0.0) {
@@ -103,59 +78,6 @@ double TimeWeightedMean::mean(double now) const noexcept {
   return weighted / total;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  counts_.resize(bins, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    ++counts_.front();
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    ++counts_.back();
-    return;
-  }
-  auto bin = static_cast<std::size_t>((x - lo_) / width_);
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  return counts_.at(bin);
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  if (bin >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + width_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto c = static_cast<double>(counts_[b]);
-    if (cumulative + c >= target) {
-      const double frac = c > 0.0 ? (target - cumulative) / c : 0.0;
-      return bin_lo(b) + frac * width_;
-    }
-    cumulative += c;
-  }
-  return hi_;
-}
-
 double jain_fairness(std::span<const double> values) noexcept {
   if (values.empty()) return 1.0;
   double sum = 0.0;
@@ -166,33 +88,6 @@ double jain_fairness(std::span<const double> values) noexcept {
   }
   if (sum_sq == 0.0) return 1.0;
   return (sum * sum) / (static_cast<double>(values.size()) * sum_sq);
-}
-
-double mean_of(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-double stddev_of(std::span<const double> values) noexcept {
-  if (values.size() < 2) return 0.0;
-  const double m = mean_of(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
-double quantile_of(std::span<const double> values, double q) {
-  if (values.empty()) throw std::invalid_argument("quantile_of: empty input");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= sorted.size()) return sorted.back();
-  return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
 }
 
 }  // namespace mrca

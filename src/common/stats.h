@@ -1,11 +1,9 @@
-// Statistics primitives used by the simulator, benches and analysis code.
+// Statistics primitives used by the simulator, the sweep engine's
+// aggregates and the analysis code.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace mrca {
 
@@ -34,18 +32,12 @@ class RunningStats {
   /// Unbiased sample variance; 0 when fewer than two samples.
   double variance() const noexcept;
   double stddev() const noexcept;
-  /// Standard error of the mean; 0 when fewer than two samples.
-  double stderr_mean() const noexcept;
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
   double sum() const noexcept { return mean_ * static_cast<double>(count_); }
   /// Raw second central moment (Welford's M2) — the state the sweep shard
   /// writers serialize so a parsed aggregate reprints bit-identically.
   double m2() const noexcept { return m2_; }
-
-  /// Half-width of the two-sided normal-approximation confidence interval
-  /// at the given confidence level (default 95%).
-  double ci_halfwidth(double confidence = 0.95) const noexcept;
 
  private:
   std::size_t count_ = 0;
@@ -78,44 +70,8 @@ class TimeWeightedMean {
   double total_time_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); samples outside are clamped into
-/// the edge bins and counted separately as underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-  /// Approximate quantile (linear interpolation inside the bin), q in [0,1].
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
-
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2). Returns 1.0 for an
 /// empty or all-zero input (vacuously fair).
 double jain_fairness(std::span<const double> values) noexcept;
-
-/// Sample mean of a span; 0 for empty input.
-double mean_of(std::span<const double> values) noexcept;
-
-/// Population standard deviation of a span; 0 for fewer than two samples.
-double stddev_of(std::span<const double> values) noexcept;
-
-/// Exact quantile of a copied, sorted span (nearest-rank with interpolation).
-double quantile_of(std::span<const double> values, double q);
 
 }  // namespace mrca

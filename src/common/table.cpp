@@ -21,13 +21,6 @@ void Table::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::add_row_values(const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size());
-  for (const double v : values) row.push_back(fmt(v, precision));
-  add_row(std::move(row));
-}
-
 const std::string& Table::cell(std::size_t row, std::size_t col) const {
   return rows_.at(row).at(col);
 }
@@ -55,31 +48,6 @@ std::string Table::to_ascii() const {
   }
   out << '\n';
   for (const auto& row : rows_) emit_row(row);
-  return out.str();
-}
-
-std::string Table::to_csv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string escaped = "\"";
-    for (const char ch : cell) {
-      if (ch == '"') escaped += '"';
-      escaped += ch;
-    }
-    escaped += '"';
-    return escaped;
-  };
-  std::ostringstream out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out << (c ? "," : "") << escape(headers_[c]);
-  }
-  out << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << (c ? "," : "") << escape(row[c]);
-    }
-    out << '\n';
-  }
   return out.str();
 }
 

@@ -1,7 +1,5 @@
-// Lightweight ASCII / CSV table rendering for the benchmark harness.
-//
-// Every bench binary prints the series it regenerates as aligned text tables
-// (human-readable, diffable) and can optionally emit CSV for plotting.
+// Lightweight aligned ASCII table rendering for the text reports: the
+// `mrca sweep --format table` writer and the single-game strategy printout.
 #pragma once
 
 #include <cstddef>
@@ -18,18 +16,12 @@ class Table {
   /// Appends a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> row);
 
-  /// Convenience: formats each value with the given precision.
-  void add_row_values(const std::vector<double>& values, int precision = 4);
-
   std::size_t rows() const noexcept { return rows_.size(); }
   std::size_t columns() const noexcept { return headers_.size(); }
   const std::string& cell(std::size_t row, std::size_t col) const;
 
   /// Renders as an aligned ASCII table with a header rule.
   std::string to_ascii() const;
-
-  /// Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

@@ -134,6 +134,35 @@ std::vector<UserId> resolve_user_order(std::size_t num_users,
   return order;
 }
 
+/// Places one radio of `user` by `placement`, with no checks: the callers
+/// own the validation of the matrix and of the user's budget.
+ChannelId place_unchecked(const GameModel& model, StrategyMatrix& strategies,
+                          UserId user, TieBreak tie_break, Rng* rng,
+                          UtilityCache* cache, PlacementRule placement) {
+  switch (placement) {
+    case PlacementRule::kLeastLoaded:
+      return place_one_radio_rule(strategies, user, tie_break, rng, cache);
+    case PlacementRule::kBestMarginal:
+      return place_one_radio_marginal(model, strategies, user, tie_break, rng,
+                                      cache);
+  }
+  throw std::logic_error("place_one_radio: unknown placement rule");
+}
+
+/// The per-user loop: deploys all budget(user) radios of a user who has
+/// none yet. O(k * |C|) per user, so a whole Algorithm 1 pass is linear in
+/// the number of users.
+void allocate_user_unchecked(const GameModel& model,
+                             StrategyMatrix& strategies, UserId user,
+                             TieBreak tie_break, Rng* rng, UtilityCache* cache,
+                             PlacementRule placement) {
+  const RadioCount k = model.budget(user);
+  for (RadioCount j = 0; j < k; ++j) {
+    place_unchecked(model, strategies, user, tie_break, rng, cache,
+                    placement);
+  }
+}
+
 }  // namespace
 
 ChannelId place_one_radio(const GameModel& model, StrategyMatrix& strategies,
@@ -149,14 +178,8 @@ ChannelId place_one_radio(const GameModel& model, StrategyMatrix& strategies,
         " already deploys their full budget of " +
         std::to_string(model.budget(user)));
   }
-  switch (placement) {
-    case PlacementRule::kLeastLoaded:
-      return place_one_radio_rule(strategies, user, tie_break, rng, cache);
-    case PlacementRule::kBestMarginal:
-      return place_one_radio_marginal(model, strategies, user, tie_break, rng,
-                                      cache);
-  }
-  throw std::logic_error("place_one_radio: unknown placement rule");
+  return place_unchecked(model, strategies, user, tie_break, rng, cache,
+                         placement);
 }
 
 void allocate_user_sequentially(const GameModel& model,
@@ -168,29 +191,21 @@ void allocate_user_sequentially(const GameModel& model,
     throw std::logic_error(
         "allocate_user_sequentially: user already has radios deployed");
   }
-  const RadioCount k = model.budget(user);
-  for (RadioCount j = 0; j < k; ++j) {
-    switch (placement) {
-      case PlacementRule::kLeastLoaded:
-        place_one_radio_rule(strategies, user, tie_break, rng, cache);
-        break;
-      case PlacementRule::kBestMarginal:
-        place_one_radio_marginal(model, strategies, user, tie_break, rng,
-                                 cache);
-        break;
-    }
-  }
+  allocate_user_unchecked(model, strategies, user, tie_break, rng, cache,
+                          placement);
 }
 
 StrategyMatrix sequential_allocation(const GameModel& model,
                                      const SequentialOptions& options,
                                      Rng* rng) {
+  // The matrix is built here from empty and the order is a permutation, so
+  // every user arrives with no radios and nothing needs re-validating.
   StrategyMatrix strategies = model.empty_strategy();
   const std::vector<UserId> order =
       resolve_user_order(model.config().num_users, options);
   for (const UserId user : order) {
-    allocate_user_sequentially(model, strategies, user, options.tie_break,
-                               rng, /*cache=*/nullptr, options.placement);
+    allocate_user_unchecked(model, strategies, user, options.tie_break, rng,
+                            /*cache=*/nullptr, options.placement);
   }
   return strategies;
 }

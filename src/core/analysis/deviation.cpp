@@ -76,18 +76,6 @@ double park_benefit(const GameModel& model, const StrategyMatrix& strategies,
                                  load_seen(model, strategies, user));
 }
 
-std::vector<SingleChange> improving_single_changes(
-    const GameModel& model, const StrategyMatrix& strategies,
-    double tolerance) {
-  std::vector<SingleChange> result;
-  for (UserId user = 0; user < strategies.num_users(); ++user) {
-    auto per_user = model.improving_changes_for_user(strategies, user,
-                                                     tolerance);
-    result.insert(result.end(), per_user.begin(), per_user.end());
-  }
-  return result;
-}
-
 double utility_if_played(const GameModel& model,
                          const StrategyMatrix& strategies, UserId user,
                          std::span<const RadioCount> row) {

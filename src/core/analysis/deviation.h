@@ -52,11 +52,6 @@ double deploy_benefit(const GameModel& model, const StrategyMatrix& strategies,
 double park_benefit(const GameModel& model, const StrategyMatrix& strategies,
                     UserId user, ChannelId channel);
 
-/// All strictly-improving single-radio changes of every user (diagnostics).
-std::vector<SingleChange> improving_single_changes(
-    const GameModel& model, const StrategyMatrix& strategies,
-    double tolerance = kUtilityTolerance);
-
 /// Result of an exact best-response computation (GameModel::best_response:
 /// an O(|C| * k^2) DP with no concavity assumption, so an oracle over every
 /// alternative strategy, multi-radio redistributions and partial

@@ -1,6 +1,5 @@
 #include "core/analysis/efficiency.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/stats.h"
@@ -52,21 +51,6 @@ double price_of_anarchy(const GameModel& model) {
 
 RadioCount load_imbalance(const StrategyMatrix& strategies) {
   return strategies.max_load() - strategies.min_load();
-}
-
-RadioCount load_imbalance(const GameModel& model,
-                          const StrategyMatrix& strategies) {
-  model.validate(strategies);
-  // Every channel of today's models is allocatable by someone, so the scan
-  // covers the full channel set — including empty channels, whose zero
-  // loads rightly count toward imbalance (they could have been used).
-  RadioCount lo = strategies.channel_load(0);
-  RadioCount hi = lo;
-  for (ChannelId c = 1; c < model.num_channels(); ++c) {
-    lo = std::min(lo, strategies.channel_load(c));
-    hi = std::max(hi, strategies.channel_load(c));
-  }
-  return hi - lo;
 }
 
 double utility_fairness(const GameModel& model,

@@ -11,8 +11,9 @@
 // per-channel rates equilibria water-fill instead of load-balance, under an
 // energy price radios park, and under mixed budgets the profile shifts. The
 // model entry points below therefore fall back to an exact equilibrium
-// computation (generalized Algorithm 1 start + best-response dynamics,
-// verified by the DP oracle) instead of silently applying the closed form.
+// computation (generalized Algorithm 1 start + best-response dynamics until
+// a closing pass finds no improving deviation) instead of silently applying
+// the closed form.
 #pragma once
 
 #include <vector>
@@ -30,11 +31,12 @@ std::vector<RadioCount> nash_load_profile(const GameConfig& config);
 /// preconditions hold) use the closed form: sum of R(load) over the
 /// balanced load profile, shared by every NE (in the no-conflict regime
 /// this is the Fact-1 welfare min(T,|C|)*R(1)). Any other model computes
-/// an actual equilibrium exactly: generalized
-/// Algorithm 1 start, best-response dynamics, final state verified by the
-/// DP oracle. Deterministic (lowest-index ties, round-robin activation).
-/// Returns NaN if the dynamics exhaust their activation budget or the
-/// reached state fails verification — an honest "unknown", never a
+/// an actual equilibrium exactly: generalized Algorithm 1 start, then
+/// best-response dynamics, whose converged run ends on a closing pass in
+/// which every user's exact DP best response gains nothing — the run's own
+/// Definition 1 check, recorded as StabilityProof::kNash. Deterministic
+/// (lowest-index ties, round-robin activation). Returns NaN if the dynamics
+/// exhaust their activation budget — an honest "unknown", never a
 /// homogeneous formula applied out of its regime. NOTE: unlike the
 /// homogeneous game, heterogeneous/budget/energy equilibria need not share
 /// one welfare value; this is the welfare of the canonical equilibrium the
@@ -49,16 +51,10 @@ double nash_welfare(const GameModel& model);
 /// there). NaN when that welfare is NaN or not positive.
 double price_of_anarchy(const GameModel& model);
 
-/// Max minus min channel load of an arbitrary allocation, over the
-/// CHANNELS OF THE MATRIX. Kept for matrix-only callers; prefer the model
-/// overload, which scopes the scan to the channels the model can actually
-/// allocate — today those sets coincide, but a model axis that closes
-/// channels to some users (spectrum licensing) must keep counting its
-/// empty-but-allocatable channels toward imbalance, which a bare matrix
-/// cannot know.
+/// Max minus min channel load of an arbitrary allocation, over every
+/// channel of the matrix: an empty channel counts (it could have been
+/// used).
 RadioCount load_imbalance(const StrategyMatrix& strategies);
-RadioCount load_imbalance(const GameModel& model,
-                          const StrategyMatrix& strategies);
 
 /// Jain fairness index over users' utilities.
 double utility_fairness(const GameModel& model,

@@ -24,11 +24,6 @@ bool is_single_move_stable(const GameModel& model,
   return StabilityCheck().holds(model, strategies, tolerance);
 }
 
-bool is_nash_equilibrium(const GameModel& model,
-                         const StrategyMatrix& strategies, double tolerance) {
-  return model.is_nash_equilibrium(strategies, tolerance);
-}
-
 std::optional<NashViolation> find_nash_violation(
     const GameModel& model, const StrategyMatrix& strategies,
     double tolerance) {
@@ -80,38 +75,6 @@ std::vector<std::vector<RadioCount>> enumerate_rows(std::size_t num_channels,
   return rows;
 }
 
-/// The odometer walk shared by the uniform and per-user-budget entry
-/// points. `rows_of(i)` is user i's admissible row list.
-std::size_t odometer_walk(
-    const GameConfig& config,
-    const std::function<const std::vector<std::vector<RadioCount>>&(UserId)>&
-        rows_of,
-    const std::function<bool(const StrategyMatrix&)>& visit) {
-  StrategyMatrix matrix(config);
-  std::size_t visited = 0;
-  std::vector<std::size_t> indices(config.num_users, 0);
-  for (UserId i = 0; i < config.num_users; ++i) {
-    matrix.set_row(i, rows_of(i)[0]);
-  }
-  while (true) {
-    ++visited;
-    if (!visit(matrix)) return visited;
-    // Advance the odometer.
-    std::size_t position = 0;
-    while (position < config.num_users) {
-      ++indices[position];
-      if (indices[position] < rows_of(position).size()) {
-        matrix.set_row(position, rows_of(position)[indices[position]]);
-        break;
-      }
-      indices[position] = 0;
-      matrix.set_row(position, rows_of(position)[0]);
-      ++position;
-    }
-    if (position == config.num_users) return visited;
-  }
-}
-
 /// binomial(n, k) as a double (exact up to ~2^53; the size guard only needs
 /// magnitude, not the last bit).
 double binomial(std::size_t n, std::size_t k) {
@@ -131,43 +94,16 @@ std::vector<std::vector<RadioCount>> enumerate_strategy_rows(
   return enumerate_rows(num_channels, budget, /*exact=*/false);
 }
 
-std::vector<std::vector<RadioCount>> enumerate_strategy_rows(
-    const GameConfig& config) {
-  return enumerate_rows(config.num_channels, config.radios_per_user,
-                        /*exact=*/false);
-}
-
 std::vector<std::vector<RadioCount>> enumerate_full_rows(
     std::size_t num_channels, RadioCount budget) {
   return enumerate_rows(num_channels, budget, /*exact=*/true);
-}
-
-std::vector<std::vector<RadioCount>> enumerate_full_rows(
-    const GameConfig& config) {
-  return enumerate_rows(config.num_channels, config.radios_per_user,
-                        /*exact=*/true);
-}
-
-std::size_t for_each_strategy_matrix(
-    const GameConfig& config,
-    const std::function<bool(const StrategyMatrix&)>& visit,
-    bool full_deployment_only) {
-  const auto rows = enumerate_rows(config.num_channels, config.radios_per_user,
-                                   full_deployment_only);
-  return odometer_walk(
-      config,
-      [&rows](UserId) -> const std::vector<std::vector<RadioCount>>& {
-        return rows;
-      },
-      visit);
 }
 
 std::size_t for_each_strategy_matrix(
     const GameModel& model,
     const std::function<bool(const StrategyMatrix&)>& visit,
     bool full_deployment_only) {
-  // One row list per distinct budget; users share lists, and uniform-budget
-  // models collapse to the single-list walk bit-for-bit.
+  // One row list per distinct budget; users share lists.
   const RadioCount max_budget = model.config().radios_per_user;
   std::vector<std::vector<std::vector<RadioCount>>> by_budget(
       static_cast<std::size_t>(max_budget) + 1);
@@ -178,12 +114,32 @@ std::size_t for_each_strategy_matrix(
                             full_deployment_only);
     }
   }
-  return odometer_walk(
-      model.config(),
-      [&](UserId user) -> const std::vector<std::vector<RadioCount>>& {
-        return by_budget[static_cast<std::size_t>(model.budget(user))];
-      },
-      visit);
+  auto rows_of = [&](UserId user) -> const auto& {
+    return by_budget[static_cast<std::size_t>(model.budget(user))];
+  };
+
+  // Odometer walk: user 0's row is the fastest-turning digit.
+  const std::size_t num_users = model.num_users();
+  StrategyMatrix matrix(model.config());
+  std::size_t visited = 0;
+  std::vector<std::size_t> indices(num_users, 0);
+  for (UserId i = 0; i < num_users; ++i) matrix.set_row(i, rows_of(i)[0]);
+  while (true) {
+    ++visited;
+    if (!visit(matrix)) return visited;
+    std::size_t position = 0;
+    while (position < num_users) {
+      ++indices[position];
+      if (indices[position] < rows_of(position).size()) {
+        matrix.set_row(position, rows_of(position)[indices[position]]);
+        break;
+      }
+      indices[position] = 0;
+      matrix.set_row(position, rows_of(position)[0]);
+      ++position;
+    }
+    if (position == num_users) return visited;
+  }
 }
 
 double strategy_space_size(const GameModel& model, bool full_deployment_only) {

@@ -9,11 +9,13 @@
 //      change refuted the previous check and reuses one scratch set, so a
 //      run that stays unstable pays about one user scan per check rather
 //      than a rescan from user 0.
-//   3. is_nash_equilibrium — no user can gain by ANY unilateral strategy
-//      change (Definition 1), via the exact best-response DP. O(N*C*k^2).
+//   3. GameModel::is_nash_equilibrium (game_model.h) — no user can gain by
+//      ANY unilateral strategy change (Definition 1), via the exact
+//      best-response DP. O(N*C*k^2). find_nash_violation below returns
+//      the same verdict with a witness.
 // Layer 3 implies layer 2. The test suite quantifies agreement between all
-// three, and `enumerate_*` provides the brute-force ground truth for tiny
-// games.
+// three, and `enumerate_*` / for_each_strategy_matrix provide the
+// brute-force ground truth for tiny games.
 //
 // A dynamics run that stops on layer 2 or 3 has already run that check on
 // its final state, and records which in DynamicsResult::proof. The verdict
@@ -72,14 +74,9 @@ struct NashViolation {
   double better_utility = 0.0;
 };
 
-/// True when the matrix is a Nash equilibrium per Definition 1: for every
-/// user, the exact best response does not beat the current strategy by more
-/// than `tolerance`. (Free-function form of GameModel::is_nash_equilibrium.)
-bool is_nash_equilibrium(const GameModel& model,
-                         const StrategyMatrix& strategies,
-                         double tolerance = kUtilityTolerance);
-
-/// As above, but returns the first profitable deviation found (or nullopt).
+/// GameModel::is_nash_equilibrium's verdict with a witness: the first user
+/// whose exact best response beats their current strategy by more than
+/// `tolerance` (or nullopt when the matrix is a Nash equilibrium).
 std::optional<NashViolation> find_nash_violation(
     const GameModel& model, const StrategyMatrix& strategies,
     double tolerance = kUtilityTolerance);
@@ -91,27 +88,15 @@ std::optional<NashViolation> find_nash_violation(
 std::vector<std::vector<RadioCount>> enumerate_strategy_rows(
     std::size_t num_channels, RadioCount budget);
 
-/// Uniform-budget convenience (the homogeneous game's row space).
-std::vector<std::vector<RadioCount>> enumerate_strategy_rows(
-    const GameConfig& config);
-
 /// Enumerates all strategy rows with sum == budget (full deployment only).
 std::vector<std::vector<RadioCount>> enumerate_full_rows(
     std::size_t num_channels, RadioCount budget);
-std::vector<std::vector<RadioCount>> enumerate_full_rows(
-    const GameConfig& config);
 
 /// Calls `visit` with every strategy matrix of the game (cartesian product
-/// of per-user rows). Returns the number visited. STOPS and returns early if
-/// `visit` returns false. Intended for tiny games in tests/benches; the
-/// count grows as binomial(k+|C|, |C|)^N.
-std::size_t for_each_strategy_matrix(
-    const GameConfig& config,
-    const std::function<bool(const StrategyMatrix&)>& visit,
-    bool full_deployment_only = false);
-
-/// Model-generic variant: each user's rows respect their OWN radio budget,
-/// so heterogeneous-budget strategy spaces enumerate exactly.
+/// of per-user rows, each respecting that user's OWN radio budget, so
+/// heterogeneous-budget strategy spaces enumerate exactly). Returns the
+/// number visited. STOPS and returns early if `visit` returns false.
+/// Intended for tiny games; the count grows as binomial(k+|C|, |C|)^N.
 std::size_t for_each_strategy_matrix(
     const GameModel& model,
     const std::function<bool(const StrategyMatrix&)>& visit,

@@ -171,9 +171,4 @@ std::shared_ptr<const RateFunction> make_tdma_rate(double nominal_rate) {
   return std::make_shared<ConstantRate>(nominal_rate);
 }
 
-std::shared_ptr<const RateFunction> make_power_law_rate(double nominal_rate,
-                                                        double alpha) {
-  return std::make_shared<PowerLawRate>(nominal_rate, alpha);
-}
-
 }  // namespace mrca

@@ -137,9 +137,7 @@ class ScaledRate final : public RateFunction {
   double scale_;
 };
 
-/// Convenience factories.
+/// Convenience factory for the paper's TDMA rate (a ConstantRate).
 std::shared_ptr<const RateFunction> make_tdma_rate(double nominal_rate);
-std::shared_ptr<const RateFunction> make_power_law_rate(double nominal_rate,
-                                                        double alpha);
 
 }  // namespace mrca

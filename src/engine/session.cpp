@@ -13,7 +13,6 @@
 #include "common/stats.h"
 #include "core/alloc/random_alloc.h"
 #include "core/alloc/sequential.h"
-#include "core/alloc/utility_cache.h"
 #include "core/analysis/efficiency.h"
 #include "core/analysis/metrics.h"
 #include "core/dynamics/engine.h"
@@ -32,17 +31,8 @@ StrategyMatrix make_start(const GameModel& model, SweepStart start,
       return random_full_allocation(model, rng);
     case SweepStart::kRandomPartial:
       return random_partial_allocation(model, rng);
-    case SweepStart::kSequentialNe: {
-      // Thread the utility cache through Algorithm 1 (cheap here, but this
-      // is the same path the incremental engine API exposes to users).
-      StrategyMatrix strategies = model.empty_strategy();
-      UtilityCache cache(model, strategies);
-      for (UserId user = 0; user < model.config().num_users; ++user) {
-        allocate_user_sequentially(model, strategies, user,
-                                   TieBreak::kLowestIndex, &rng, &cache);
-      }
-      return strategies;
-    }
+    case SweepStart::kSequentialNe:
+      return sequential_allocation(model);
   }
   throw std::logic_error("run_session: unknown start kind");
 }
@@ -372,29 +362,6 @@ SessionStats run_session(const SweepPlan& plan,
 SessionStats run_session(const SweepPlan& plan, RunSink& sink,
                          const SessionOptions& options) {
   return run_session(plan, std::vector<RunSink*>{&sink}, options);
-}
-
-void merge_cell_results(CellResult& into, const CellResult& from) {
-  if (!(into.cell == from.cell)) {
-    throw std::invalid_argument(
-        "merge_cell_results: aggregates describe different cells");
-  }
-  if (into.metric_stats.size() != from.metric_stats.size()) {
-    throw std::invalid_argument(
-        "merge_cell_results: metric column counts differ");
-  }
-  into.runs += from.runs;
-  into.converged += from.converged;
-  for (const RecordColumn& column : kRecordColumns) {
-    (into.*column.stats).merge(from.*column.stats);
-  }
-  for (std::size_t m = 0; m < into.metric_stats.size(); ++m) {
-    into.metric_stats[m].merge(from.metric_stats[m]);
-  }
-  into.sim_runs += from.sim_runs;
-  for (const SimColumn& column : kSimColumns) {
-    (into.*column.stats).merge(from.*column.stats);
-  }
 }
 
 SweepResult merge_sweep_results(const std::vector<SweepResult>& shards) {

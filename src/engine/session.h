@@ -25,10 +25,7 @@
 //
 // The shard-merge path closes the loop: merge_sweep_results recombines
 // shard aggregates into the exact SweepResult a non-sharded run would have
-// produced (byte-identical through every writer), and merge_cell_results
-// is the general per-cell fold (Chan-style RunningStats merge) for
-// aggregates of the SAME cell built from disjoint replicate subsets —
-// the primitive a future replicate-level partition plugs into.
+// produced (byte-identical through every writer).
 #pragma once
 
 #include <cstdint>
@@ -251,13 +248,6 @@ SessionStats run_session(const SweepPlan& plan,
                          const SessionOptions& options = {});
 SessionStats run_session(const SweepPlan& plan, RunSink& sink,
                          const SessionOptions& options = {});
-
-/// Folds `from` into `into`: two partial aggregates of the SAME cell built
-/// from disjoint run subsets become the aggregate of the union. Counts and
-/// extrema are exact; means/variances merge Chan-style (equal to a single
-/// pass up to floating-point reassociation). Throws std::invalid_argument
-/// when the two sides describe different cells or metric arities.
-void merge_cell_results(CellResult& into, const CellResult& from);
 
 /// Recombines shard results into the single SweepResult the full run would
 /// have produced — byte-identical through every writer, because disjoint

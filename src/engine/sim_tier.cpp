@@ -50,12 +50,6 @@ std::vector<double> analytic_per_user_bps(const StrategyMatrix& strategies,
 }
 
 SimTierOutcome replay_strategy(const StrategyMatrix& strategies,
-                               const SimTierSpec& tier, std::uint64_t seed) {
-  return replay_strategy(strategies, tier, seed,
-                         analytic_per_user_bps(strategies, tier));
-}
-
-SimTierOutcome replay_strategy(const StrategyMatrix& strategies,
                                const SimTierSpec& tier, std::uint64_t seed,
                                const std::vector<double>& analytic) {
   if (tier.duration_s <= 0.0 || !std::isfinite(tier.duration_s)) {

@@ -59,13 +59,10 @@ struct SimTierOutcome {
 };
 
 /// Replays `strategies` through sim::simulate_network and scores it against
-/// the analytic prediction. Pure function of its arguments.
-SimTierOutcome replay_strategy(const StrategyMatrix& strategies,
-                               const SimTierSpec& tier, std::uint64_t seed);
-
-/// As above, but against a precomputed analytic_per_user_bps vector — the
-/// prediction depends only on (strategies, tier), so callers replaying the
-/// same allocation several times (sweep sim replicates) compute it once.
+/// `analytic`, the analytic_per_user_bps prediction — it depends only on
+/// (strategies, tier), so callers replaying the same allocation several
+/// times (sweep sim replicates) compute it once. Pure function of its
+/// arguments.
 SimTierOutcome replay_strategy(const StrategyMatrix& strategies,
                                const SimTierSpec& tier, std::uint64_t seed,
                                const std::vector<double>& analytic);

@@ -8,7 +8,7 @@
 //   auto rate = mrca::make_tdma_rate(1.0);           // constant R, Mbit/s
 //   mrca::GameModel game({/*users=*/4, /*channels=*/6, /*radios=*/4}, rate);
 //   auto ne = mrca::sequential_allocation(game);     // paper's Algorithm 1
-//   assert(mrca::is_nash_equilibrium(game, ne));
+//   assert(game.is_nash_equilibrium(ne));
 #pragma once
 
 #include "common/format.h"       // IWYU pragma: export

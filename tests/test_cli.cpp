@@ -721,6 +721,28 @@ TEST(CliTopology, MalformedSpecsNameTheFlagAndExit2) {
   }
 }
 
+TEST(CliTopology, EmptyGridNamesItsActualCause) {
+  // A grid with no cell exits 2 naming why: topologies that cannot describe
+  // any --users value are a different cause from k > |C|.
+  const struct {
+    const char* args;
+    const char* cause;
+  } cases[] = {
+      {"--users 5 --channels 4 --radios 1 --scenario topology=grid:2x2:1",
+       "topology=grid:2x2:1 cannot describe any --users value"},
+      {"--users 2 --channels 4 --radios 1 --scenario topology=edges:0-5",
+       "topology=edges:0-5 cannot describe any --users value"},
+      {"--users 5 --channels 2 --radios 3",
+       "every radios value exceeds every channels value"},
+  };
+  for (const auto& [args, cause] : cases) {
+    const CliResult result = run_cli(std::string("sweep ") + args);
+    EXPECT_EQ(result.exit_code, 2) << args;
+    EXPECT_NE(first_line(result.output).find(cause), std::string::npos)
+        << first_line(result.output);
+  }
+}
+
 TEST(CliTopology, SweepCarriesTheTopologyColumns) {
   const CliResult result = run_cli(
       "sweep --users 6 --channels 4 --radios 2 "

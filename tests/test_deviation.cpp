@@ -177,10 +177,10 @@ TEST(BestSingleChange, PrefersDeployWhenSparesExist) {
   EXPECT_NEAR(change->benefit, 1.0, 1e-12);  // an empty channel's full rate
 }
 
-TEST(ImprovingSingleChanges, EnumeratesFigure1Deviations) {
+TEST(ImprovingChangesForUser, EnumeratesFigure1Deviations) {
   const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
-  const auto changes = improving_single_changes(game, matrix);
+  const auto changes = game.improving_changes_for_user(matrix, 0);
   EXPECT_FALSE(changes.empty());
   // The text's Lemma 2 witness: u1 moving c4 -> c5 gains 1 - 1/3 > 0... as a
   // raw move benefit: from share 1/3 on load-3 c4 to share 1/2 on load-2 c5.
@@ -227,7 +227,8 @@ TEST_P(BestResponseOracle, DpEqualsEnumeration) {
   const auto& [rate, seed] = GetParam();
   const GameModel game(GameConfig(3, 4, 3), rate);
   Rng rng(seed);
-  const auto all_rows = enumerate_strategy_rows(game.config());
+  const auto all_rows =
+      enumerate_strategy_rows(game.num_channels(), game.budget(0));
   for (int trial = 0; trial < 60; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
     for (UserId i = 0; i < 3; ++i) {

@@ -32,7 +32,8 @@ TEST(Differential, BestResponseOracleOnRandomRates) {
   Rng rng(424242);
   const GameConfig config(3, 3, 2);
   const GameModel scratch(config, std::make_shared<ConstantRate>(1.0));
-  const auto all_rows = enumerate_strategy_rows(config);
+  const auto all_rows =
+      enumerate_strategy_rows(config.num_channels, config.radios_per_user);
   for (int game_trial = 0; game_trial < 25; ++game_trial) {
     const GameModel game(config, random_rate(rng, config.total_radios()));
     for (int state_trial = 0; state_trial < 10; ++state_trial) {
@@ -58,9 +59,9 @@ TEST(Differential, TheoremNecessityOnRandomRates) {
     const GameModel game(config, random_rate(rng, config.total_radios()));
     std::size_t nash_found = 0;
     for_each_strategy_matrix(
-        config,
+        game,
         [&](const StrategyMatrix& matrix) {
-          if (is_nash_equilibrium(game, matrix)) {
+          if (game.is_nash_equilibrium(matrix)) {
             ++nash_found;
             EXPECT_TRUE(check_theorem1(matrix).predicts_nash())
                 << game.rate_function(0).name() << " " << matrix.key();
@@ -89,7 +90,7 @@ TEST(Differential, Algorithm1StabilityOnRandomRates) {
     const GameModel game(config, random_rate(rng, config.total_radios()));
     const StrategyMatrix ne = sequential_allocation(game);
     EXPECT_LE(ne.max_load() - ne.min_load(), 1);
-    EXPECT_TRUE(is_nash_equilibrium(game, ne))
+    EXPECT_TRUE(game.is_nash_equilibrium(ne))
         << config.describe() << " " << ne.key();
   }
 }
@@ -102,7 +103,7 @@ TEST(Differential, DynamicsConvergeOnRandomRates) {
     const StrategyMatrix start = random_full_allocation(game, rng);
     const DynamicsResult result = run_response_dynamics(game, start);
     ASSERT_TRUE(result.converged);
-    EXPECT_TRUE(is_nash_equilibrium(game, result.final_state));
+    EXPECT_TRUE(game.is_nash_equilibrium(result.final_state));
   }
 }
 

@@ -42,7 +42,7 @@ TEST(Dynamics, ConvergedBestResponseStateIsNash) {
     const StrategyMatrix start = random_full_allocation(game, rng);
     const DynamicsResult result = run_response_dynamics(game, start);
     ASSERT_TRUE(result.converged);
-    EXPECT_TRUE(is_nash_equilibrium(game, result.final_state))
+    EXPECT_TRUE(game.is_nash_equilibrium(result.final_state))
         << result.final_state.key();
   }
 }
@@ -69,7 +69,7 @@ TEST(Dynamics, DeploysParkedRadiosEnRouteToEquilibrium) {
       run_response_dynamics(game, game.empty_strategy());
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(result.final_state.all_radios_deployed());
-  EXPECT_TRUE(is_nash_equilibrium(game, result.final_state));
+  EXPECT_TRUE(game.is_nash_equilibrium(result.final_state));
 }
 
 TEST(Dynamics, WelfareTraceIsRecordedWhenRequested) {
@@ -144,7 +144,7 @@ TEST_P(DynamicsSweep, ConvergesFromRandomStarts) {
     if (granularity == ResponseGranularity::kBestResponse) {
       // Round-robin quiet pass is an exact convergence proof; random order
       // is a heuristic stop — verify the claim with the oracle.
-      EXPECT_TRUE(is_nash_equilibrium(game, result.final_state));
+      EXPECT_TRUE(game.is_nash_equilibrium(result.final_state));
     } else {
       EXPECT_TRUE(is_single_move_stable(game, result.final_state));
     }

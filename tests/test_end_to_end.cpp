@@ -20,7 +20,7 @@ TEST(EndToEnd, BianchiPracticalRateGameReachesNash) {
   const GameModel game(config,
                        model.make_practical_rate(config.total_radios()));
   const StrategyMatrix ne = sequential_allocation(game);
-  EXPECT_TRUE(is_nash_equilibrium(game, ne));
+  EXPECT_TRUE(game.is_nash_equilibrium(ne));
   EXPECT_LE(ne.max_load() - ne.min_load(), 1);
   // Practical CSMA/CA is strictly decreasing: the equilibrium is NOT
   // system-optimal and the PoA quantifies the gap.
@@ -32,7 +32,7 @@ TEST(EndToEnd, TdmaGameNashIsSystemOptimal) {
   const GameConfig config(5, 4, 3);
   const GameModel game(config, tdma.make_rate());
   const StrategyMatrix ne = sequential_allocation(game);
-  EXPECT_TRUE(is_nash_equilibrium(game, ne));
+  EXPECT_TRUE(game.is_nash_equilibrium(ne));
   EXPECT_NEAR(price_of_anarchy(game), 1.0, 1e-12);
   EXPECT_NEAR(game.welfare(ne), game.optimal_welfare(), 1e-9);
 }
@@ -91,7 +91,7 @@ TEST(EndToEnd, MeasuredRateTableDrivesTheSameEquilibriumStructure) {
       sim::measured_dcf_rate(params, config.total_radios(), 10.0, 21);
   const GameModel game(config, measured_rate);
   const StrategyMatrix ne = sequential_allocation(game);
-  EXPECT_TRUE(is_nash_equilibrium(game, ne));
+  EXPECT_TRUE(game.is_nash_equilibrium(ne));
   EXPECT_LE(ne.max_load() - ne.min_load(), 1);
 }
 

@@ -69,7 +69,8 @@ TEST(EnergyAware, UtilitySubtractsDeploymentCost) {
 TEST(EnergyAware, BestResponseMatchesEnumeration) {
   const GameModel base = constant_game(3, 4, 3);
   Rng rng(909);
-  const auto all_rows = enumerate_strategy_rows(base.config());
+  const auto all_rows =
+      enumerate_strategy_rows(base.num_channels(), base.budget(0));
   for (const double cost : {0.0, 0.1, 0.4, 0.9}) {
     const GameModel game = priced(base, cost);
     for (int trial = 0; trial < 30; ++trial) {

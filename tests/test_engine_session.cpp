@@ -324,39 +324,6 @@ TEST(SweepSession, ProgressSinkDrawsAndTerminatesItsLine) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(MergeCellResults, FoldsPartialAggregatesOfOneCell) {
-  // The general per-cell fold: aggregates built from disjoint run subsets
-  // merge into the aggregate of the union (Chan merge: counts/extrema
-  // exact, moments equal up to reassociation).
-  CellResult whole;
-  CellResult part_a = whole;
-  CellResult part_b = whole;
-  const std::vector<double> samples = {1.0, 4.0, -2.0, 8.5, 3.25};
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    whole.welfare.add(samples[i]);
-    whole.activations.add(static_cast<double>(i));
-    ++whole.runs;
-    CellResult& part = i < 2 ? part_a : part_b;
-    part.welfare.add(samples[i]);
-    part.activations.add(static_cast<double>(i));
-    ++part.runs;
-  }
-  engine::merge_cell_results(part_a, part_b);
-  EXPECT_EQ(part_a.runs, whole.runs);
-  EXPECT_EQ(part_a.welfare.count(), whole.welfare.count());
-  EXPECT_EQ(part_a.welfare.min(), whole.welfare.min());
-  EXPECT_EQ(part_a.welfare.max(), whole.welfare.max());
-  EXPECT_NEAR(part_a.welfare.mean(), whole.welfare.mean(), 1e-12);
-  EXPECT_NEAR(part_a.welfare.stddev(), whole.welfare.stddev(), 1e-12);
-  EXPECT_NEAR(part_a.activations.mean(), whole.activations.mean(), 1e-12);
-
-  // Different cells refuse to fold.
-  CellResult other = whole;
-  other.cell.index = 7;
-  EXPECT_THROW(engine::merge_cell_results(part_a, other),
-               std::invalid_argument);
-}
-
 TEST(RunningStatsState, FromStateInvertsSerialization) {
   RunningStats stats;
   for (const double x : {0.25, -1.5, 3.75, 100.0}) stats.add(x);

@@ -161,8 +161,8 @@ TEST(ReplayStrategy, TdmaMeasurementMatchesAnalyticOnDedicatedChannels) {
   SimTierSpec tier;
   tier.mac = sim::MacKind::kTdma;
   tier.duration_s = 2.0;
-  const engine::SimTierOutcome outcome =
-      engine::replay_strategy(strategies, tier, 1);
+  const engine::SimTierOutcome outcome = engine::replay_strategy(
+      strategies, tier, 1, engine::analytic_per_user_bps(strategies, tier));
   EXPECT_LT(outcome.throughput_gap, 0.02);
   EXPECT_GT(outcome.fairness, 0.999);
   EXPECT_LT(outcome.channel_imbalance, 0.01);
@@ -174,8 +174,10 @@ TEST(ReplayStrategy, RejectsNonPositiveDuration) {
   strategies.add_radio(0, 0);
   SimTierSpec tier;
   tier.duration_s = 0.0;
-  EXPECT_THROW(engine::replay_strategy(strategies, tier, 1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      engine::replay_strategy(strategies, tier, 1,
+                              engine::analytic_per_user_bps(strategies, tier)),
+      std::invalid_argument);
 }
 
 TEST(SimTierSpecEquality, DefaultedComparisonIsUsable) {

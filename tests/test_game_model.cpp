@@ -39,7 +39,7 @@ std::vector<std::vector<RadioCount>> rows_for_budget(std::size_t channels,
   if (budget == 0) {
     return {std::vector<RadioCount>(channels, 0)};
   }
-  return enumerate_strategy_rows(GameConfig(1, channels, budget));
+  return enumerate_strategy_rows(channels, budget);
 }
 
 TEST(GameModel, ValidatesConstruction) {

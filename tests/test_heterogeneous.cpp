@@ -95,7 +95,8 @@ TEST(Heterogeneous, BestResponseMatchesEnumeration) {
       std::make_shared<ConstantRate>(0.5)};
   const GameConfig config(3, 4, 3);
   const GameModel game = heterogeneous(config, rates);
-  const auto all_rows = enumerate_strategy_rows(config);
+  const auto all_rows =
+      enumerate_strategy_rows(config.num_channels, config.radios_per_user);
 
   for (int trial = 0; trial < 50; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);

@@ -135,7 +135,7 @@ TEST(Fact1, FlatAllocationIsNashInNoConflictRegime) {
   // |N|*k = 4 <= |C| = 5: one radio per occupied channel is a NE.
   const GameModel game = constant_game(2, 5, 2);
   const auto matrix = matrix_of(game, {{1, 1, 0, 0, 0}, {0, 0, 1, 1, 0}});
-  EXPECT_TRUE(is_nash_equilibrium(game, matrix));
+  EXPECT_TRUE(game.is_nash_equilibrium(matrix));
 }
 
 TEST(Theorem1, NotApplicableWithoutConflict) {
@@ -181,7 +181,7 @@ TEST(Theorem1, ExceptionClauseAdmitsDocumentedCounterexample) {
       matrix_of(game, {{2, 0, 0}, {0, 1, 1}, {0, 1, 1}, {0, 1, 1}});
   const auto result = check_theorem1(matrix);
   EXPECT_TRUE(result.predicts_nash());
-  EXPECT_FALSE(is_nash_equilibrium(game, matrix));
+  EXPECT_FALSE(game.is_nash_equilibrium(matrix));
   // The profitable deviation moves a radio from the user's own min-loaded
   // monopoly onto a busier channel — the direction the lemmas never check.
   const auto change = game.best_single_change(matrix, 0);
@@ -197,7 +197,7 @@ TEST(Theorem1, AllLoadsEqualDegenerateCase) {
   const auto matrix = matrix_of(game, {{1, 1, 0}, {0, 1, 1}, {1, 0, 1}});
   const auto result = check_theorem1(matrix);
   EXPECT_TRUE(result.predicts_nash());
-  EXPECT_TRUE(is_nash_equilibrium(game, matrix));
+  EXPECT_TRUE(game.is_nash_equilibrium(matrix));
 }
 
 }  // namespace

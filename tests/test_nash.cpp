@@ -22,15 +22,13 @@ using testing::reference_models;
 
 TEST(EnumerateRows, CountsMatchStarsAndBars) {
   // Rows with sum <= k over C channels: C(k + C, C).
-  const GameConfig config(1, 3, 2);
-  EXPECT_EQ(enumerate_strategy_rows(config).size(), 10u);  // C(5,3)
+  EXPECT_EQ(enumerate_strategy_rows(3, 2).size(), 10u);  // C(5,3)
   // Full rows with sum == k: C(k + C - 1, C - 1).
-  EXPECT_EQ(enumerate_full_rows(config).size(), 6u);  // C(4,2)
+  EXPECT_EQ(enumerate_full_rows(3, 2).size(), 6u);  // C(4,2)
 }
 
 TEST(EnumerateRows, AllRowsValidAndDistinct) {
-  const GameConfig config(1, 4, 3);
-  const auto rows = enumerate_strategy_rows(config);
+  const auto rows = enumerate_strategy_rows(4, 3);
   std::set<std::vector<RadioCount>> seen;
   for (const auto& row : rows) {
     ASSERT_EQ(row.size(), 4u);
@@ -46,8 +44,7 @@ TEST(EnumerateRows, AllRowsValidAndDistinct) {
 }
 
 TEST(EnumerateRows, FullRowsDeployEverything) {
-  const GameConfig config(1, 3, 3);
-  for (const auto& row : enumerate_full_rows(config)) {
+  for (const auto& row : enumerate_full_rows(3, 3)) {
     RadioCount total = 0;
     for (const RadioCount x : row) total += x;
     ASSERT_EQ(total, 3);
@@ -55,11 +52,11 @@ TEST(EnumerateRows, FullRowsDeployEverything) {
 }
 
 TEST(ForEachStrategyMatrix, VisitsCartesianProduct) {
-  const GameConfig config(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   // Rows with sum <= 1 over 2 channels: 3. Matrices: 3^2 = 9.
   std::size_t count = 0;
   const std::size_t visited = for_each_strategy_matrix(
-      config, [&](const StrategyMatrix&) {
+      game, [&](const StrategyMatrix&) {
         ++count;
         return true;
       });
@@ -68,9 +65,9 @@ TEST(ForEachStrategyMatrix, VisitsCartesianProduct) {
 }
 
 TEST(ForEachStrategyMatrix, EarlyStop) {
-  const GameConfig config(2, 2, 1);
+  const GameModel game = constant_game(2, 2, 1);
   std::size_t count = 0;
-  for_each_strategy_matrix(config, [&](const StrategyMatrix&) {
+  for_each_strategy_matrix(game, [&](const StrategyMatrix&) {
     ++count;
     return count < 4;
   });
@@ -80,7 +77,7 @@ TEST(ForEachStrategyMatrix, EarlyStop) {
 TEST(IsNash, Figure1IsNotANash) {
   const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
-  EXPECT_FALSE(is_nash_equilibrium(game, matrix));
+  EXPECT_FALSE(game.is_nash_equilibrium(matrix));
   EXPECT_FALSE(is_single_move_stable(game, matrix));
   const auto violation = find_nash_violation(game, matrix);
   ASSERT_TRUE(violation.has_value());
@@ -91,7 +88,7 @@ TEST(IsNash, SpreadBalancedIsNash) {
   const GameModel game = constant_game(4, 3, 2);
   const auto matrix =
       matrix_of(game, {{1, 1, 0}, {1, 1, 0}, {1, 0, 1}, {0, 1, 1}});
-  EXPECT_TRUE(is_nash_equilibrium(game, matrix));
+  EXPECT_TRUE(game.is_nash_equilibrium(matrix));
   EXPECT_TRUE(is_single_move_stable(game, matrix));
   EXPECT_FALSE(find_nash_violation(game, matrix).has_value());
 }
@@ -104,7 +101,7 @@ TEST(IsNash, NashImpliesSingleMoveStable) {
   int nash_count = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
-    if (is_nash_equilibrium(game, matrix)) {
+    if (game.is_nash_equilibrium(matrix)) {
       ++nash_count;
       EXPECT_TRUE(is_single_move_stable(game, matrix)) << matrix.key();
     }
@@ -122,8 +119,8 @@ TEST(IsNash, StabilityLayersAgreeOrNestOnEnumeration) {
   // same quantity at larger sizes.
   const GameModel game = power_law_game(2, 3, 2, 2.0);
   std::size_t stable_not_nash = 0;
-  for_each_strategy_matrix(game.config(), [&](const StrategyMatrix& matrix) {
-    const bool nash = is_nash_equilibrium(game, matrix);
+  for_each_strategy_matrix(game, [&](const StrategyMatrix& matrix) {
+    const bool nash = game.is_nash_equilibrium(matrix);
     const bool stable = is_single_move_stable(game, matrix);
     if (nash) {
       EXPECT_TRUE(stable) << matrix.key();
@@ -276,8 +273,8 @@ TEST(Tolerance, LooseToleranceAcceptsNearEquilibria) {
   // Two users share c0; moving to c2 gains 0.5. A tolerance above 0.5
   // declares the state "stable enough".
   const auto matrix = matrix_of(game, {{1, 0, 0}, {1, 0, 0}, {0, 1, 0}});
-  EXPECT_FALSE(is_nash_equilibrium(game, matrix));
-  EXPECT_TRUE(is_nash_equilibrium(game, matrix, 0.75));
+  EXPECT_FALSE(game.is_nash_equilibrium(matrix));
+  EXPECT_TRUE(game.is_nash_equilibrium(matrix, 0.75));
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST(Figure1, IsNotANashAndEveryStatedLemmaFires) {
   EXPECT_FALSE(lemma1_violations(matrix).empty());
   EXPECT_FALSE(lemma2_violations(matrix).empty());
   EXPECT_FALSE(lemma3_violations(matrix).empty());
-  EXPECT_FALSE(is_nash_equilibrium(game, matrix));
+  EXPECT_FALSE(game.is_nash_equilibrium(matrix));
 }
 
 TEST(Figure1, RenderersProduceTheExample) {
@@ -80,7 +80,7 @@ TEST(Figure4, IsANashEquilibriumUnderConstantRate) {
   const GameModel game = constant_game(7, 6, 4);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_TRUE(is_single_move_stable(game, matrix));
-  EXPECT_TRUE(is_nash_equilibrium(game, matrix));
+  EXPECT_TRUE(game.is_nash_equilibrium(matrix));
 }
 
 TEST(Figure4, SatisfiesTheorem1WithExceptionClause) {
@@ -124,7 +124,7 @@ TEST(Figure5, IsANashEquilibriumForConstantAndDecreasingRate) {
        {constant_game(4, 6, 4), power_law_game(4, 6, 4, 1.0),
         power_law_game(4, 6, 4, 2.0)}) {
     const auto matrix = matrix_of(game, rows);
-    EXPECT_TRUE(is_nash_equilibrium(game, matrix))
+    EXPECT_TRUE(game.is_nash_equilibrium(matrix))
         << game.rate_function(0).name();
   }
 }
@@ -155,7 +155,7 @@ TEST(Figure4Variant, DecreasingRateBreaksTheExceptionEquilibrium) {
   const GameModel game = power_law_game(7, 6, 4, 1.0);
   const auto matrix = matrix_of(game, figure4_rows());
   EXPECT_GT(move_benefit(game, matrix, {0, 4, 0}), 0.0);
-  EXPECT_FALSE(is_nash_equilibrium(game, matrix));
+  EXPECT_FALSE(game.is_nash_equilibrium(matrix));
 }
 
 }  // namespace

@@ -135,8 +135,6 @@ TEST(ValidateNonIncreasing, RejectsNonZeroAtZero) {
 TEST(Factories, MakeHelpers) {
   const auto tdma = make_tdma_rate(2.0);
   EXPECT_DOUBLE_EQ(tdma->rate(7), 2.0);
-  const auto power = make_power_law_rate(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(power->rate(2), 1.0);
 }
 
 TEST(Names, AreDistinctAndInformative) {

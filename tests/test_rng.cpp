@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <set>
-#include <vector>
 
 namespace mrca {
 namespace {
@@ -149,54 +145,6 @@ TEST(Rng, ExponentialIsNonNegative) {
   for (int i = 0; i < 10000; ++i) {
     ASSERT_GE(rng.exponential(1.0), 0.0);
   }
-}
-
-TEST(Rng, NormalMomentsMatch) {
-  Rng rng(47);
-  const int n = 200000;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    sum += x;
-    sum_sq += x * x;
-  }
-  const double mean = sum / n;
-  const double variance = sum_sq / n - mean * mean;
-  EXPECT_NEAR(mean, 3.0, 0.03);
-  EXPECT_NEAR(variance, 4.0, 0.1);
-}
-
-TEST(Rng, GeometricMeanMatches) {
-  Rng rng(53);
-  const double p = 0.25;
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(rng.geometric(p));
-  }
-  // Mean number of failures before success: (1-p)/p = 3.
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
-}
-
-TEST(Rng, ShuffleIsAPermutation) {
-  Rng rng(59);
-  std::vector<int> items(50);
-  std::iota(items.begin(), items.end(), 0);
-  rng.shuffle(items);
-  std::vector<int> sorted = items;
-  std::sort(sorted.begin(), sorted.end());
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(sorted[static_cast<size_t>(i)], i);
-}
-
-TEST(Rng, ShuffleActuallyPermutes) {
-  Rng rng(61);
-  std::vector<int> items(50);
-  std::iota(items.begin(), items.end(), 0);
-  rng.shuffle(items);
-  std::vector<int> identity(50);
-  std::iota(identity.begin(), identity.end(), 0);
-  EXPECT_NE(items, identity);  // probability ~1/50! of spurious failure
 }
 
 TEST(Rng, SplitProducesIndependentStream) {

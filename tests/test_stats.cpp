@@ -14,7 +14,6 @@ TEST(RunningStats, EmptyDefaults) {
   EXPECT_EQ(stats.count(), 0u);
   EXPECT_EQ(stats.mean(), 0.0);
   EXPECT_EQ(stats.variance(), 0.0);
-  EXPECT_EQ(stats.stderr_mean(), 0.0);
 }
 
 TEST(RunningStats, SingleValue) {
@@ -76,15 +75,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(RunningStats, CiHalfwidthShrinksWithSamples) {
-  RunningStats small;
-  RunningStats large;
-  for (int i = 0; i < 10; ++i) small.add(i % 2 ? 1.0 : -1.0);
-  for (int i = 0; i < 1000; ++i) large.add(i % 2 ? 1.0 : -1.0);
-  EXPECT_GT(small.ci_halfwidth(), large.ci_halfwidth());
-  EXPECT_GT(large.ci_halfwidth(0.99), large.ci_halfwidth(0.95));
-}
-
 TEST(TimeWeightedMean, PiecewiseConstantSignal) {
   TimeWeightedMean twm(0.0);
   twm.update(0.0, 2.0);   // value 2 from t=0
@@ -104,44 +94,6 @@ TEST(TimeWeightedMean, NoElapsedTimeReturnsValue) {
   TimeWeightedMean twm(5.0);
   twm.update(5.0, 3.0);
   EXPECT_DOUBLE_EQ(twm.mean(5.0), 3.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_THROW(h.bin_lo(5), std::out_of_range);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);    // bin 0
-  h.add(3.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(-5.0);   // underflow -> bin 0
-  h.add(100.0);  // overflow -> bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-}
-
-TEST(Histogram, QuantileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
 }
 
 TEST(JainFairness, PerfectFairness) {
@@ -164,24 +116,6 @@ TEST(JainFairness, KnownIntermediateValue) {
   const std::vector<double> values = {1.0, 2.0};
   // (3)^2 / (2 * 5) = 0.9
   EXPECT_NEAR(jain_fairness(values), 0.9, 1e-12);
-}
-
-TEST(SpanHelpers, MeanAndStddev) {
-  const std::vector<double> values = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(mean_of(values), 5.0, 1e-12);
-  // Sample stddev of this classic dataset is ~2.138.
-  EXPECT_NEAR(stddev_of(values), 2.13809, 1e-4);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev_of({}), 0.0);
-}
-
-TEST(SpanHelpers, QuantileOf) {
-  const std::vector<double> values = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile_of(values, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile_of(values, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile_of(values, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile_of(values, 0.25), 2.0);
-  EXPECT_THROW(quantile_of({}, 0.5), std::invalid_argument);
 }
 
 }  // namespace

@@ -53,28 +53,6 @@ TEST(Table, AsciiAlignsColumns) {
   }
 }
 
-TEST(Table, CsvBasic) {
-  Table table({"a", "b"});
-  table.add_row({"1", "2"});
-  EXPECT_EQ(table.to_csv(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table table({"a"});
-  table.add_row({"has,comma"});
-  table.add_row({"has\"quote"});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
-TEST(Table, AddRowValuesFormatsDoubles) {
-  Table table({"x", "y"});
-  table.add_row_values({1.23456, 2.0}, 2);
-  EXPECT_EQ(table.cell(0, 0), "1.23");
-  EXPECT_EQ(table.cell(0, 1), "2.00");
-}
-
 TEST(Table, FmtHelpers) {
   EXPECT_EQ(Table::fmt(3.14159, 3), "3.142");
   EXPECT_EQ(Table::fmt(std::size_t{42}), "42");

@@ -32,10 +32,10 @@ struct AuditCounts {
 AuditCounts audit(const GameModel& game) {
   AuditCounts counts;
   for_each_strategy_matrix(
-      game.config(),
+      game,
       [&](const StrategyMatrix& matrix) {
         ++counts.matrices;
-        const bool oracle = is_nash_equilibrium(game, matrix);
+        const bool oracle = game.is_nash_equilibrium(matrix);
         const bool predicted = check_theorem1(matrix).predicts_nash();
         if (oracle) ++counts.nash;
         if (predicted) ++counts.theorem_accepts;
@@ -118,9 +118,9 @@ TEST(TheoremAudit, DecreasingRateNecessityStillHolds) {
         mrca::testing::power_law_game(users, channels, radios, 1.0);
     std::size_t nash_seen = 0;
     for_each_strategy_matrix(
-        game.config(),
+        game,
         [&](const StrategyMatrix& matrix) {
-          if (is_nash_equilibrium(game, matrix)) {
+          if (game.is_nash_equilibrium(matrix)) {
             ++nash_seen;
             EXPECT_TRUE(check_theorem1(matrix).predicts_nash())
                 << game.config().describe() << " " << matrix.key();
@@ -141,7 +141,7 @@ TEST(TheoremAudit, SpreadMatricesAreAlwaysTrueAccepts) {
         mrca::testing::power_law_game(4, 3, 2, 1.0),
         mrca::testing::power_law_game(4, 3, 2, 2.0)}) {
     for_each_strategy_matrix(
-        game.config(),
+        game,
         [&](const StrategyMatrix& matrix) {
           if (matrix.max_load() - matrix.min_load() > 1) return true;
           bool spread = true;
@@ -154,7 +154,7 @@ TEST(TheoremAudit, SpreadMatricesAreAlwaysTrueAccepts) {
             }
           }
           if (!spread) return true;
-          EXPECT_TRUE(is_nash_equilibrium(game, matrix))
+          EXPECT_TRUE(game.is_nash_equilibrium(matrix))
               << game.rate_function(0).name() << " " << matrix.key();
           return true;
         },

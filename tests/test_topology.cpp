@@ -394,7 +394,7 @@ TEST(TopologyNash, ModelAgreesWithTheBruteForceOracleOnAFourRing) {
             }
           }
         }
-        EXPECT_EQ(is_nash_equilibrium(model, matrix), oracle_stable)
+        EXPECT_EQ(model.is_nash_equilibrium(matrix), oracle_stable)
             << "disagreement on a 4-ring matrix";
         if (oracle_stable) ++equilibria;
         return true;
@@ -404,7 +404,7 @@ TEST(TopologyNash, ModelAgreesWithTheBruteForceOracleOnAFourRing) {
   EXPECT_GT(equilibria, 0u);
   const StrategyMatrix alternating = StrategyMatrix::from_rows(
       model.config(), {{1, 0}, {0, 1}, {1, 0}, {0, 1}});
-  EXPECT_TRUE(is_nash_equilibrium(model, alternating));
+  EXPECT_TRUE(model.is_nash_equilibrium(alternating));
   EXPECT_FALSE(find_nash_violation(model, alternating).has_value());
 }
 

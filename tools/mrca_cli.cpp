@@ -406,7 +406,7 @@ bool report_state(const GameModel& game, const StrategyMatrix& matrix) {
             << "single-move stability: "
             << (is_single_move_stable(game, matrix) ? "stable" : "unstable")
             << '\n';
-  const bool nash = is_nash_equilibrium(game, matrix);
+  const bool nash = game.is_nash_equilibrium(matrix);
   std::cout << "exact Nash (oracle):   "
             << (nash ? "equilibrium" : "NOT an equilibrium") << '\n';
   if (!theorem.violations.empty()) {
@@ -596,14 +596,35 @@ engine::SweepSpec build_sweep_spec(const Args& args) {
   return spec;
 }
 
+/// Why SweepSpec::expand() produced no cell. It skips (C, k) pairs with
+/// k > |C| and topology cells whose graph cannot describe N users; with a
+/// valid (C, k) pair left, every scenario must be a topology that fits no
+/// --users value (any other scenario would have emitted a cell).
+std::string empty_grid_cause(const engine::SweepSpec& spec) {
+  bool some_k_fits = false;
+  for (const std::size_t c : spec.channels) {
+    for (const RadioCount k : spec.radios) {
+      some_k_fits |= k >= 1 && static_cast<std::size_t>(k) <= c;
+    }
+  }
+  if (!some_k_fits) {
+    return "the grid has no valid (N, C, k) combination: every radios value "
+           "exceeds every channels value (model requires k <= |C|)";
+  }
+  std::string topologies;
+  for (const engine::ScenarioSpec& scenario : spec.scenarios) {
+    topologies += (topologies.empty() ? "" : ", ") + scenario.name();
+  }
+  return "the grid has no valid cell: " + topologies +
+         " cannot describe any --users value (a grid pins W*H users; an "
+         "edge list needs more users than its largest endpoint)";
+}
+
 /// Builds + validates the plan (shared `sweep`/`farm` entry error).
 engine::SweepPlan build_sweep_plan(const Args& args) {
   const engine::SweepPlan plan =
       engine::SweepPlan::build(build_sweep_spec(args));
-  if (plan.total_cells() == 0) {
-    usage("the grid has no valid (N, C, k) combination: every radios value "
-          "exceeds every channels value (model requires k <= |C|)");
-  }
+  if (plan.total_cells() == 0) usage(empty_grid_cause(plan.spec()));
   return plan;
 }
 
